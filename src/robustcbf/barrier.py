@@ -11,8 +11,6 @@ import numpy as np
 from .disturbance import DisturbanceHull, HullUnion, support_min, support_min_rows
 from .dynamics import RobotGeometry, RobotState, body_output_matrix
 
-_PAIR_CACHE: dict = {}
-
 
 @dataclass(frozen=True)
 class BarrierParams:
@@ -32,11 +30,11 @@ class BarrierParams:
 
 @dataclass(frozen=True, eq=False)
 class ConstraintSet:
-    """Stacked inequality A u >= b over all robot pairs and hulls, plus box bound.
+    """Stacked inequality A u >= b, one row per robot pair, plus box bound.
 
-    Rows are grouped hull-major: all pair rows for hull 0, then hull 1, ...
-    Pairs enumerate (i, j) with i < j, i ascending then j ascending.  The
-    pairs / hull_index / h_pairs arrays carry per-row bookkeeping used by the
+    Pairs enumerate (i, j) with i < j, i ascending then j ascending.  A hull
+    union still yields one row per pair: its margin is the least over all
+    hulls.  The pairs / h_pairs arrays carry per-row bookkeeping used by the
     simulator and by diagnostics.
     """
 
@@ -44,7 +42,6 @@ class ConstraintSet:
     b: np.ndarray
     u_max: float
     pairs: np.ndarray
-    hull_index: np.ndarray
     h_pairs: np.ndarray
 
     @property
@@ -71,7 +68,7 @@ def min_pairwise_h(
         sin_t = math.sin(state.theta)
         outputs[k, 0] = state.x1 + geom.look_ahead * cos_t
         outputs[k, 1] = state.x2 + geom.look_ahead * sin_t
-    iu, ju = _pair_indices(n)
+    iu, ju = np.triu_indices(n, k=1)
     diffs = outputs[iu] - outputs[ju]
     return float(
         (diffs[:, 0] * diffs[:, 0] + diffs[:, 1] * diffs[:, 1]).min() - params.delta**2
@@ -106,14 +103,6 @@ def robust_margin(grad_i, grad_j, g_i, g_j, hull: DisturbanceHull) -> float:
     return support_min(z, hull)
 
 
-def _pair_indices(n: int):
-    cached = _PAIR_CACHE.get(n)
-    if cached is None:
-        cached = np.triu_indices(n, k=1)
-        _PAIR_CACHE[n] = cached
-    return cached
-
-
 def assemble_constraints(
     states: Sequence[RobotState],
     geom: RobotGeometry,
@@ -122,15 +111,21 @@ def assemble_constraints(
     u_max: float,
     class_k: Callable | None = None,
     prune_distance: float | None = None,
+    pair_index=None,
 ) -> ConstraintSet:
-    """Build the ensemble constraint A u >= b for all pairs and hulls.
+    """Build the ensemble constraint A u >= b for all pairs.
 
-    One row per ordered pair (i, j), i < j, per hull; each row touches only
-    the 2-column blocks of robots i and j.  b = -class_k(h) - robust margin.
-    A custom class_k must broadcast over numpy arrays; the default is the
-    cubic with params.gamma.  prune_distance optionally drops pairs whose
-    output points are farther apart than the cutoff; every pair is kept by
-    default, matching the deployed configuration.
+    One row per ordered pair (i, j), i < j, whatever the number of hulls;
+    each row touches only the 2-column blocks of robots i and j.
+    b = -class_k(h) - robust margin, where the margin of a hull union is the
+    elementwise least of the per-hull support minima.  That equals the
+    support minimum over the pooled vertices bit for bit, so the row is the
+    tightest of the per-hull rows.  A custom class_k must broadcast over
+    numpy arrays; the default is the cubic with params.gamma.
+    prune_distance optionally drops pairs whose output points are farther
+    apart than the cutoff; every pair is kept by default, matching the
+    deployed configuration.  pair_index takes the (i, j) index arrays of all
+    pairs, np.triu_indices(n, 1), when the caller already holds them.
     """
     n = len(states)
     if n < 1:
@@ -143,8 +138,7 @@ def assemble_constraints(
     if not np.all(np.isfinite(positions)):
         raise ValueError("robot states must be finite")
 
-    q = hulls.size
-    iu, ju = _pair_indices(n)
+    iu, ju = np.triu_indices(n, k=1) if pair_index is None else pair_index
 
     cos_t = np.cos(positions[:, 2])
     sin_t = np.sin(positions[:, 2])
@@ -164,7 +158,6 @@ def assemble_constraints(
             b=np.zeros(0),
             u_max=float(u_max),
             pairs=np.zeros((0, 2), dtype=int),
-            hull_index=np.zeros(0, dtype=int),
             h_pairs=np.zeros(0),
         )
 
@@ -197,20 +190,14 @@ def assemble_constraints(
     else:
         relaxation = np.asarray(class_k(h_vals), dtype=float)
 
-    rhs_blocks = [
-        -relaxation - support_min_rows(z_rows, hull) for hull in hulls.hulls
-    ]
+    margin = support_min_rows(z_rows, hulls.hulls[0])
+    for hull in hulls.hulls[1:]:
+        margin = np.minimum(margin, support_min_rows(z_rows, hull))
 
-    matrix = block if q == 1 else np.tile(block, (q, 1))
-    rhs = rhs_blocks[0] if q == 1 else np.concatenate(rhs_blocks)
-    pair_arr = np.stack([iu, ju], axis=1)
-    pairs = pair_arr if q == 1 else np.tile(pair_arr, (q, 1))
-    hull_index = np.repeat(np.arange(q), n_pairs)
     return ConstraintSet(
-        A=matrix,
-        b=rhs,
+        A=block,
+        b=-relaxation - margin,
         u_max=float(u_max),
-        pairs=pairs,
-        hull_index=hull_index,
+        pairs=np.stack([iu, ju], axis=1),
         h_pairs=h_vals,
     )

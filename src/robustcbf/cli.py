@@ -5,7 +5,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -137,15 +137,13 @@ def load_config(path) -> ScenarioConfig:
         raise ConfigError("sim.duration is required")
 
     try:
-        delta = _as_number("barrier", "delta", barrier.get("delta", 0.12))
         geometry = RobotGeometry(
             wheel_radius=_as_number("robots", "wheel_radius", robots.get("wheel_radius", 0.016)),
             base_length=_as_number("robots", "base_length", robots.get("base_length", 0.105)),
             look_ahead=_as_number("robots", "look_ahead", robots.get("look_ahead", 0.03)),
-            diameter=delta,
         )
         params = BarrierParams(
-            delta=delta,
+            delta=_as_number("barrier", "delta", barrier.get("delta", 0.12)),
             gamma=_as_number("barrier", "gamma", barrier.get("gamma", 150.0)),
         )
     except ValueError as exc:
@@ -190,41 +188,6 @@ def _format(value: float) -> str:
     return format(value, ".17g")
 
 
-@dataclass(frozen=True, eq=False)
-class MetricExport:
-    """Pooled per-step records (t, min_h, wct_s, max_alter) plus the summary
-    block; the recomputable summary fields must match the records."""
-
-    records: np.ndarray
-    summary: dict
-    dt: float
-
-    @classmethod
-    def from_runs(cls, runs, dt: float) -> "MetricExport":
-        blocks = [
-            np.column_stack([r.times, r.min_h, r.wall_clock, r.max_alter])
-            for r in runs
-        ]
-        records = np.vstack(blocks) if blocks else np.zeros((0, 4))
-        return cls(records=records, summary=aggregate_metrics(runs), dt=dt)
-
-    def consistency_error(self) -> float:
-        """Largest gap between the summary and its recomputation from the
-        records (wall-clock statistics and violation time)."""
-        wct = self.records[:, 2]
-        gaps = [
-            abs(
-                self.summary["violation_time_s"]
-                - self.dt * int((self.records[:, 1] < 0.0).sum())
-            )
-        ]
-        if wct.size:
-            gaps.append(abs(self.summary["avg_wct_ms"] - wct.mean() * 1e3))
-            gaps.append(abs(self.summary["var_wct_ms2"] - wct.var() * 1e6))
-            gaps.append(abs(self.summary["avg_freq_hz"] - 1.0 / wct.mean()))
-        return max(gaps)
-
-
 def write_metrics_csv(path: Path, metrics: RunMetrics) -> None:
     lines = [CSV_HEADER]
     for k in range(metrics.times.size):
@@ -241,12 +204,9 @@ def write_metrics_csv(path: Path, metrics: RunMetrics) -> None:
     path.write_text("\n".join(lines) + "\n")
 
 
-def summarize(runs) -> dict:
-    """Aggregate summary over one or more runs; recomputable from the CSVs."""
-    return aggregate_metrics(runs)
-
-
 def _write_outputs(out_dir: Path, runs, dt: float, created: list) -> dict:
+    # dt is unused; the four-argument call shape stays because
+    # perfbench/workloads.py reads `created` as the fourth positional argument.
     out_dir.mkdir(parents=True, exist_ok=True)
     if len(runs) == 1:
         targets = [out_dir / "metrics.csv"]
@@ -255,12 +215,11 @@ def _write_outputs(out_dir: Path, runs, dt: float, created: list) -> dict:
     for target, run in zip(targets, runs):
         write_metrics_csv(target, run)
         created.append(target)
-    export = MetricExport.from_runs(runs, dt)
-    assert export.consistency_error() <= 1e-9
+    summary = aggregate_metrics(runs)
     summary_path = out_dir / "summary.json"
-    summary_path.write_text(json.dumps(export.summary, indent=2) + "\n")
+    summary_path.write_text(json.dumps(summary, indent=2) + "\n")
     created.append(summary_path)
-    return export.summary
+    return summary
 
 
 def _cleanup(created) -> None:

@@ -36,7 +36,12 @@ class DisturbanceHull:
 
 @dataclass(frozen=True, eq=False)
 class HullUnion:
-    """Union of convex hulls; one constraint row is generated per hull."""
+    """Union of convex hulls.
+
+    A direction's margin over the union is the least of its per-hull support
+    minima, which equals the support minimum over the pooled vertices; the
+    filter therefore emits one constraint row per robot pair, not per hull.
+    """
 
     hulls: tuple
 

@@ -72,61 +72,42 @@ class RobotGeometry:
     """Physical constants of one robot.
 
     look_ahead must be strictly positive: the output map is only invertible
-    for a point strictly ahead of the wheel axle.
+    for a point strictly ahead of the wheel axle.  The wheel and body-output
+    matrices depend on nothing else, so they are built once here, read-only.
     """
 
     wheel_radius: float
     base_length: float
     look_ahead: float
-    diameter: float
 
     def __post_init__(self) -> None:
-        for name in ("wheel_radius", "base_length", "look_ahead", "diameter"):
+        for name in ("wheel_radius", "base_length", "look_ahead"):
             value = getattr(self, name)
             if not (math.isfinite(value) and value > 0.0):
                 raise ValueError(f"{name} must be finite and > 0, got {value!r}")
             object.__setattr__(self, name, float(value))
-
-
-_WHEEL_CACHE: dict = {}
+        r = self.wheel_radius
+        lb = self.base_length
+        wheel = np.array([[r / 2.0, r / 2.0], [-r / lb, r / lb]])
+        body_output = np.array([[1.0, 0.0], [0.0, self.look_ahead]]) @ wheel
+        for matrix in (wheel, body_output):
+            matrix.setflags(write=False)
+        object.__setattr__(self, "_wheel", wheel)
+        object.__setattr__(self, "_body_output", body_output)
 
 
 def wheel_matrix(geom: RobotGeometry) -> np.ndarray:
-    """2x2 map from (omega_r, omega_l) to body velocities (v, omega)."""
-    r = geom.wheel_radius
-    lb = geom.base_length
-    return np.array([[r / 2.0, r / 2.0], [-r / lb, r / lb]])
-
-
-def _cached_wheel_matrix(geom: RobotGeometry) -> np.ndarray:
-    gearing = _WHEEL_CACHE.get(geom)
-    if gearing is None:
-        gearing = wheel_matrix(geom)
-        gearing.setflags(write=False)
-        _WHEEL_CACHE[geom] = gearing
-    return gearing
+    """2x2 map from (omega_r, omega_l) to body velocities (v, omega); read-only."""
+    return geom._wheel
 
 
 def body_output_matrix(geom: RobotGeometry) -> np.ndarray:
     """Map wheel velocities to the look-ahead point's velocity in the body frame.
 
     Equals diag(1, look_ahead) @ wheel_matrix; invertible because
-    look_ahead > 0.
+    look_ahead > 0.  Read-only.
     """
-    scale = np.array([[1.0, 0.0], [0.0, geom.look_ahead]])
-    return scale @ wheel_matrix(geom)
-
-
-_BODY_OUTPUT_CACHE: dict = {}
-
-
-def _cached_body_output(geom: RobotGeometry) -> np.ndarray:
-    block = _BODY_OUTPUT_CACHE.get(geom)
-    if block is None:
-        block = body_output_matrix(geom)
-        block.setflags(write=False)
-        _BODY_OUTPUT_CACHE[geom] = block
-    return block
+    return geom._body_output
 
 
 def rotation_matrix(theta: float) -> np.ndarray:
@@ -179,7 +160,7 @@ def step_dynamics(
     if not (math.isfinite(dt) and dt > 0.0):
         raise ValueError(f"dt must be finite and > 0, got {dt!r}")
 
-    gearing = _cached_wheel_matrix(geom)
+    gearing = wheel_matrix(geom)
     if method == "euler":
         body = _body_matrix(state.theta)
         x = state.as_array()

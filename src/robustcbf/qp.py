@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 import time
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -23,22 +23,6 @@ MAX_ITERATIONS = "max-iterations"
 
 _DEPENDENCE_RTOL = 1e-12
 _CONDITION_WARN = 1e8
-
-# Condition numbers are cached per weight-matrix object so that a filter
-# reusing one weight across control steps pays for the SVD once.
-_COND_CACHE: dict = {}
-
-
-def _weight_condition(weight_obj, weight: np.ndarray) -> float:
-    key = id(weight_obj)
-    hit = _COND_CACHE.get(key)
-    if hit is not None and hit[0] is weight_obj:
-        return hit[1]
-    cond = float(np.linalg.cond(weight))
-    if len(_COND_CACHE) > 64:
-        _COND_CACHE.clear()
-    _COND_CACHE[key] = (weight_obj, cond)
-    return cond
 
 
 @dataclass(frozen=True)
@@ -51,18 +35,64 @@ class Tolerances:
 
 
 @dataclass(frozen=True, eq=False)
+class PreparedWeight:
+    """A validated QP weight with its Hessian 2 W^T W and inverse Hessian.
+
+    Build it once with prepare_weight and hand it to every QpProblem that
+    shares the weight; the arrays are read-only.
+    """
+
+    matrix: np.ndarray
+    hessian: np.ndarray
+    inv_hessian: np.ndarray
+
+
+def prepare_weight(weight) -> PreparedWeight:
+    """Validate a square weight matrix and precompute its Hessian terms.
+
+    Raises on a non-finite or singular weight and warns when its condition
+    number exceeds 1e8.
+    """
+    matrix = np.asarray(weight, dtype=float).copy()
+    if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
+        raise ValueError(f"weight must be a square matrix, got shape {matrix.shape}")
+    if not np.all(np.isfinite(matrix)):
+        raise ValueError("weight must be finite")
+    cond = float(np.linalg.cond(matrix))
+    if not math.isfinite(cond):
+        raise ValueError("weight matrix is singular")
+    if cond > _CONDITION_WARN:
+        warnings.warn(
+            f"weight matrix condition number {cond:.3e} exceeds {_CONDITION_WARN:.0e}",
+            stacklevel=2,
+        )
+    hessian = 2.0 * matrix.T @ matrix
+    inv_hessian = _invert_spd(hessian)
+    for arr in (matrix, hessian, inv_hessian):
+        arr.setflags(write=False)
+    return PreparedWeight(matrix, hessian, inv_hessian)
+
+
+@dataclass(frozen=True, eq=False)
 class QpProblem:
-    """min ||weight @ (u_nom - u)||^2  s.t.  A u >= b  and  |u|_inf <= u_max."""
+    """min ||weight @ (u_nom - u)||^2  s.t.  A u >= b  and  |u|_inf <= u_max.
+
+    weight is a PreparedWeight or a plain matrix, which is prepared on the
+    spot; the problem's weight attribute is always the matrix and prepared
+    holds its Hessian terms.
+    """
 
     weight: np.ndarray
     u_nom: np.ndarray
     A: np.ndarray
     b: np.ndarray
     u_max: float
+    prepared: PreparedWeight = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        weight_obj = self.weight
-        weight = np.asarray(self.weight, dtype=float)
+        prepared = self.weight
+        if not isinstance(prepared, PreparedWeight):
+            prepared = prepare_weight(prepared)
         u_nom = np.asarray(self.u_nom, dtype=float).reshape(-1)
         m = u_nom.size
         matrix = np.asarray(self.A, dtype=float)
@@ -71,36 +101,27 @@ class QpProblem:
         matrix = np.atleast_2d(matrix)
         rhs = np.asarray(self.b, dtype=float).reshape(-1)
 
-        if weight.shape != (m, m):
-            raise ValueError(f"weight must be {m}x{m}, got {weight.shape}")
+        if prepared.matrix.shape != (m, m):
+            raise ValueError(f"weight must be {m}x{m}, got {prepared.matrix.shape}")
         if matrix.shape[1] != m:
             raise ValueError(
                 f"A has {matrix.shape[1]} columns but the problem has {m} variables"
             )
         if rhs.shape[0] != matrix.shape[0]:
             raise ValueError("A and b disagree on the number of rows")
-        for name, arr in (("weight", weight), ("u_nom", u_nom), ("A", matrix), ("b", rhs)):
+        for name, arr in (("u_nom", u_nom), ("A", matrix), ("b", rhs)):
             if not np.all(np.isfinite(arr)):
                 raise ValueError(f"{name} must be finite")
         if not (math.isfinite(self.u_max) and self.u_max > 0.0):
             raise ValueError(f"u_max must be finite and > 0, got {self.u_max!r}")
 
-        cond = _weight_condition(weight_obj, weight)
-        if not math.isfinite(cond):
-            raise ValueError("weight matrix is singular")
-        if cond > _CONDITION_WARN:
-            warnings.warn(
-                f"weight matrix condition number {cond:.3e} exceeds {_CONDITION_WARN:.0e}",
-                stacklevel=2,
-            )
-
-        weight = weight.copy()
         u_nom = u_nom.copy()
         matrix = matrix.copy()
         rhs = rhs.copy()
-        for arr in (weight, u_nom, matrix, rhs):
+        for arr in (u_nom, matrix, rhs):
             arr.setflags(write=False)
-        object.__setattr__(self, "weight", weight)
+        object.__setattr__(self, "weight", prepared.matrix)
+        object.__setattr__(self, "prepared", prepared)
         object.__setattr__(self, "u_nom", u_nom)
         object.__setattr__(self, "A", matrix)
         object.__setattr__(self, "b", rhs)
@@ -129,33 +150,13 @@ class QpSolution:
     active_set: tuple
 
 
-def _quadratic_terms(problem: QpProblem):
-    hessian = 2.0 * problem.weight.T @ problem.weight
-    linear = -hessian @ problem.u_nom
-    return hessian, linear
-
-
-# The filter solves with one weight matrix at control rate; memoize its
-# inverse Hessian by value.
-_INVERSE_CACHE: dict = {}
+def _linear_term(problem: QpProblem) -> np.ndarray:
+    return -problem.prepared.hessian @ problem.u_nom
 
 
 def _invert_spd(hessian: np.ndarray) -> np.ndarray:
     inverse = np.linalg.inv(hessian)
     return 0.5 * (inverse + inverse.T)
-
-
-def _cached_inverse(weight: np.ndarray, hessian: np.ndarray) -> np.ndarray:
-    key = weight.tobytes()
-    hit = _INVERSE_CACHE.get(key)
-    if hit is not None:
-        return hit
-    inverse = _invert_spd(hessian)
-    inverse.setflags(write=False)
-    if len(_INVERSE_CACHE) > 16:
-        _INVERSE_CACHE.clear()
-    _INVERSE_CACHE[key] = inverse
-    return inverse
 
 
 def _stacked_constraints(problem: QpProblem):
@@ -393,8 +394,8 @@ def solve(problem: QpProblem, tol: Tolerances | None = None, warm_start=None) ->
     """
     tol = tol or Tolerances()
     start = time.perf_counter()
-    hessian, linear = _quadratic_terms(problem)
-    inv_hessian = _cached_inverse(problem.weight, hessian)
+    hessian = problem.prepared.hessian
+    linear = _linear_term(problem)
     C, d = _stacked_constraints(problem)
     max_iter = tol.max_iterations
     if max_iter is None:
@@ -408,7 +409,7 @@ def solve(problem: QpProblem, tol: Tolerances | None = None, warm_start=None) ->
         warm = tuple(int(i) for i in warm_start)
 
     u, lam, status, iterations, active = _solve_raw(
-        inv_hessian, linear, C, d, tol.feasibility, max_iter, warm
+        problem.prepared.inv_hessian, linear, C, d, tol.feasibility, max_iter, warm
     )
     stationarity, feasibility, complementarity = _kkt_residuals(
         hessian, linear, C, d, u, lam
@@ -429,6 +430,53 @@ def solve(problem: QpProblem, tol: Tolerances | None = None, warm_start=None) ->
     )
 
 
+def solve_with_slack(problem: QpProblem, slack_weight: float) -> QpSolution:
+    """Relaxed re-solve for an infeasible problem: every row of A gets its own
+    slack, penalized by slack_weight, while the box bound stays hard.
+
+    u_star holds the original variables only, and active_set is empty.
+    """
+    start = time.perf_counter()
+    m = problem.variables
+    n_rows = problem.rows
+
+    hessian = np.zeros((m + n_rows, m + n_rows))
+    hessian[:m, :m] = problem.prepared.hessian
+    hessian[m:, m:] = 2.0 * slack_weight * np.eye(n_rows)
+    linear = np.concatenate([_linear_term(problem), np.zeros(n_rows)])
+
+    eye_u = np.eye(m)
+    C = np.zeros((n_rows + 2 * m + n_rows, m + n_rows))
+    C[:n_rows, :m] = problem.A
+    C[:n_rows, m:] = np.eye(n_rows)
+    C[n_rows : n_rows + m, :m] = eye_u
+    C[n_rows + m : n_rows + 2 * m, :m] = -eye_u
+    C[n_rows + 2 * m :, m:] = np.eye(n_rows)
+    d = np.concatenate(
+        [
+            problem.b,
+            np.full(m, -problem.u_max),
+            np.full(m, -problem.u_max),
+            np.zeros(n_rows),
+        ]
+    )
+
+    max_iter = 10 * (m + n_rows + C.shape[0])
+    v, lam, status, iterations, _ = _solve_raw(
+        _invert_spd(hessian), linear, C, d, 1e-8, max_iter, ()
+    )
+    stationarity, _, complementarity = _kkt_residuals(hessian, linear, C, d, v, lam)
+    return QpSolution(
+        u_star=v[:m],
+        status=status,
+        kkt_residual=max(stationarity, complementarity),
+        iterations=iterations,
+        wall_clock=time.perf_counter() - start,
+        multipliers=lam,
+        active_set=(),
+    )
+
+
 def kkt_check(problem: QpProblem, u, active_tol: float = 1e-6):
     """Independent first-order optimality certificate at a candidate point.
 
@@ -440,9 +488,8 @@ def kkt_check(problem: QpProblem, u, active_tol: float = 1e-6):
     u = np.asarray(u, dtype=float).reshape(-1)
     if u.size != problem.variables:
         raise ValueError("candidate point has the wrong dimension")
-    hessian, linear = _quadratic_terms(problem)
     C, d = _stacked_constraints(problem)
-    gradient = hessian @ u + linear
+    gradient = problem.prepared.hessian @ u + _linear_term(problem)
     residual = C @ u - d
     feasibility = float(max(0.0, (-residual).max())) if residual.size else 0.0
     active = np.flatnonzero(np.abs(residual) <= active_tol * (1.0 + np.abs(d)))

@@ -17,11 +17,18 @@ from .dynamics import RobotGeometry, RobotState, WheelCommand, body_output_matri
 
 _FALLBACKS = ("error", "zero-input", "slack")
 
-_WEIGHT_CACHE: dict = {}
-
 
 class FilterInfeasibleError(RuntimeError):
     """Raised when the QP has no feasible point and the fallback is 'error'."""
+
+
+@dataclass(frozen=True, eq=False)
+class FilterPlan:
+    """What the filter reuses at every step for one robot count: the pair
+    index arrays np.triu_indices(n, 1) and the prepared QP weight."""
+
+    pair_index: tuple
+    weight: qp.PreparedWeight
 
 
 @dataclass(frozen=True)
@@ -32,7 +39,8 @@ class FilterConfig:
     command zero wheels, or re-solve with a heavily penalized slack on the
     barrier rows (box bounds stay hard).  class_k optionally replaces the
     default cubic relaxation; it must be odd, strictly increasing, and
-    broadcast over numpy arrays.
+    broadcast over numpy arrays.  Each instance builds its FilterPlan for a
+    robot count on first use and keeps it.
     """
 
     geometry: RobotGeometry
@@ -55,6 +63,18 @@ class FilterConfig:
             raise ValueError("slack fallback needs a positive slack_weight")
         if self.prune_distance is not None and not self.prune_distance > 0.0:
             raise ValueError("prune_distance must be positive when set")
+        object.__setattr__(self, "_plans", {})
+
+    def plan(self, n: int) -> FilterPlan:
+        """The FilterPlan for n robots, built on the first call for n."""
+        plan = self._plans.get(n)
+        if plan is None:
+            plan = FilterPlan(
+                pair_index=np.triu_indices(n, k=1),
+                weight=qp.prepare_weight(ensemble_weight(n, self.geometry)),
+            )
+            self._plans[n] = plan
+        return plan
 
 
 @dataclass(frozen=True, eq=False)
@@ -75,32 +95,19 @@ class FilterResult:
     fallback_applied: str | None = None
 
     def command_array(self) -> np.ndarray:
-        out = np.empty(2 * len(self.commands))
-        for k, cmd in enumerate(self.commands):
-            out[2 * k] = cmd.omega_r
-            out[2 * k + 1] = cmd.omega_l
-        return out
+        """The commands stacked as (omega_r, omega_l) per robot; a copy."""
+        return self.solver.u_star.copy()
 
 
 def ensemble_weight(n: int, geom: RobotGeometry) -> np.ndarray:
     """Block-diagonal QP weight: n copies of the look-ahead output matrix.
 
     Weighting by this matrix penalizes changes to the output-point velocity,
-    which favors altering angular over linear motion and so eases deadlocks.
+    which favors altering angular over linear motion.
     """
     if n < 1:
         raise ValueError("need at least one robot")
     return np.kron(np.eye(n), body_output_matrix(geom))
-
-
-def _cached_weight(n: int, geom: RobotGeometry) -> np.ndarray:
-    key = (n, geom)
-    weight = _WEIGHT_CACHE.get(key)
-    if weight is None:
-        weight = ensemble_weight(n, geom)
-        weight.setflags(write=False)
-        _WEIGHT_CACHE[key] = weight
-    return weight
 
 
 def _stack_commands(commands: Sequence[WheelCommand]) -> np.ndarray:
@@ -109,53 +116,6 @@ def _stack_commands(commands: Sequence[WheelCommand]) -> np.ndarray:
         out[2 * k] = cmd.omega_r
         out[2 * k + 1] = cmd.omega_l
     return out
-
-
-def _solve_with_slack(problem: qp.QpProblem, slack_weight: float) -> qp.QpSolution:
-    """Relaxed re-solve: barrier rows get an elementwise penalized slack,
-    box rows stay hard."""
-    start = time.perf_counter()
-    m = problem.variables
-    n_rows = problem.rows
-    base_h, base_q = qp._quadratic_terms(problem)
-
-    hessian = np.zeros((m + n_rows, m + n_rows))
-    hessian[:m, :m] = base_h
-    hessian[m:, m:] = 2.0 * slack_weight * np.eye(n_rows)
-    linear = np.concatenate([base_q, np.zeros(n_rows)])
-
-    eye_u = np.eye(m)
-    C = np.zeros((n_rows + 2 * m + n_rows, m + n_rows))
-    C[:n_rows, :m] = problem.A
-    C[:n_rows, m:] = np.eye(n_rows)
-    C[n_rows : n_rows + m, :m] = eye_u
-    C[n_rows + m : n_rows + 2 * m, :m] = -eye_u
-    C[n_rows + 2 * m :, m:] = np.eye(n_rows)
-    d = np.concatenate(
-        [
-            problem.b,
-            np.full(m, -problem.u_max),
-            np.full(m, -problem.u_max),
-            np.zeros(n_rows),
-        ]
-    )
-
-    max_iter = 10 * (m + n_rows + C.shape[0])
-    v, lam, status, iterations, _ = qp._solve_raw(
-        qp._invert_spd(hessian), linear, C, d, 1e-8, max_iter, ()
-    )
-    stationarity, feasibility, complementarity = qp._kkt_residuals(
-        hessian, linear, C, d, v, lam
-    )
-    return qp.QpSolution(
-        u_star=v[:m],
-        status=status,
-        kkt_residual=max(stationarity, complementarity),
-        iterations=iterations,
-        wall_clock=time.perf_counter() - start,
-        multipliers=lam,
-        active_set=(),
-    )
 
 
 def filter_step(
@@ -175,6 +135,7 @@ def filter_step(
         raise ValueError("states and u_nom must have equal length >= 1")
 
     start = time.perf_counter()
+    plan = cfg.plan(n)
     constraints = assemble_constraints(
         states,
         cfg.geometry,
@@ -183,10 +144,10 @@ def filter_step(
         cfg.u_max,
         cfg.class_k,
         cfg.prune_distance,
+        plan.pair_index,
     )
-    weight = _cached_weight(n, cfg.geometry)
     nominal = _stack_commands(u_nom)
-    problem = qp.QpProblem(weight, nominal, constraints.A, constraints.b, cfg.u_max)
+    problem = qp.QpProblem(plan.weight, nominal, constraints.A, constraints.b, cfg.u_max)
     solution = qp.solve(problem, warm_start=warm_start)
 
     fallback_applied = None
@@ -207,7 +168,7 @@ def filter_step(
             )
             fallback_applied = "zero-input"
         else:
-            solution = _solve_with_slack(problem, cfg.slack_weight)
+            solution = qp.solve_with_slack(problem, cfg.slack_weight)
             fallback_applied = "slack"
     wall_clock = time.perf_counter() - start
 
@@ -238,7 +199,7 @@ def certificate_holds(
     cfg: FilterConfig,
     tol: float = 1e-9,
 ):
-    """Directly evaluate the robust certificate for every pair and hull.
+    """Directly evaluate the robust certificate for every pair.
 
     Returns (holds, worst_margin): the minimum slack of A u - b and whether
     it clears -tol.  A single robot trivially holds with infinite margin.

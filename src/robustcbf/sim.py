@@ -22,7 +22,7 @@ from .dynamics import (
     RobotGeometry,
     RobotState,
     WheelCommand,
-    _cached_body_output,
+    body_output_matrix,
     output_point,
     step_dynamics,
 )
@@ -30,9 +30,7 @@ from .safety_filter import FilterConfig, FilterResult, filter_step
 
 PLANT_MODES = ("off", "uniform-convex", "worst-case", "vertex")
 
-DEFAULT_GEOMETRY = RobotGeometry(
-    wheel_radius=0.016, base_length=0.105, look_ahead=0.03, diameter=0.12
-)
+DEFAULT_GEOMETRY = RobotGeometry(wheel_radius=0.016, base_length=0.105, look_ahead=0.03)
 DEFAULT_BARRIER = BarrierParams(delta=0.12, gamma=150.0)
 DEFAULT_U_MAX = 25.0
 DEFAULT_PSI = 5.0
@@ -173,7 +171,7 @@ def nominal_controller(
     sin_t = math.sin(state.theta)
     desired_x = gain * (float(goal[0]) - (state.x1 + lp * cos_t))
     desired_y = gain * (float(goal[1]) - (state.x2 + lp * sin_t))
-    block = _cached_body_output(geom)
+    block = body_output_matrix(geom)
     g00 = cos_t * block[0, 0] - sin_t * block[1, 0]
     g01 = cos_t * block[0, 1] - sin_t * block[1, 1]
     g10 = sin_t * block[0, 0] + cos_t * block[1, 0]
@@ -194,7 +192,7 @@ def _worst_case_disturbance(
 ) -> np.ndarray:
     """Adversarial vertex against the tightest constraint's direction.
 
-    Picks the stacked row with the least slack at the filtered command,
+    Picks the pair row with the least slack at the filtered command,
     recovers its margin direction z (the sum of the two robots' blocks), and
     returns the pooled-union vertex minimizing z . v.  Every robot receives
     this vertex, which is exactly the worst disturbance the certificate
@@ -203,8 +201,7 @@ def _worst_case_disturbance(
     constraints = result.constraints
     if constraints.rows == 0:
         return union.hulls[0].vertices[0].copy()
-    u_vec = result.command_array()
-    slack = constraints.A @ u_vec - constraints.b
+    slack = constraints.A @ result.solver.u_star - constraints.b
     row = int(np.argmin(slack))
     i, j = constraints.pairs[row]
     direction = (

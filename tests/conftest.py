@@ -27,7 +27,6 @@ def geom() -> RobotGeometry:
         wheel_radius=WHEEL_RADIUS,
         base_length=BASE_LENGTH,
         look_ahead=LOOK_AHEAD,
-        diameter=DIAMETER,
     )
 
 

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from robustcbf import (
     BarrierParams,
+    DisturbanceHull,
     HullUnion,
     RobotState,
     assemble_constraints,
@@ -15,6 +16,7 @@ from robustcbf import (
     output_point,
     pairwise_h,
     pairwise_h_grad,
+    pooled_vertices,
     robust_margin,
     support_min,
     symmetric_box,
@@ -207,19 +209,23 @@ class TestAssembleConstraints:
         for smaller, larger in zip(stacks, stacks[1:]):
             assert np.all(larger >= smaller)
 
-    def test_union_assembly_stacks_single_hull_assemblies(self, geom, params, rng):
-        states = random_states(rng, 4)
-        hulls = (symmetric_box(5.0), symmetric_box(2.0), symmetric_box(0.5))
-        union = assemble_constraints(states, geom, params, HullUnion(hulls), U_MAX)
-        singles = [
-            assemble_constraints(states, geom, params, HullUnion((hull,)), U_MAX)
-            for hull in hulls
-        ]
-        np.testing.assert_array_equal(union.A, np.vstack([s.A for s in singles]))
-        np.testing.assert_array_equal(union.b, np.concatenate([s.b for s in singles]))
-        np.testing.assert_array_equal(
-            union.hull_index, np.repeat(np.arange(3), 6)
+    def test_union_assembly_is_one_row_per_pair(self, geom, params, rng):
+        states = random_states(rng, 5)
+        hulls = (
+            symmetric_box(2.0),
+            DisturbanceHull(rng.normal(scale=4.0, size=(7, 2))),
+            DisturbanceHull(rng.normal(scale=4.0, size=(3, 2))),
         )
+        union = HullUnion(hulls)
+        cs = assemble_constraints(states, geom, params, union, U_MAX)
+        single = assemble_constraints(states, geom, params, HullUnion(hulls[:1]), U_MAX)
+        pooled = assemble_constraints(
+            states, geom, params, HullUnion((DisturbanceHull(pooled_vertices(union)),)), U_MAX
+        )
+        assert cs.rows == 10
+        np.testing.assert_array_equal(cs.A, single.A)
+        np.testing.assert_array_equal(cs.pairs, single.pairs)
+        np.testing.assert_array_equal(cs.b, pooled.b)
 
     def test_custom_class_k_hook(self, geom, params, box5, rng):
         states = random_states(rng, 3)

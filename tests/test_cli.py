@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from robustcbf import assemble_constraints, circle_init, zero_union
+from robustcbf import aggregate_metrics, assemble_constraints, circle_init, zero_union
 from robustcbf.cli import (
     EXIT_CHECK,
     EXIT_CONFIG,
@@ -14,7 +14,6 @@ from robustcbf.cli import (
     load_config,
     main,
     run_command,
-    summarize,
     trace_command,
 )
 
@@ -331,25 +330,7 @@ class TestMain:
 
 class TestSummarize:
     def test_empty_runs(self):
-        summary = summarize([])
+        summary = aggregate_metrics([])
         assert summary["avg_wct_ms"] is None
         assert summary["violation_time_s"] == 0.0
 
-
-class TestMetricExport:
-    def test_record_count_and_consistency(self, tmp_path):
-        from robustcbf import repeat_experiment
-        from robustcbf.cli import MetricExport
-
-        cfg = load_config(write_scenario(tmp_path, SMALL_RUN))
-        runs = repeat_experiment(cfg)
-        export = MetricExport.from_runs(runs, cfg.dt)
-        assert export.records.shape == (cfg.iterations * cfg.steps(), 4)
-        assert export.consistency_error() <= 1e-9
-
-    def test_empty_export(self):
-        from robustcbf.cli import MetricExport
-
-        export = MetricExport.from_runs([], 0.005)
-        assert export.records.shape == (0, 4)
-        assert export.consistency_error() == 0.0

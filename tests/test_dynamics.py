@@ -54,9 +54,9 @@ class TestTypes:
 
     def test_geometry_requires_positive_look_ahead(self):
         with pytest.raises(ValueError):
-            RobotGeometry(0.016, 0.105, 0.0, 0.12)
+            RobotGeometry(0.016, 0.105, 0.0)
         with pytest.raises(ValueError):
-            RobotGeometry(-0.016, 0.105, 0.03, 0.12)
+            RobotGeometry(-0.016, 0.105, 0.03)
 
 
 class TestWheelMatrix:
@@ -84,7 +84,7 @@ class TestOutputPoint:
         np.testing.assert_allclose(p, [1.0, 2.03], atol=1e-15)
 
     def test_tiny_look_ahead_approaches_position(self):
-        geom = RobotGeometry(0.016, 0.105, 1e-12, 0.12)
+        geom = RobotGeometry(0.016, 0.105, 1e-12)
         p = output_point(RobotState(1.0, 2.0, 0.7), geom)
         np.testing.assert_allclose(p, [1.0, 2.0], atol=1e-11)
 
@@ -207,7 +207,7 @@ class TestStepDynamics:
 @settings(max_examples=50, deadline=None)
 @given(theta=st.floats(min_value=-3.0, max_value=3.0, allow_nan=False))
 def test_body_output_matrix_is_the_zero_heading_jacobian(theta):
-    geom = RobotGeometry(0.016, 0.105, 0.03, 0.12)
+    geom = RobotGeometry(0.016, 0.105, 0.03)
     jac = output_jacobian(RobotState(0.0, 0.0, theta), geom)
     c, s = math.cos(theta), math.sin(theta)
     rot = np.array([[c, -s], [s, c]])

@@ -11,6 +11,7 @@ from robustcbf import (
     WheelCommand,
     body_output_matrix,
     certificate_holds,
+    circle_init,
     ensemble_weight,
     filter_step,
     kkt_check,
@@ -305,6 +306,25 @@ class TestFallbacks:
         assert result.solver.status == OPTIMAL
         assert np.abs(result.command_array()).max() <= 0.05 + 1e-10
 
+    @pytest.mark.parametrize("fallback", ["error", "zero-input", "slack"])
+    def test_coincident_robots(self, geom, params, fallback):
+        # Zero barrier gradient: the pair row is 0 >= gamma * delta^6, infeasible.
+        states = [RobotState(0.3, -0.2, 0.4)] * 2
+        nominal = [WheelCommand(25.0, -10.0), WheelCommand(3.0, 4.0)]
+        cfg = make_config(geom, params, fallback=fallback)
+        if fallback == "error":
+            with pytest.raises(FilterInfeasibleError):
+                filter_step(states, nominal, cfg)
+            return
+        result = filter_step(states, nominal, cfg)
+        assert result.fallback_applied == fallback
+        assert result.min_h == -params.delta**2
+        if fallback == "zero-input":
+            np.testing.assert_array_equal(result.command_array(), np.zeros(4))
+        else:
+            assert result.solver.status == OPTIMAL
+            assert np.abs(result.command_array()).max() <= U_MAX + 1e-10
+
     def test_slack_weight_dominates(self, geom, params):
         # Feasible problems never trigger the fallback.
         cfg = FilterConfig(
@@ -313,6 +333,24 @@ class TestFallbacks:
         states = [RobotState(0.0, 0.0, 0.0), RobotState(3.0, 0.0, math.pi)]
         result = filter_step(states, [WheelCommand(1.0, 1.0)] * 2, cfg)
         assert result.fallback_applied is None
+
+
+class TestPlanPerRobotCount:
+    def test_one_config_serves_mixed_robot_counts(self, geom, params):
+        cases = {
+            1: ([RobotState(0.0, 0.0, 0.0)], [WheelCommand(25.0, 25.0)]),
+            2: (head_on_contact(geom, params), [WheelCommand(25.0, 25.0)] * 2),
+            22: (circle_init(22, 0.5, geom, params), [WheelCommand(25.0, 25.0)] * 22),
+        }
+        shared = make_config(geom, params)
+        for n in (22, 1, 2, 22, 2, 1):
+            states, nominal = cases[n]
+            mixed = filter_step(states, nominal, shared)
+            fresh = filter_step(states, nominal, make_config(geom, params))
+            assert mixed.constraints.rows == n * (n - 1) // 2
+            np.testing.assert_array_equal(mixed.solver.u_star, fresh.solver.u_star)
+            np.testing.assert_array_equal(mixed.constraints.b, fresh.constraints.b)
+        assert filter_step(*cases[22], shared).altered.max() > 0.0
 
 
 class TestCertificateHolds:
