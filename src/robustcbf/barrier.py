@@ -9,7 +9,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .disturbance import DisturbanceHull, HullUnion, support_min, support_min_rows
-from .dynamics import RobotGeometry, RobotState, body_output_matrix
+from .dynamics import RobotGeometry, RobotState, as_poses, output_jacobians, output_points
 
 
 @dataclass(frozen=True)
@@ -55,24 +55,23 @@ def pairwise_h(p_i, p_j, params: BarrierParams) -> float:
     return float(diff @ diff - params.delta**2)
 
 
+def pair_h_values(outputs: np.ndarray, params: BarrierParams, iu, ju):
+    """Output differences p_i - p_j and barrier values h of the pairs (iu, ju)."""
+    diffs = outputs[iu] - outputs[ju]
+    return diffs, diffs[:, 0] * diffs[:, 0] + diffs[:, 1] * diffs[:, 1] - params.delta**2
+
+
 def min_pairwise_h(
-    states: Sequence[RobotState], geom: RobotGeometry, params: BarrierParams
+    states: Sequence[RobotState] | np.ndarray, geom: RobotGeometry, params: BarrierParams
 ) -> float:
-    """Smallest barrier value over all robot pairs; inf for a single robot."""
-    n = len(states)
+    """Smallest barrier value over all robot pairs of a RobotState sequence or
+    an (n, 3) pose array; inf for a single robot."""
+    poses = as_poses(states)
+    n = poses.shape[0]
     if n < 2:
         return math.inf
-    outputs = np.empty((n, 2))
-    for k, state in enumerate(states):
-        cos_t = math.cos(state.theta)
-        sin_t = math.sin(state.theta)
-        outputs[k, 0] = state.x1 + geom.look_ahead * cos_t
-        outputs[k, 1] = state.x2 + geom.look_ahead * sin_t
-    iu, ju = np.triu_indices(n, k=1)
-    diffs = outputs[iu] - outputs[ju]
-    return float(
-        (diffs[:, 0] * diffs[:, 0] + diffs[:, 1] * diffs[:, 1]).min() - params.delta**2
-    )
+    _, h = pair_h_values(output_points(poses, geom), params, *np.triu_indices(n, k=1))
+    return float(h.min())
 
 
 def pairwise_h_grad(p_i, p_j):
@@ -104,7 +103,7 @@ def robust_margin(grad_i, grad_j, g_i, g_j, hull: DisturbanceHull) -> float:
 
 
 def assemble_constraints(
-    states: Sequence[RobotState],
+    states: Sequence[RobotState] | np.ndarray,
     geom: RobotGeometry,
     params: BarrierParams,
     hulls: HullUnion,
@@ -115,8 +114,9 @@ def assemble_constraints(
 ) -> ConstraintSet:
     """Build the ensemble constraint A u >= b for all pairs.
 
-    One row per ordered pair (i, j), i < j, whatever the number of hulls;
-    each row touches only the 2-column blocks of robots i and j.
+    states is a sequence of RobotState or an (n, 3) pose array.  One row per
+    ordered pair (i, j), i < j, whatever the number of hulls; each row
+    touches only the 2-column blocks of robots i and j.
     b = -class_k(h) - robust margin, where the margin of a hull union is the
     elementwise least of the per-hull support minima.  That equals the
     support minimum over the pooled vertices bit for bit, so the row is the
@@ -127,22 +127,13 @@ def assemble_constraints(
     deployed configuration.  pair_index takes the (i, j) index arrays of all
     pairs, np.triu_indices(n, 1), when the caller already holds them.
     """
-    n = len(states)
+    poses = as_poses(states)
+    n = poses.shape[0]
     if n < 1:
         raise ValueError("need at least one robot")
-    positions = np.empty((n, 3))
-    for k, state in enumerate(states):
-        positions[k, 0] = state.x1
-        positions[k, 1] = state.x2
-        positions[k, 2] = state.theta
-    if not np.all(np.isfinite(positions)):
-        raise ValueError("robot states must be finite")
 
     iu, ju = np.triu_indices(n, k=1) if pair_index is None else pair_index
-
-    cos_t = np.cos(positions[:, 2])
-    sin_t = np.sin(positions[:, 2])
-    outputs = positions[:, :2] + geom.look_ahead * np.stack([cos_t, sin_t], axis=1)
+    outputs = output_points(poses, geom)
 
     if prune_distance is not None and iu.size:
         gaps = outputs[iu] - outputs[ju]
@@ -161,16 +152,8 @@ def assemble_constraints(
             h_pairs=np.zeros(0),
         )
 
-    # Per-robot output Jacobians R(theta) @ body_output_matrix, stacked (n, 2, 2).
-    rot = np.empty((n, 2, 2))
-    rot[:, 0, 0] = cos_t
-    rot[:, 0, 1] = -sin_t
-    rot[:, 1, 0] = sin_t
-    rot[:, 1, 1] = cos_t
-    jacobians = rot @ body_output_matrix(geom)
-
-    diffs = outputs[iu] - outputs[ju]
-    h_vals = diffs[:, 0] * diffs[:, 0] + diffs[:, 1] * diffs[:, 1] - params.delta**2
+    jacobians = output_jacobians(poses, geom)
+    diffs, h_vals = pair_h_values(outputs, params, iu, ju)
     grads_i = 2.0 * diffs
     jac_i = jacobians[iu]
     jac_j = jacobians[ju]

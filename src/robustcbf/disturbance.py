@@ -14,7 +14,8 @@ class DisturbanceHull:
 
     Vertices are stored as given; interior or duplicate points never change a
     support minimum, so no hull reduction is performed.  Vertex order is
-    semantically irrelevant.
+    semantically irrelevant.  The margin pass reads the coordinate columns
+    from a contiguous (2, p) copy.
     """
 
     vertices: np.ndarray
@@ -26,8 +27,11 @@ class DisturbanceHull:
         if not np.all(np.isfinite(verts)):
             raise ValueError("vertices must be finite")
         verts = verts.copy()
-        verts.setflags(write=False)
+        columns = verts.T.copy()
+        for array in (verts, columns):
+            array.setflags(write=False)
         object.__setattr__(self, "vertices", verts)
+        object.__setattr__(self, "_columns", columns)
 
     @property
     def size(self) -> int:
@@ -111,15 +115,25 @@ def support_argmin(z, hull: DisturbanceHull) -> int:
 
 
 def support_min_rows(directions: np.ndarray, hull: DisturbanceHull) -> np.ndarray:
-    """Row-wise support minima for a stack of directions (k, 2) -> (k,)."""
+    """Row-wise support minima for a stack of directions (k, 2) -> (k,).
+
+    Runs over blocks of about 2**15 row-vertex products, whose two reused
+    buffers stay in cache however many vertices the hull has; each row gets
+    the same ufuncs in the same order whatever the block size.
+    """
     directions = np.atleast_2d(np.asarray(directions, dtype=float))
-    if directions.shape[0] == 0:
-        return np.zeros(0)
-    verts = hull.vertices
-    values = (
-        directions[:, 0:1] * verts[None, :, 0] + directions[:, 1:2] * verts[None, :, 1]
-    )
-    return values.min(axis=1)
+    k = directions.shape[0]
+    v0, v1 = hull._columns
+    block = max(1, min(k, (1 << 15) // v0.size))
+    values, scratch = np.empty((2, block, v0.size))
+    out = np.empty(k)
+    for lo in range(0, k, block):
+        d = directions[lo : lo + block]
+        a, b = values[: d.shape[0]], scratch[: d.shape[0]]
+        np.multiply(d[:, 0:1], v0, out=a)
+        a += np.multiply(d[:, 1:2], v1, out=b)
+        a.min(axis=1, out=out[lo : lo + block])
+    return out
 
 
 def union_support_mins(z, union: HullUnion) -> list:

@@ -1,9 +1,12 @@
-"""Differential-drive kinematics, wheel-to-body mapping, and the look-ahead output."""
+"""Differential-drive kinematics, wheel-to-body mapping, and the look-ahead output,
+batched over (n, 3) pose and (n, 2) wheel-command arrays; the per-robot
+RobotState, WheelCommand and functions wrap the batched kernels."""
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from operator import attrgetter
 
 import numpy as np
 
@@ -44,9 +47,6 @@ class RobotState:
         object.__setattr__(self, "x2", float(self.x2))
         object.__setattr__(self, "theta", wrap_angle(float(self.theta)))
 
-    def position(self) -> np.ndarray:
-        return np.array([self.x1, self.x2])
-
     def as_array(self) -> np.ndarray:
         return np.array([self.x1, self.x2, self.theta])
 
@@ -65,6 +65,30 @@ class WheelCommand:
 
     def as_array(self) -> np.ndarray:
         return np.array([self.omega_r, self.omega_l])
+
+
+def _as_rows(values, fields: attrgetter, width: int, what: str) -> np.ndarray:
+    if isinstance(values, np.ndarray):
+        rows = np.array(values, dtype=float)
+    else:
+        rows = np.array([fields(v) for v in values], dtype=float).reshape(-1, width)
+    if rows.ndim != 2 or rows.shape[1] != width:
+        raise ValueError(f"{what} must form an (n, {width}) array, got shape {rows.shape}")
+    if not np.isfinite(rows).all():
+        raise ValueError(f"{what} must be finite")
+    return rows
+
+
+def as_poses(states) -> np.ndarray:
+    """A sequence of RobotState or an (n, 3) array as a new (n, 3) array;
+    ValueError on another shape or a non-finite entry."""
+    return _as_rows(states, attrgetter("x1", "x2", "theta"), 3, "poses")
+
+
+def as_commands(commands) -> np.ndarray:
+    """A sequence of WheelCommand or an (n, 2) array as a new (n, 2) array;
+    ValueError on another shape or a non-finite entry."""
+    return _as_rows(commands, attrgetter("omega_r", "omega_l"), 2, "commands")
 
 
 @dataclass(frozen=True)
@@ -110,79 +134,96 @@ def body_output_matrix(geom: RobotGeometry) -> np.ndarray:
     return geom._body_output
 
 
-def rotation_matrix(theta: float) -> np.ndarray:
-    c = math.cos(theta)
-    s = math.sin(theta)
-    return np.array([[c, -s], [s, c]])
+def output_points(poses: np.ndarray, geom: RobotGeometry) -> np.ndarray:
+    """Look-ahead points of an (n, 3) pose array, as an (n, 2) array."""
+    heading = np.empty((poses.shape[0], 2))
+    np.cos(poses[:, 2], out=heading[:, 0])
+    np.sin(poses[:, 2], out=heading[:, 1])
+    return poses[:, :2] + geom.look_ahead * heading
+
+
+def output_jacobians(poses: np.ndarray, geom: RobotGeometry) -> np.ndarray:
+    """(n, 2, 2) Jacobians R(theta) @ body_output_matrix of an (n, 3) pose array."""
+    cos_t, sin_t = np.cos(poses[:, 2]), np.sin(poses[:, 2])
+    rot = np.column_stack([cos_t, -sin_t, sin_t, cos_t]).reshape(-1, 2, 2)
+    return rot @ body_output_matrix(geom)
 
 
 def output_point(state: RobotState, geom: RobotGeometry) -> np.ndarray:
     """Point at distance look_ahead ahead of the wheel axle."""
-    lp = geom.look_ahead
-    return np.array(
-        [state.x1 + lp * math.cos(state.theta), state.x2 + lp * math.sin(state.theta)]
-    )
+    return output_points(as_poses([state]), geom)[0]
 
 
 def output_jacobian(state: RobotState, geom: RobotGeometry) -> np.ndarray:
     """2x2 Jacobian of the output point with respect to the wheel velocities."""
-    return rotation_matrix(state.theta) @ body_output_matrix(geom)
+    return output_jacobians(as_poses([state]), geom)[0]
 
 
-def _body_matrix(theta: float) -> np.ndarray:
-    body = np.zeros((3, 2))
-    body[0, 0] = math.cos(theta)
-    body[1, 0] = math.sin(theta)
-    body[2, 1] = 1.0
-    return body
+def _pose_rates(cos_t, sin_t, gearing: np.ndarray, wheels: np.ndarray) -> np.ndarray:
+    """(v cos, v sin, omega) per robot, (v, omega) = gearing @ wheels[k]; the
+    stacked matmul rounds exactly as that 2x2 matvec, wheels @ gearing.T not."""
+    body = (gearing @ wheels[:, :, None])[:, :, 0]
+    rates = np.empty((body.shape[0], 3))
+    np.multiply(cos_t, body[:, 0], out=rates[:, 0])
+    np.multiply(sin_t, body[:, 0], out=rates[:, 1])
+    rates[:, 2] = body[:, 1]
+    return rates
 
 
-def step_dynamics(
-    state: RobotState,
-    u: WheelCommand,
-    d,
+def step_ensemble(
+    poses: np.ndarray,
+    commands: np.ndarray,
+    disturbances: np.ndarray,
     dt: float,
     geom: RobotGeometry,
     method: str = "euler",
-) -> RobotState:
-    """Advance the pose one step under wheel command u and wheel-speed offset d.
+) -> np.ndarray:
+    """Advance (n, 3) poses one step under (n, 2) wheel commands and (n, 2)
+    wheel-speed offsets, a point of the disturbance set per robot.
 
-    d is a point of the disturbance set, in rad/s on each wheel.  The default
-    integrator is forward Euler, which keeps the step exactly affine in
-    (u + d); "rk4" is available when integration accuracy matters more than
-    that structure.
+    Returns a new array, headings wrapped to (-pi, pi].  Forward Euler, the
+    default, keeps the step exactly affine in (u + d); "rk4" is available
+    when integration accuracy matters more than that structure.
     """
-    d = np.asarray(d, dtype=float)
-    if d.shape != (2,):
-        raise ValueError(f"disturbance must be a 2-vector, got shape {d.shape}")
-    if not (math.isfinite(d[0]) and math.isfinite(d[1])):
-        raise ValueError("disturbance must be finite")
+    n = poses.shape[0]
+    for name, wheels in (("commands", commands), ("disturbance", disturbances)):
+        if wheels.shape != (n, 2) or not np.isfinite(wheels).all():
+            raise ValueError(f"{name} must be a finite ({n}, 2) array")
     if not (math.isfinite(dt) and dt > 0.0):
         raise ValueError(f"dt must be finite and > 0, got {dt!r}")
-
     gearing = wheel_matrix(geom)
     if method == "euler":
-        body = _body_matrix(state.theta)
-        x = state.as_array()
+        cos_t, sin_t = np.cos(poses[:, 2]), np.sin(poses[:, 2])
         # Keep the u and d contributions as separate terms: the step is then
-        # exactly (undisturbed step) + dt * body @ gearing @ d in floating point.
-        stepped = (x + dt * (body @ (gearing @ u.as_array()))) + dt * (
-            body @ (gearing @ d)
+        # exactly (undisturbed step) + dt * B(theta) @ gearing @ d in floating point.
+        stepped = (poses + dt * _pose_rates(cos_t, sin_t, gearing, commands)) + dt * (
+            _pose_rates(cos_t, sin_t, gearing, disturbances)
         )
-        return RobotState(stepped[0], stepped[1], stepped[2])
-
-    if method == "rk4":
-        w = gearing @ (u.as_array() + d)
+    elif method == "rk4":
+        wheels = commands + disturbances
 
         def rate(x: np.ndarray) -> np.ndarray:
-            return np.array([w[0] * math.cos(x[2]), w[0] * math.sin(x[2]), w[1]])
+            return _pose_rates(np.cos(x[:, 2]), np.sin(x[:, 2]), gearing, wheels)
 
-        x = state.as_array()
-        k1 = rate(x)
-        k2 = rate(x + 0.5 * dt * k1)
-        k3 = rate(x + 0.5 * dt * k2)
-        k4 = rate(x + dt * k3)
-        stepped = x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        return RobotState(stepped[0], stepped[1], stepped[2])
+        k1 = rate(poses)
+        k2 = rate(poses + 0.5 * dt * k1)
+        k3 = rate(poses + 0.5 * dt * k2)
+        k4 = rate(poses + dt * k3)
+        stepped = poses + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    else:
+        raise ValueError(f"unknown integration method {method!r}")
+    if not np.isfinite(stepped).all():
+        raise ValueError("integration produced a non-finite pose")
+    theta = stepped[:, 2]
+    for k in np.flatnonzero((theta <= -math.pi) | (theta > math.pi)):
+        theta[k] = wrap_angle(float(theta[k]))
+    return stepped
 
-    raise ValueError(f"unknown integration method {method!r}")
+
+def step_dynamics(
+    state: RobotState, u: WheelCommand, d, dt: float, geom: RobotGeometry, method: str = "euler"
+) -> RobotState:
+    """step_ensemble for one robot; d is its 2-vector wheel-speed offset."""
+    d = np.asarray(d, dtype=float).reshape(1, 2)
+    stepped = step_ensemble(as_poses([state]), as_commands([u]), d, dt, geom, method)
+    return RobotState(*stepped[0])

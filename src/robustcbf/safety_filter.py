@@ -13,7 +13,9 @@ import numpy as np
 from . import qp
 from .barrier import BarrierParams, ConstraintSet, assemble_constraints, min_pairwise_h
 from .disturbance import HullUnion
-from .dynamics import RobotGeometry, RobotState, WheelCommand, body_output_matrix
+from .dynamics import (
+    RobotGeometry, RobotState, WheelCommand, as_commands, as_poses, body_output_matrix
+)
 
 _FALLBACKS = ("error", "zero-input", "slack")
 
@@ -81,18 +83,24 @@ class FilterConfig:
 class FilterResult:
     """Filtered commands plus diagnostics for one control step.
 
+    solver.u_star holds the filtered commands as (omega_r, omega_l) per
+    robot; commands builds WheelCommand objects from it on access.
     wall_clock covers constraint assembly and the QP solve only; min_h is
     the smallest pairwise barrier value at the input state (inf for a single
     robot).
     """
 
-    commands: tuple
     altered: np.ndarray
     min_h: float
     solver: qp.QpSolution
     constraints: ConstraintSet
     wall_clock: float
     fallback_applied: str | None = None
+
+    @property
+    def commands(self) -> tuple:
+        u = self.solver.u_star
+        return tuple(WheelCommand(u[k], u[k + 1]) for k in range(0, u.size, 2))
 
     def command_array(self) -> np.ndarray:
         """The commands stacked as (omega_r, omega_l) per robot; a copy."""
@@ -110,34 +118,30 @@ def ensemble_weight(n: int, geom: RobotGeometry) -> np.ndarray:
     return np.kron(np.eye(n), body_output_matrix(geom))
 
 
-def _stack_commands(commands: Sequence[WheelCommand]) -> np.ndarray:
-    out = np.empty(2 * len(commands))
-    for k, cmd in enumerate(commands):
-        out[2 * k] = cmd.omega_r
-        out[2 * k + 1] = cmd.omega_l
-    return out
-
-
 def filter_step(
-    states: Sequence[RobotState],
-    u_nom: Sequence[WheelCommand],
+    states: Sequence[RobotState] | np.ndarray,
+    u_nom: Sequence[WheelCommand] | np.ndarray,
     cfg: FilterConfig,
     warm_start=None,
 ) -> FilterResult:
     """Render one step's nominal commands safe.
 
-    Solves min ||W (u_nom - u)||^2 over the stacked barrier rows and the box
-    bound; when the commands are already safe the answer is u_nom itself.
+    states is a sequence of RobotState or an (n, 3) pose array, u_nom a
+    sequence of WheelCommand or an (n, 2) command array.  Solves
+    min ||W (u_nom - u)||^2 over the stacked barrier rows and the box bound;
+    when the commands are already safe the answer is u_nom itself.
     warm_start accepts a previous step's QpSolution to seed the active set.
     """
-    n = len(states)
-    if n < 1 or len(u_nom) != n:
+    poses = as_poses(states)
+    nominal = as_commands(u_nom).reshape(-1)
+    n = poses.shape[0]
+    if n < 1 or nominal.size != 2 * n:
         raise ValueError("states and u_nom must have equal length >= 1")
 
     start = time.perf_counter()
     plan = cfg.plan(n)
     constraints = assemble_constraints(
-        states,
+        poses,
         cfg.geometry,
         cfg.barrier,
         cfg.disturbance,
@@ -146,7 +150,6 @@ def filter_step(
         cfg.prune_distance,
         plan.pair_index,
     )
-    nominal = _stack_commands(u_nom)
     problem = qp.QpProblem(plan.weight, nominal, constraints.A, constraints.b, cfg.u_max)
     solution = qp.solve(problem, warm_start=warm_start)
 
@@ -178,12 +181,8 @@ def filter_step(
         min_h = float(constraints.h_pairs.min()) if constraints.h_pairs.size else math.inf
     else:
         # Pruned stacks can drop the minimizing pair; recompute over all pairs.
-        min_h = min_pairwise_h(states, cfg.geometry, cfg.barrier)
-    commands = tuple(
-        WheelCommand(u_star[2 * k], u_star[2 * k + 1]) for k in range(n)
-    )
+        min_h = min_pairwise_h(poses, cfg.geometry, cfg.barrier)
     return FilterResult(
-        commands=commands,
         altered=altered,
         min_h=min_h,
         solver=solution,
@@ -194,21 +193,22 @@ def filter_step(
 
 
 def certificate_holds(
-    states: Sequence[RobotState],
-    u: Sequence[WheelCommand],
+    states: Sequence[RobotState] | np.ndarray,
+    u: Sequence[WheelCommand] | np.ndarray,
     cfg: FilterConfig,
     tol: float = 1e-9,
 ):
     """Directly evaluate the robust certificate for every pair.
 
-    Returns (holds, worst_margin): the minimum slack of A u - b and whether
-    it clears -tol.  A single robot trivially holds with infinite margin.
+    states and u take the same forms as in filter_step.  Returns (holds,
+    worst_margin): the minimum slack of A u - b and whether it clears -tol.
+    A single robot trivially holds with infinite margin.
     """
     constraints = assemble_constraints(
         states, cfg.geometry, cfg.barrier, cfg.disturbance, cfg.u_max, cfg.class_k
     )
     if constraints.rows == 0:
         return True, math.inf
-    slack = constraints.A @ _stack_commands(u) - constraints.b
+    slack = constraints.A @ as_commands(u).reshape(-1) - constraints.b
     worst = float(slack.min())
     return worst >= -tol, worst

@@ -9,7 +9,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .barrier import BarrierParams, pairwise_h
+from .barrier import BarrierParams, pair_h_values
 from .disturbance import (
     HullUnion,
     pooled_vertices,
@@ -22,9 +22,11 @@ from .dynamics import (
     RobotGeometry,
     RobotState,
     WheelCommand,
+    as_poses,
     body_output_matrix,
-    output_point,
-    step_dynamics,
+    output_points,
+    step_dynamics,  # noqa: F401 - perfbench hooks sim.step_dynamics by name
+    step_ensemble,
 )
 from .safety_filter import FilterConfig, FilterResult, filter_step
 
@@ -129,62 +131,58 @@ def circle_init(
     """Place n robots evenly on a circle, headings toward the center.
 
     Raises if any pair starts in contact (output points closer than the
-    safety diameter).
+    safety diameter), naming the first such pair.
     """
     if n < 1:
         raise ValueError("need at least one robot")
-    states = []
-    for k in range(n):
-        angle = 2.0 * math.pi * k / n
-        states.append(
-            RobotState(
-                radius * math.cos(angle),
-                radius * math.sin(angle),
-                angle + math.pi,
-            )
+    states = [
+        RobotState(radius * math.cos(angle), radius * math.sin(angle), angle + math.pi)
+        for angle in (2.0 * math.pi * k / n for k in range(n))
+    ]
+    iu, ju = np.triu_indices(n, k=1)
+    _, h = pair_h_values(output_points(as_poses(states), geom), params, iu, ju)
+    contact = np.flatnonzero(h <= 0.0)
+    if contact.size:
+        raise ValueError(
+            f"robots {iu[contact[0]]} and {ju[contact[0]]} overlap at radius {radius}; "
+            "increase the circle radius"
         )
-    outputs = [output_point(s, geom) for s in states]
-    for i in range(n - 1):
-        for j in range(i + 1, n):
-            if pairwise_h(outputs[i], outputs[j], params) <= 0.0:
-                raise ValueError(
-                    f"robots {i} and {j} overlap at radius {radius}; "
-                    "increase the circle radius"
-                )
     return states
 
 
-def nominal_controller(
-    state: RobotState,
-    goal,
-    gain: float,
-    geom: RobotGeometry,
-    u_max: float,
-) -> WheelCommand:
-    """Proportional drive of the output point toward a goal.
+def nominal_commands(
+    poses: np.ndarray, goals: np.ndarray, gain: float, geom: RobotGeometry, u_max: float
+) -> np.ndarray:
+    """Proportional drive of each output point toward its goal.
 
-    Maps the desired output velocity through the inverse output Jacobian and
-    saturates the wheel speeds uniformly, preserving direction.
+    poses is (n, 3) and goals (n, 2); returns (n, 2) wheel commands.  Maps
+    the desired output velocity through the inverse output Jacobian and
+    saturates each robot's wheel speeds uniformly, preserving direction.
     """
-    lp = geom.look_ahead
-    cos_t = math.cos(state.theta)
-    sin_t = math.sin(state.theta)
-    desired_x = gain * (float(goal[0]) - (state.x1 + lp * cos_t))
-    desired_y = gain * (float(goal[1]) - (state.x2 + lp * sin_t))
+    cos_t = np.cos(poses[:, 2])
+    sin_t = np.sin(poses[:, 2])
+    desired = gain * (goals - output_points(poses, geom))
     block = body_output_matrix(geom)
     g00 = cos_t * block[0, 0] - sin_t * block[1, 0]
     g01 = cos_t * block[0, 1] - sin_t * block[1, 1]
     g10 = sin_t * block[0, 0] + cos_t * block[1, 0]
     g11 = sin_t * block[0, 1] + cos_t * block[1, 1]
     det = g00 * g11 - g01 * g10
-    wheel_r = (g11 * desired_x - g01 * desired_y) / det
-    wheel_l = (-g10 * desired_x + g00 * desired_y) / det
-    peak = max(abs(wheel_r), abs(wheel_l))
-    if peak > u_max:
-        scale = u_max / peak
-        wheel_r *= scale
-        wheel_l *= scale
-    return WheelCommand(wheel_r, wheel_l)
+    dx, dy = desired[:, 0], desired[:, 1]
+    wheels = np.column_stack([g11 * dx - g01 * dy, -g10 * dx + g00 * dy]) / det[:, None]
+    peak = np.abs(wheels).max(axis=1)
+    over = peak > u_max
+    if over.any():
+        wheels[over] *= (u_max / peak[over])[:, None]
+    return wheels
+
+
+def nominal_controller(
+    state: RobotState, goal, gain: float, geom: RobotGeometry, u_max: float
+) -> WheelCommand:
+    """nominal_commands for one robot and its 2-vector goal."""
+    goals = np.asarray(goal, dtype=float).reshape(1, 2)
+    return WheelCommand(*nominal_commands(as_poses([state]), goals, gain, geom, u_max)[0])
 
 
 def _worst_case_disturbance(
@@ -255,12 +253,15 @@ def run_scenario(cfg: ScenarioConfig) -> RunMetrics:
     """Run one closed-loop experiment and record its metrics.
 
     Goals are the antipodal circle points of the initial formation.  The
-    loop per step: nominal controller, safety filter, plant disturbance,
-    integration.  Fully deterministic for a fixed config and seed.
+    loop per step, on (n, 3) poses and (n, 2) commands: nominal controller,
+    safety filter, plant disturbance, integration.  Fully deterministic for
+    a fixed config and seed.
     """
-    states = circle_init(cfg.robot_count, cfg.circle_radius, cfg.geometry, cfg.barrier)
-    goals = [-output_point(s, cfg.geometry) for s in states]
+    n = cfg.robot_count
+    geom = cfg.geometry
+    poses = as_poses(circle_init(n, cfg.circle_radius, geom, cfg.barrier))
     # Antipodal targets: mirror the initial output points through the center.
+    goals = -output_points(poses, geom)
     fcfg = cfg.filter_config()
     rng = np.random.default_rng(cfg.rng_seed)
     steps = cfg.steps()
@@ -269,45 +270,36 @@ def run_scenario(cfg: ScenarioConfig) -> RunMetrics:
     min_h = np.empty(steps)
     wall_clock = np.empty(steps)
     max_alter = np.empty(steps)
-    trace = np.empty((steps, cfg.robot_count, 3)) if cfg.record_states else None
+    trace = np.empty((steps, n, 3)) if cfg.record_states else None
 
     warm = None
     for k in range(steps):
-        commands = [
-            nominal_controller(s, g, cfg.controller_gain, cfg.geometry, cfg.u_max)
-            for s, g in zip(states, goals)
-        ]
-        result = filter_step(states, commands, fcfg, warm_start=warm)
+        commands = nominal_commands(poses, goals, cfg.controller_gain, geom, cfg.u_max)
+        result = filter_step(poses, commands, fcfg, warm_start=warm)
         warm = None if result.fallback_applied else result.solver
 
         min_h[k] = result.min_h
         wall_clock[k] = result.wall_clock
         max_alter[k] = float(result.altered.max())
         if trace is not None:
-            for r, s in enumerate(states):
-                trace[k, r] = (s.x1, s.x2, s.theta)
+            trace[k] = poses
 
         draws = _realize_disturbances(cfg, result, rng)
         if cfg.debug_checks:
             for row in draws:
                 _assert_contained(row, cfg.disturbance)
-        states = [
-            step_dynamics(s, c, draws[r], cfg.dt, cfg.geometry, cfg.integrator)
-            for r, (s, c) in enumerate(zip(states, result.commands))
-        ]
+        poses = step_ensemble(
+            poses, result.solver.u_star.reshape(n, 2), draws, cfg.dt, geom, cfg.integrator
+        )
 
-    reached = sum(
-        1
-        for s, g in zip(states, goals)
-        if float(np.linalg.norm(output_point(s, cfg.geometry) - g)) <= cfg.goal_tolerance
-    )
+    distance = np.linalg.norm(output_points(poses, geom) - goals, axis=1)
     return RunMetrics(
         times=times,
         min_h=min_h,
         wall_clock=wall_clock,
         max_alter=max_alter,
         violation_time=float(cfg.dt * int((min_h < 0.0).sum())),
-        goal_completion=reached / cfg.robot_count,
+        goal_completion=int((distance <= cfg.goal_tolerance).sum()) / n,
         states=trace,
     )
 

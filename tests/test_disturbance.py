@@ -166,6 +166,17 @@ class TestSupportMinRows:
     def test_empty_input(self, box5):
         assert support_min_rows(np.zeros((0, 2)), box5).shape == (0,)
 
+    @pytest.mark.parametrize("p", [1, 4, 256, 4096, 40_000])
+    def test_blocks_match_one_full_pass_bit_for_bit(self, rng, p):
+        # From p = 256 on, 231 rows take several blocks (one row per block
+        # at p = 40000); the blocks must not change a single bit.
+        hull = DisturbanceHull(rng.normal(size=(p, 2)))
+        for k in (1, 7, 231):
+            rows = rng.normal(size=(k, 2))
+            verts = hull.vertices
+            full = rows[:, 0:1] * verts[None, :, 0] + rows[:, 1:2] * verts[None, :, 1]
+            np.testing.assert_array_equal(support_min_rows(rows, hull), full.min(axis=1))
+
 
 class TestSampleHull:
     def test_worst_case_box_corner(self, box5):

@@ -16,6 +16,7 @@ from robustcbf import (
     wheel_matrix,
     wrap_angle,
 )
+from robustcbf.dynamics import as_poses, step_ensemble
 
 from .oracles import fd_jacobian
 
@@ -202,6 +203,68 @@ class TestStepDynamics:
         euler_err = np.abs(integrate("euler", 0.01, 100) - reference).max()
         rk4_err = np.abs(integrate("rk4", 0.01, 100) - reference).max()
         assert rk4_err < euler_err / 100.0
+
+
+class TestStepEnsemble:
+    @pytest.mark.parametrize("method", ["euler", "rk4"])
+    def test_matches_step_dynamics_bit_for_bit(self, geom, rng, method):
+        n = 300
+        # Headings near the cut, so that some robots cross +-pi in one step.
+        theta = np.concatenate(
+            [rng.uniform(-math.pi, math.pi, n - 100), rng.uniform(math.pi - 0.01, math.pi, 100)]
+        )
+        theta[-50:] *= -1.0
+        poses = np.column_stack([rng.normal(size=(n, 2)), theta])
+        commands = rng.uniform(-25.0, 25.0, size=(n, 2))
+        draws = rng.uniform(-5.0, 5.0, size=(n, 2))
+        batched = step_ensemble(poses, commands, draws, 0.05, geom, method)
+        crossed = np.sign(batched[:, 2]) != np.sign(poses[:, 2])
+        assert (crossed & (np.abs(poses[:, 2]) > 3.0)).any()
+        for k in range(n):
+            single = step_dynamics(
+                RobotState(*poses[k]), WheelCommand(*commands[k]), draws[k], 0.05, geom, method
+            )
+            assert single.as_array().tolist() == batched[k].tolist()
+
+    def test_does_not_modify_its_input(self, geom, rng):
+        poses = np.array([[0.0, 0.0, math.pi], [1.0, 1.0, -3.1]])
+        before = poses.copy()
+        step_ensemble(poses, np.full((2, 2), 25.0), np.zeros((2, 2)), 0.1, geom)
+        np.testing.assert_array_equal(poses, before)
+
+    def test_rejects_bad_inputs(self, geom):
+        poses = np.zeros((2, 3))
+        wheels = np.zeros((2, 2))
+        with pytest.raises(ValueError):
+            step_ensemble(poses, wheels[:1], wheels, 0.01, geom)
+        with pytest.raises(ValueError):
+            step_ensemble(poses, wheels, np.zeros((2, 3)), 0.01, geom)
+        with pytest.raises(ValueError, match="finite"):
+            step_ensemble(poses, np.array([[math.nan, 0.0], [0.0, 0.0]]), wheels, 0.01, geom)
+        with pytest.raises(ValueError, match="finite"):
+            step_ensemble(poses, wheels, np.array([[0.0, 0.0], [math.inf, 0.0]]), 0.01, geom)
+        with np.errstate(over="ignore"), pytest.raises(ValueError, match="finite"):
+            step_ensemble(poses, np.full((2, 2), 1e308), wheels, 1e10, geom)
+        with pytest.raises(ValueError):
+            step_ensemble(poses, wheels, wheels, 0.0, geom)
+        with pytest.raises(ValueError):
+            step_ensemble(poses, wheels, wheels, 0.01, geom, method="leapfrog")
+
+
+class TestAsPoses:
+    def test_states_and_rows_give_the_same_array(self):
+        states = [RobotState(0.1, 0.2, 0.3), RobotState(-1.0, 2.0, -3.0)]
+        expected = [[0.1, 0.2, 0.3], [-1.0, 2.0, -3.0]]
+        assert as_poses(states).tolist() == expected
+        assert as_poses(np.array(expected)).tolist() == expected
+        assert as_poses([]).shape == (0, 3)
+
+    def test_rejects_bad_shapes_and_values(self):
+        for bad in (np.zeros((2, 2)), np.zeros(3), np.zeros((1, 3, 1))):
+            with pytest.raises(ValueError, match="shape"):
+                as_poses(bad)
+        with pytest.raises(ValueError, match="finite"):
+            as_poses(np.array([[0.0, math.nan, 0.0]]))
 
 
 @settings(max_examples=50, deadline=None)

@@ -335,6 +335,78 @@ class TestFallbacks:
         assert result.fallback_applied is None
 
 
+class TestArrayEntry:
+    """filter_step takes (n, 3) poses and (n, 2) commands as well as
+    RobotState / WheelCommand sequences; both run the same array path."""
+
+    def snapshot(self, rng, n=8):
+        poses = np.column_stack(
+            [rng.uniform(-0.4, 0.4, size=(n, 2)), rng.uniform(-math.pi, math.pi, size=n)]
+        )
+        commands = rng.uniform(-U_MAX, U_MAX, size=(n, 2))
+        return poses, commands
+
+    def test_arrays_equal_dataclass_input_bit_for_bit(self, geom, params, rng):
+        cfg = make_config(geom, params, psi=2.0)
+        warm_list = warm_array = None
+        for _ in range(5):
+            poses, commands = self.snapshot(rng)
+            states = [RobotState(*p) for p in poses]
+            nominal = [WheelCommand(*c) for c in commands]
+            from_list = filter_step(states, nominal, cfg, warm_start=warm_list)
+            from_array = filter_step(poses, commands, cfg, warm_start=warm_array)
+            np.testing.assert_array_equal(from_array.solver.u_star, from_list.solver.u_star)
+            np.testing.assert_array_equal(from_array.altered, from_list.altered)
+            np.testing.assert_array_equal(from_array.constraints.A, from_list.constraints.A)
+            np.testing.assert_array_equal(from_array.constraints.b, from_list.constraints.b)
+            assert from_array.min_h == from_list.min_h
+            assert from_array.solver.status == from_list.solver.status
+            assert from_array.commands == from_list.commands
+            assert certificate_holds(poses, from_array.command_array().reshape(-1, 2), cfg) == (
+                certificate_holds(states, from_list.commands, cfg)
+            )
+            warm_list, warm_array = from_list.solver, from_array.solver
+        assert from_array.altered.max() > 0.0
+
+    def test_array_input_is_not_aliased(self, geom, params, rng):
+        cfg = make_config(geom, params)
+        poses, commands = self.snapshot(rng, n=3)
+        result = filter_step(poses, commands, cfg)
+        before = result.command_array()
+        commands[:] = 0.0
+        np.testing.assert_array_equal(result.command_array(), before)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_arrays_rejected(self, geom, params, rng, bad):
+        cfg = make_config(geom, params)
+        poses, commands = self.snapshot(rng, n=3)
+        for row, col in ((0, 0), (2, 2)):
+            broken = poses.copy()
+            broken[row, col] = bad
+            with pytest.raises(ValueError, match="finite"):
+                filter_step(broken, commands, cfg)
+        broken = commands.copy()
+        broken[1, 1] = bad
+        with pytest.raises(ValueError, match="finite"):
+            filter_step(poses, broken, cfg)
+
+    def test_misshaped_arrays_rejected(self, geom, params, rng):
+        cfg = make_config(geom, params)
+        poses, commands = self.snapshot(rng, n=3)
+        for bad_poses in (poses[:, :2], poses.reshape(-1), poses[:, :, None], np.zeros((0, 3))):
+            with pytest.raises(ValueError):
+                filter_step(bad_poses, commands, cfg)
+        for bad_commands in (commands[:, :1], commands.reshape(-1), commands[:2], np.zeros((3, 3))):
+            with pytest.raises(ValueError):
+                filter_step(poses, bad_commands, cfg)
+
+    def test_commands_are_built_from_the_solution(self, geom, params):
+        cfg = make_config(geom, params)
+        result = filter_step(head_on_contact(geom, params), [WheelCommand(25.0, 25.0)] * 2, cfg)
+        u = result.solver.u_star
+        assert result.commands == (WheelCommand(u[0], u[1]), WheelCommand(u[2], u[3]))
+
+
 class TestPlanPerRobotCount:
     def test_one_config_serves_mixed_robot_counts(self, geom, params):
         cases = {

@@ -20,9 +20,10 @@ from robustcbf import (
     run_scenario,
     symmetric_box,
 )
-from robustcbf.sim import derived_seeds
+from robustcbf.sim import derived_seeds, nominal_commands
 
 from .conftest import U_MAX
+from .oracles import reference_closed_loop
 
 
 def benign_two_robot(duration=4.0, **kwargs):
@@ -95,6 +96,11 @@ class TestCircleInit:
         with pytest.raises(ValueError):
             circle_init(22, 0.43, geom, params)
 
+    def test_overlap_names_the_first_pair(self, geom, params):
+        # At this radius only neighbours touch; (0, 1) comes first.
+        with pytest.raises(ValueError, match="robots 0 and 1 overlap"):
+            circle_init(22, 0.43, geom, params)
+
 
 class TestNominalController:
     def test_at_goal_commands_zero(self, geom):
@@ -121,6 +127,17 @@ class TestNominalController:
             peak = np.abs(unsaturated).max()
             expected = unsaturated * min(1.0, U_MAX / peak) if peak > 0 else unsaturated
             np.testing.assert_allclose(cmd.as_array(), expected, rtol=1e-9, atol=1e-12)
+
+    def test_batched_matches_per_robot_bit_for_bit(self, geom, rng):
+        poses = np.column_stack(
+            [rng.normal(size=(200, 2)), rng.uniform(-math.pi, math.pi, size=200)]
+        )
+        goals = rng.normal(scale=2.0, size=(200, 2))
+        batched = nominal_commands(poses, goals, 1.5, geom, U_MAX)
+        assert np.abs(batched).max() == pytest.approx(U_MAX)  # some saturate
+        for pose, goal, row in zip(poses, goals, batched):
+            cmd = nominal_controller(RobotState(*pose), goal, 1.5, geom, U_MAX)
+            assert [cmd.omega_r, cmd.omega_l] == row.tolist()
 
     def test_saturation_preserves_direction(self, geom):
         state = RobotState(0.0, 0.0, 0.3)
@@ -234,6 +251,63 @@ class TestRunScenario:
     def test_rk4_integrator_runs(self):
         metrics = run_scenario(benign_two_robot(duration=0.5, integrator="rk4"))
         assert metrics.min_h.min() > 0.0
+
+
+def crossing_start(**kwargs):
+    """Eight robots on a tight circle.  The neighbours of robot 0 start with
+    headings near +-pi, and the filter swerves one of them across the cut
+    within 200 steps."""
+    defaults = dict(
+        robot_count=8,
+        sim_duration=1.0,
+        circle_radius=0.3,
+        disturbance=HullUnion((symmetric_box(3.0),)),
+        rng_seed=7,
+        plant_vertex=1,
+    )
+    defaults.update(kwargs)
+    return ScenarioConfig(**defaults)
+
+
+class TestArrayLoopMatchesPerRobotReference:
+    """run_scenario carries (n, 3) poses and (n, 2) commands; the per-robot
+    reference loop in oracles.py must give the same bits."""
+
+    @pytest.mark.parametrize("integrator", ["euler", "rk4"])
+    @pytest.mark.parametrize("mode", ["off", "uniform-convex", "worst-case", "vertex"])
+    def test_bit_identical_for_200_steps(self, mode, integrator):
+        cfg = crossing_start(plant_disturbance=mode, integrator=integrator)
+        assert cfg.steps() == 200
+        metrics = run_scenario(replace(cfg, record_states=True))
+        min_h, max_alter, completion, poses = reference_closed_loop(cfg)
+        np.testing.assert_array_equal(metrics.min_h, min_h)
+        np.testing.assert_array_equal(metrics.max_alter, max_alter)
+        assert metrics.goal_completion == completion
+        final = run_scenario(replace(cfg, sim_duration=cfg.sim_duration + cfg.dt,
+                                     record_states=True)).states[-1]
+        np.testing.assert_array_equal(final, poses)
+        # The run crosses the heading cut: some heading jumps by about 2 pi.
+        jumps = np.abs(np.diff(metrics.states[:, :, 2], axis=0))
+        assert jumps.max() > math.pi
+
+    def test_bit_identical_with_a_hull_union_and_goal_reached(self):
+        rng = np.random.default_rng(3)
+        union = HullUnion(tuple(DisturbanceHull(rng.normal(size=(p, 2))) for p in (3, 40)))
+        cfg = benign_two_robot(
+            duration=8.0, disturbance=union, plant_disturbance="uniform-convex"
+        )
+        metrics = run_scenario(cfg)
+        min_h, max_alter, completion, _ = reference_closed_loop(cfg)
+        np.testing.assert_array_equal(metrics.min_h, min_h)
+        np.testing.assert_array_equal(metrics.max_alter, max_alter)
+        assert metrics.goal_completion == completion == 1.0
+
+    def test_single_robot_loop(self):
+        cfg = ScenarioConfig(robot_count=1, sim_duration=6.0, circle_radius=0.3)
+        metrics = run_scenario(cfg)
+        assert np.all(metrics.min_h == math.inf)
+        assert metrics.violation_time == 0.0
+        assert metrics.goal_completion == 1.0
 
 
 class TestRepeatExperiment:
