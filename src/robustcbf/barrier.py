@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -55,10 +55,10 @@ def pairwise_h(p_i, p_j, params: BarrierParams) -> float:
     return float(diff @ diff - params.delta**2)
 
 
-def pair_h_values(outputs: np.ndarray, params: BarrierParams, iu, ju):
-    """Output differences p_i - p_j and barrier values h of the pairs (iu, ju)."""
-    diffs = outputs[iu] - outputs[ju]
-    return diffs, diffs[:, 0] * diffs[:, 0] + diffs[:, 1] * diffs[:, 1] - params.delta**2
+def pair_h_values(p_i: np.ndarray, p_j: np.ndarray, params: BarrierParams) -> np.ndarray:
+    """Barrier values h of the pairs of output points stacked as (m, 2) rows."""
+    diffs = p_i - p_j
+    return diffs[:, 0] * diffs[:, 0] + diffs[:, 1] * diffs[:, 1] - params.delta**2
 
 
 def min_pairwise_h(
@@ -70,8 +70,9 @@ def min_pairwise_h(
     n = poses.shape[0]
     if n < 2:
         return math.inf
-    _, h = pair_h_values(output_points(poses, geom), params, *np.triu_indices(n, k=1))
-    return float(h.min())
+    iu, ju = np.triu_indices(n, k=1)
+    outputs = output_points(poses, geom)
+    return float(pair_h_values(outputs[iu], outputs[ju], params).min())
 
 
 def pairwise_h_grad(p_i, p_j):
@@ -108,8 +109,6 @@ def assemble_constraints(
     params: BarrierParams,
     hulls: HullUnion,
     u_max: float,
-    class_k: Callable | None = None,
-    prune_distance: float | None = None,
     pair_index=None,
 ) -> ConstraintSet:
     """Build the ensemble constraint A u >= b for all pairs.
@@ -117,15 +116,11 @@ def assemble_constraints(
     states is a sequence of RobotState or an (n, 3) pose array.  One row per
     ordered pair (i, j), i < j, whatever the number of hulls; each row
     touches only the 2-column blocks of robots i and j.
-    b = -class_k(h) - robust margin, where the margin of a hull union is the
+    b = -gamma h^3 - robust margin, where the margin of a hull union is the
     elementwise least of the per-hull support minima.  That equals the
     support minimum over the pooled vertices bit for bit, so the row is the
-    tightest of the per-hull rows.  A custom class_k must broadcast over
-    numpy arrays; the default is the cubic with params.gamma.
-    prune_distance optionally drops pairs whose output points are farther
-    apart than the cutoff; every pair is kept by default, matching the
-    deployed configuration.  pair_index takes the (i, j) index arrays of all
-    pairs, np.triu_indices(n, 1), when the caller already holds them.
+    tightest of the per-hull rows.  pair_index takes the (i, j) index arrays
+    of all pairs, np.triu_indices(n, 1), when the caller already holds them.
     """
     poses = as_poses(states)
     n = poses.shape[0]
@@ -133,32 +128,25 @@ def assemble_constraints(
         raise ValueError("need at least one robot")
 
     iu, ju = np.triu_indices(n, k=1) if pair_index is None else pair_index
-    outputs = output_points(poses, geom)
-
-    if prune_distance is not None and iu.size:
-        gaps = outputs[iu] - outputs[ju]
-        keep = gaps[:, 0] ** 2 + gaps[:, 1] ** 2 <= prune_distance**2
-        iu = iu[keep]
-        ju = ju[keep]
-
     n_pairs = iu.size
     if n_pairs == 0:
-        empty = np.zeros((0, 2 * n))
         return ConstraintSet(
-            A=empty,
+            A=np.zeros((0, 2 * n)),
             b=np.zeros(0),
             u_max=float(u_max),
             pairs=np.zeros((0, 2), dtype=int),
             h_pairs=np.zeros(0),
         )
 
+    outputs = output_points(poses, geom)
     jacobians = output_jacobians(poses, geom)
-    diffs, h_vals = pair_h_values(outputs, params, iu, ju)
-    grads_i = 2.0 * diffs
+    p_i, p_j = outputs[iu], outputs[ju]
+    grads_i, grads_j = pairwise_h_grad(p_i, p_j)
+    h_vals = pair_h_values(p_i, p_j, params)
     jac_i = jacobians[iu]
     jac_j = jacobians[ju]
     z_i = grads_i[:, 0:1] * jac_i[:, 0, :] + grads_i[:, 1:2] * jac_i[:, 1, :]
-    z_j = -grads_i[:, 0:1] * jac_j[:, 0, :] - grads_i[:, 1:2] * jac_j[:, 1, :]
+    z_j = grads_j[:, 0:1] * jac_j[:, 0, :] + grads_j[:, 1:2] * jac_j[:, 1, :]
     z_rows = z_i + z_j
 
     block = np.zeros((n_pairs, 2 * n))
@@ -168,18 +156,13 @@ def assemble_constraints(
     block[rows, 2 * ju] = z_j[:, 0]
     block[rows, 2 * ju + 1] = z_j[:, 1]
 
-    if class_k is None:
-        relaxation = class_k_cubic(h_vals, params.gamma)
-    else:
-        relaxation = np.asarray(class_k(h_vals), dtype=float)
-
     margin = support_min_rows(z_rows, hulls.hulls[0])
     for hull in hulls.hulls[1:]:
         margin = np.minimum(margin, support_min_rows(z_rows, hull))
 
     return ConstraintSet(
         A=block,
-        b=-relaxation - margin,
+        b=-class_k_cubic(h_vals, params.gamma) - margin,
         u_max=float(u_max),
         pairs=np.stack([iu, ju], axis=1),
         h_pairs=h_vals,

@@ -11,12 +11,10 @@ from pathlib import Path
 import numpy as np
 import yaml
 
-from .barrier import BarrierParams
 from .disturbance import DisturbanceHull, HullUnion, symmetric_box, zero_union
-from .dynamics import RobotGeometry
 from .sim import (
-    DEFAULT_PSI,
-    PLANT_MODES,
+    DEFAULT_BARRIER,
+    DEFAULT_GEOMETRY,
     RunMetrics,
     ScenarioConfig,
     aggregate_metrics,
@@ -41,64 +39,89 @@ class ConfigError(ValueError):
     """Scenario file cannot be parsed or violates an invariant."""
 
 
-_SECTIONS = {
-    "robots": {"count", "wheel_radius", "base_length", "look_ahead"},
-    "barrier": {"delta", "gamma"},
-    "disturbance": {"psi", "hulls"},
-    "sim": {
-        "dt",
-        "duration",
-        "radius",
-        "seed",
-        "iterations",
-        "plant_disturbance",
-        "plant_vertex",
-        "gain",
-        "goal_tolerance",
-        "integrator",
-        "debug_checks",
+# The scenario schema: section -> key -> (ScenarioConfig field, type).  The
+# geometry and barrier keys fill the RobotGeometry and BarrierParams fields
+# of the same name, and the disturbance keys build the hull union.  Every
+# default lives in sim.py.
+_SCHEMA = {
+    "robots": {
+        "count": ("robot_count", int),
+        "wheel_radius": ("geometry", float),
+        "base_length": ("geometry", float),
+        "look_ahead": ("geometry", float),
     },
-    "filter": {"u_max", "fallback", "slack_weight"},
+    "barrier": {"delta": ("barrier", float), "gamma": ("barrier", float)},
+    "disturbance": {"psi": ("disturbance", float), "hulls": ("disturbance", list)},
+    "sim": {
+        "dt": ("dt", float),
+        "duration": ("sim_duration", float),
+        "radius": ("circle_radius", float),
+        "seed": ("rng_seed", int),
+        "iterations": ("iterations", int),
+        "plant_disturbance": ("plant_disturbance", str),
+        "plant_vertex": ("plant_vertex", int),
+        "gain": ("controller_gain", float),
+        "goal_tolerance": ("goal_tolerance", float),
+        "integrator": ("integrator", str),
+        "debug_checks": ("debug_checks", bool),
+    },
+    "filter": {
+        "u_max": ("u_max", float),
+        "fallback": ("fallback", str),
+        "slack_weight": ("slack_weight", float),
+    },
 }
+_REQUIRED = {"robot_count": "robots.count", "sim_duration": "sim.duration"}
 
 
-def _as_number(section: str, key: str, value, kind=float):
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(f"{section}.{key}: expected a number, got {value!r}")
-    return kind(value)
+def _typed(name: str, value, kind):
+    """value as kind: an integral number for an int, any number in the float
+    range for a float, and exactly that YAML type otherwise."""
+    number = isinstance(value, (int, float)) and not isinstance(value, bool)
+    if kind is int:
+        if number and (isinstance(value, int) or value.is_integer()):
+            return int(value)
+    elif kind is float:
+        if number:
+            try:
+                return float(value)
+            except OverflowError:  # an integer beyond the float range
+                pass
+    elif isinstance(value, kind):
+        return value
+    raise ConfigError(f"{name}: expected {kind.__name__}, got {value!r}")
 
 
 def _parse_disturbance(block: dict) -> HullUnion:
-    if "psi" in block and "hulls" in block:
+    if len(block) > 1:
         raise ConfigError("disturbance: give either psi or hulls, not both")
-    if "hulls" in block:
-        hulls = block["hulls"]
-        if not isinstance(hulls, list) or not hulls:
-            raise ConfigError("disturbance.hulls: expected a non-empty list")
-        parsed = []
-        for k, entry in enumerate(hulls):
-            if not isinstance(entry, dict) or set(entry) != {"vertices"}:
-                raise ConfigError(
-                    f"disturbance.hulls[{k}]: expected a mapping with a 'vertices' key"
-                )
-            try:
-                parsed.append(DisturbanceHull(np.asarray(entry["vertices"], dtype=float)))
-            except (ValueError, TypeError) as exc:
-                raise ConfigError(f"disturbance.hulls[{k}].vertices: {exc}") from exc
-        return HullUnion(tuple(parsed))
-    psi = _as_number("disturbance", "psi", block.get("psi", DEFAULT_PSI))
-    try:
-        return HullUnion((symmetric_box(psi),))
-    except ValueError as exc:
-        raise ConfigError(f"disturbance.psi: {exc}") from exc
+    if "psi" in block:
+        try:
+            return HullUnion((symmetric_box(block["psi"]),))
+        except ValueError as exc:
+            raise ConfigError(f"disturbance.psi: {exc}") from exc
+    if not block["hulls"]:
+        raise ConfigError("disturbance.hulls: expected a non-empty list")
+    parsed = []
+    for k, entry in enumerate(block["hulls"]):
+        if not isinstance(entry, dict) or set(entry) != {"vertices"}:
+            raise ConfigError(
+                f"disturbance.hulls[{k}]: expected a mapping with a 'vertices' key"
+            )
+        try:
+            parsed.append(DisturbanceHull(np.asarray(entry["vertices"], dtype=float)))
+        except (ValueError, TypeError) as exc:
+            raise ConfigError(f"disturbance.hulls[{k}].vertices: {exc}") from exc
+    return HullUnion(tuple(parsed))
 
 
 def load_config(path) -> ScenarioConfig:
     """Parse and validate a scenario file.
 
-    The format is YAML with the sections robots / barrier / disturbance /
-    sim / filter; unknown sections or keys are errors, omitted keys take the
-    testbed defaults.
+    The format is YAML with the sections and keys of _SCHEMA.  Unknown
+    sections or keys, values of the wrong type and values that
+    ScenarioConfig rejects are all ConfigErrors; omitted keys take the
+    defaults of sim.py.
     """
     path = Path(path)
     if not path.is_file():
@@ -114,74 +137,50 @@ def load_config(path) -> ScenarioConfig:
     if not isinstance(raw, dict):
         raise ConfigError("scenario file must be a mapping of sections")
 
+    fields: dict = {}
+    parts: dict = {"geometry": {}, "barrier": {}, "disturbance": {}}
     for section, body in raw.items():
-        if section not in _SECTIONS:
+        if section not in _SCHEMA:
             raise ConfigError(f"unknown section {section!r}")
         if body is None:
             continue
         if not isinstance(body, dict):
             raise ConfigError(f"section {section!r} must be a mapping")
-        unknown = set(body) - _SECTIONS[section]
-        if unknown:
-            raise ConfigError(f"unknown key {section}.{sorted(unknown)[0]}")
-
-    robots = raw.get("robots") or {}
-    barrier = raw.get("barrier") or {}
-    disturbance = raw.get("disturbance") or {}
-    sim = raw.get("sim") or {}
-    filt = raw.get("filter") or {}
-
-    if "count" not in robots:
-        raise ConfigError("robots.count is required")
-    if "duration" not in sim:
-        raise ConfigError("sim.duration is required")
-
+        for key, value in body.items():
+            if key not in _SCHEMA[section]:
+                raise ConfigError(f"unknown key {section}.{key}")
+            field, kind = _SCHEMA[section][key]
+            if key == "plant_disturbance" and value is False:
+                value = "off"  # YAML 1.1 reads a bare `off` as a boolean
+            value = _typed(f"{section}.{key}", value, kind)
+            if field in parts:
+                parts[field][key] = value
+            else:
+                fields[field] = value
+    for field, name in _REQUIRED.items():
+        if field not in fields:
+            raise ConfigError(f"{name} is required")
+    if parts["disturbance"]:
+        fields["disturbance"] = _parse_disturbance(parts["disturbance"])
     try:
-        geometry = RobotGeometry(
-            wheel_radius=_as_number("robots", "wheel_radius", robots.get("wheel_radius", 0.016)),
-            base_length=_as_number("robots", "base_length", robots.get("base_length", 0.105)),
-            look_ahead=_as_number("robots", "look_ahead", robots.get("look_ahead", 0.03)),
-        )
-        params = BarrierParams(
-            delta=_as_number("barrier", "delta", barrier.get("delta", 0.12)),
-            gamma=_as_number("barrier", "gamma", barrier.get("gamma", 150.0)),
+        return ScenarioConfig(
+            geometry=replace(DEFAULT_GEOMETRY, **parts["geometry"]),
+            barrier=replace(DEFAULT_BARRIER, **parts["barrier"]),
+            **fields,
         )
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
-    hulls = _parse_disturbance(disturbance)
 
-    plant_mode = sim.get("plant_disturbance", "off")
-    if plant_mode is False:
-        plant_mode = "off"  # YAML 1.1 reads a bare `off` as a boolean
-    if plant_mode not in PLANT_MODES:
-        raise ConfigError(
-            f"sim.plant_disturbance: expected one of {PLANT_MODES}, got {plant_mode!r}"
-        )
+def _load(config_path, seed: int | None):
+    """load_config with the seed override applied; None, after reporting
+    the error, when the scenario is invalid."""
     try:
-        cfg = ScenarioConfig(
-            robot_count=int(_as_number("robots", "count", robots["count"], int)),
-            sim_duration=_as_number("sim", "duration", sim["duration"]),
-            geometry=geometry,
-            barrier=params,
-            disturbance=hulls,
-            u_max=_as_number("filter", "u_max", filt.get("u_max", 25.0)),
-            fallback=str(filt.get("fallback", "slack")),
-            slack_weight=_as_number("filter", "slack_weight", filt.get("slack_weight", 1e6)),
-            circle_radius=_as_number("sim", "radius", sim.get("radius", 0.6)),
-            dt=_as_number("sim", "dt", sim.get("dt", 0.005)),
-            plant_disturbance=str(plant_mode),
-            plant_vertex=int(_as_number("sim", "plant_vertex", sim.get("plant_vertex", 0), int)),
-            controller_gain=_as_number("sim", "gain", sim.get("gain", 1.0)),
-            goal_tolerance=_as_number("sim", "goal_tolerance", sim.get("goal_tolerance", 0.05)),
-            rng_seed=int(_as_number("sim", "seed", sim.get("seed", 0), int)),
-            iterations=int(_as_number("sim", "iterations", sim.get("iterations", 1), int)),
-            integrator=str(sim.get("integrator", "euler")),
-            debug_checks=bool(sim.get("debug_checks", False)),
-        )
+        cfg = load_config(config_path)
+        return cfg if seed is None else replace(cfg, rng_seed=seed)
     except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-    return cfg
+        print(f"config error: {exc}", file=sys.stderr)
+        return None
 
 
 def _format(value: float) -> str:
@@ -255,13 +254,9 @@ def run_command(
     disturbance stays as declared.  Exit codes: 0 ok, 1 config error,
     2 runtime failure, 3 check-threshold breach.
     """
-    try:
-        cfg = load_config(config_path)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
+    cfg = _load(config_path, seed)
+    if cfg is None:
         return EXIT_CONFIG
-    if seed is not None:
-        cfg = replace(cfg, rng_seed=seed)
     if mode not in ("robust", "non-robust", "both"):
         print(f"unknown mode {mode!r}", file=sys.stderr)
         return EXIT_CONFIG
@@ -320,13 +315,9 @@ def run_command(
 
 def trace_command(config_path, out_path, seed: int | None = None) -> int:
     """Write the (t, min_h) series of a single run as a two-column CSV."""
-    try:
-        cfg = load_config(config_path)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
+    cfg = _load(config_path, seed)
+    if cfg is None:
         return EXIT_CONFIG
-    if seed is not None:
-        cfg = replace(cfg, rng_seed=seed)
     out_path = Path(out_path)
     try:
         metrics = run_scenario(cfg)
@@ -336,11 +327,7 @@ def trace_command(config_path, out_path, seed: int | None = None) -> int:
             lines.append(f"{_format(metrics.times[k])},{_format(metrics.min_h[k])}")
         out_path.write_text("\n".join(lines) + "\n")
     except Exception as exc:  # noqa: BLE001 - surfaced as exit status
-        if out_path.exists():
-            try:
-                out_path.unlink()
-            except OSError:
-                pass
+        _cleanup([out_path])
         print(f"trace failed: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
     return EXIT_OK

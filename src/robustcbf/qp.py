@@ -262,6 +262,17 @@ class _WorkingSet:
         return True
 
 
+def _blocking_ratio(lam_w: np.ndarray, r_dir: np.ndarray):
+    """Position and step length of the first active multiplier that a step
+    along -r_dir drives to zero; (-1, inf) when no entry of r_dir is positive."""
+    positive = r_dir > 0.0
+    if not positive.any():
+        return -1, math.inf
+    ratios = np.where(positive, lam_w / np.where(positive, r_dir, 1.0), np.inf)
+    block = int(np.argmin(ratios))
+    return block, ratios[block]
+
+
 def _solve_raw(inv_hessian, linear, C, d, feas_tol, max_iter, warm=()):
     """Dual active-set loop on min 0.5 u'Hu + q'u s.t. C u >= d, with
     inv_hessian = H^-1 precomputed by the caller.
@@ -316,13 +327,10 @@ def _solve_raw(inv_hessian, linear, C, d, feas_tol, max_iter, warm=()):
 
             if schur <= _DEPENDENCE_RTOL * max(cJc, 1e-300):
                 # Candidate row is dependent on the active rows: dual-only step.
-                positive = r_dir > 0.0
-                if not positive.any():
+                block, t = _blocking_ratio(lam_w, r_dir)
+                if block < 0:
                     status = INFEASIBLE
                     break
-                ratios = np.where(positive, lam_w / np.where(positive, r_dir, 1.0), np.inf)
-                block = int(np.argmin(ratios))
-                t = ratios[block]
                 lam_w = lam_w - t * r_dir
                 lam_new += t
                 ws.drop(block)
@@ -331,20 +339,7 @@ def _solve_raw(inv_hessian, linear, C, d, feas_tol, max_iter, warm=()):
 
             violation = float(c @ u - d_r)
             t_full = -violation / schur
-            if ws.size:
-                positive = r_dir > 0.0
-                if positive.any():
-                    ratios = np.where(
-                        positive, lam_w / np.where(positive, r_dir, 1.0), np.inf
-                    )
-                    block = int(np.argmin(ratios))
-                    t_block = ratios[block]
-                else:
-                    block = -1
-                    t_block = math.inf
-            else:
-                block = -1
-                t_block = math.inf
+            block, t_block = _blocking_ratio(lam_w, r_dir)
 
             t = min(t_full, t_block)
             u = u + t * step_dir

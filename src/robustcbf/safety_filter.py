@@ -5,13 +5,13 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass
-from typing import Callable, Sequence
+from dataclasses import dataclass, replace
+from typing import Sequence
 
 import numpy as np
 
 from . import qp
-from .barrier import BarrierParams, ConstraintSet, assemble_constraints, min_pairwise_h
+from .barrier import BarrierParams, ConstraintSet, assemble_constraints
 from .disturbance import HullUnion
 from .dynamics import (
     RobotGeometry, RobotState, WheelCommand, as_commands, as_poses, body_output_matrix
@@ -39,10 +39,8 @@ class FilterConfig:
 
     fallback governs behavior on an infeasible QP: surface the failure,
     command zero wheels, or re-solve with a heavily penalized slack on the
-    barrier rows (box bounds stay hard).  class_k optionally replaces the
-    default cubic relaxation; it must be odd, strictly increasing, and
-    broadcast over numpy arrays.  Each instance builds its FilterPlan for a
-    robot count on first use and keeps it.
+    barrier rows (box bounds stay hard).  Each instance builds its
+    FilterPlan for a robot count on first use and keeps it.
     """
 
     geometry: RobotGeometry
@@ -51,8 +49,6 @@ class FilterConfig:
     u_max: float
     fallback: str = "slack"
     slack_weight: float = 1e6
-    class_k: Callable | None = None
-    prune_distance: float | None = None
 
     def __post_init__(self) -> None:
         if not (math.isfinite(self.u_max) and self.u_max > 0.0):
@@ -63,8 +59,6 @@ class FilterConfig:
             math.isfinite(self.slack_weight) and self.slack_weight > 0.0
         ):
             raise ValueError("slack fallback needs a positive slack_weight")
-        if self.prune_distance is not None and not self.prune_distance > 0.0:
-            raise ValueError("prune_distance must be positive when set")
         object.__setattr__(self, "_plans", {})
 
     def plan(self, n: int) -> FilterPlan:
@@ -146,8 +140,6 @@ def filter_step(
         cfg.barrier,
         cfg.disturbance,
         cfg.u_max,
-        cfg.class_k,
-        cfg.prune_distance,
         plan.pair_index,
     )
     problem = qp.QpProblem(plan.weight, nominal, constraints.A, constraints.b, cfg.u_max)
@@ -160,15 +152,7 @@ def filter_step(
                 f"safety QP ended with status {solution.status!r}"
             )
         if cfg.fallback == "zero-input":
-            solution = qp.QpSolution(
-                u_star=np.zeros(2 * n),
-                status=solution.status,
-                kkt_residual=solution.kkt_residual,
-                iterations=solution.iterations,
-                wall_clock=solution.wall_clock,
-                multipliers=solution.multipliers,
-                active_set=(),
-            )
+            solution = replace(solution, u_star=np.zeros(2 * n), active_set=())
             fallback_applied = "zero-input"
         else:
             solution = qp.solve_with_slack(problem, cfg.slack_weight)
@@ -177,11 +161,7 @@ def filter_step(
 
     u_star = solution.u_star
     altered = np.abs(u_star - nominal).reshape(n, 2).max(axis=1)
-    if cfg.prune_distance is None:
-        min_h = float(constraints.h_pairs.min()) if constraints.h_pairs.size else math.inf
-    else:
-        # Pruned stacks can drop the minimizing pair; recompute over all pairs.
-        min_h = min_pairwise_h(poses, cfg.geometry, cfg.barrier)
+    min_h = float(constraints.h_pairs.min()) if constraints.h_pairs.size else math.inf
     return FilterResult(
         altered=altered,
         min_h=min_h,
@@ -205,7 +185,7 @@ def certificate_holds(
     A single robot trivially holds with infinite margin.
     """
     constraints = assemble_constraints(
-        states, cfg.geometry, cfg.barrier, cfg.disturbance, cfg.u_max, cfg.class_k
+        states, cfg.geometry, cfg.barrier, cfg.disturbance, cfg.u_max
     )
     if constraints.rows == 0:
         return True, math.inf

@@ -34,8 +34,6 @@ PLANT_MODES = ("off", "uniform-convex", "worst-case", "vertex")
 
 DEFAULT_GEOMETRY = RobotGeometry(wheel_radius=0.016, base_length=0.105, look_ahead=0.03)
 DEFAULT_BARRIER = BarrierParams(delta=0.12, gamma=150.0)
-DEFAULT_U_MAX = 25.0
-DEFAULT_PSI = 5.0
 
 
 @dataclass(frozen=True, eq=False)
@@ -45,6 +43,7 @@ class ScenarioConfig:
     disturbance is the declared (true) hull union the plant draws from;
     filter_disturbance overrides what the filter protects against (None means
     the declared union; the CLI's non-robust mode passes the zero hull).
+    Construction checks every field, the filter's through FilterConfig.
     """
 
     robot_count: int
@@ -52,10 +51,10 @@ class ScenarioConfig:
     geometry: RobotGeometry = DEFAULT_GEOMETRY
     barrier: BarrierParams = DEFAULT_BARRIER
     disturbance: HullUnion = field(
-        default_factory=lambda: HullUnion((symmetric_box(DEFAULT_PSI),))
+        default_factory=lambda: HullUnion((symmetric_box(5.0),))
     )
     filter_disturbance: HullUnion | None = None
-    u_max: float = DEFAULT_U_MAX
+    u_max: float = 25.0
     fallback: str = "slack"
     slack_weight: float = 1e6
     circle_radius: float = 0.6
@@ -96,6 +95,14 @@ class ScenarioConfig:
             raise ValueError("iterations must be >= 1")
         if self.integrator not in ("euler", "rk4"):
             raise ValueError(f"unknown integrator {self.integrator!r}")
+        if self.rng_seed < 0:
+            raise ValueError("rng_seed must be >= 0")
+        pool = pooled_vertices(self.disturbance).shape[0]
+        if not 0 <= self.plant_vertex < pool:
+            raise ValueError(
+                f"plant_vertex {self.plant_vertex} out of range for {pool} pooled vertices"
+            )
+        self.filter_config()  # u_max, fallback and slack_weight checks
 
     def filter_config(self) -> FilterConfig:
         hulls = self.filter_disturbance or self.disturbance
@@ -140,7 +147,8 @@ def circle_init(
         for angle in (2.0 * math.pi * k / n for k in range(n))
     ]
     iu, ju = np.triu_indices(n, k=1)
-    _, h = pair_h_values(output_points(as_poses(states), geom), params, iu, ju)
+    outputs = output_points(as_poses(states), geom)
+    h = pair_h_values(outputs[iu], outputs[ju], params)
     contact = np.flatnonzero(h <= 0.0)
     if contact.size:
         raise ValueError(
@@ -210,8 +218,10 @@ def _worst_case_disturbance(
 
 
 def _realize_disturbances(
-    cfg: ScenarioConfig, result: FilterResult, rng: np.random.Generator
+    cfg: ScenarioConfig, result: FilterResult, rng: np.random.Generator, pinned: np.ndarray
 ) -> np.ndarray:
+    """Per-robot plant disturbances of one step; pinned is the vertex mode's
+    pooled vertex, looked up once per run."""
     n = cfg.robot_count
     mode = cfg.plant_disturbance
     if mode == "off":
@@ -221,13 +231,7 @@ def _realize_disturbances(
         vertex = _worst_case_disturbance(result, union)
         return np.tile(vertex, (n, 1))
     if mode == "vertex":
-        pool = pooled_vertices(union)
-        if not 0 <= cfg.plant_vertex < pool.shape[0]:
-            raise IndexError(
-                f"plant_vertex {cfg.plant_vertex} out of range for "
-                f"{pool.shape[0]} pooled vertices"
-            )
-        return np.tile(pool[cfg.plant_vertex], (n, 1))
+        return np.tile(pinned, (n, 1))
     draws = np.empty((n, 2))
     for k in range(n):
         hull = union.hulls[int(rng.integers(union.size))] if union.size > 1 else union.hulls[0]
@@ -263,6 +267,7 @@ def run_scenario(cfg: ScenarioConfig) -> RunMetrics:
     # Antipodal targets: mirror the initial output points through the center.
     goals = -output_points(poses, geom)
     fcfg = cfg.filter_config()
+    pinned = pooled_vertices(cfg.disturbance)[cfg.plant_vertex]
     rng = np.random.default_rng(cfg.rng_seed)
     steps = cfg.steps()
 
@@ -284,7 +289,7 @@ def run_scenario(cfg: ScenarioConfig) -> RunMetrics:
         if trace is not None:
             trace[k] = poses
 
-        draws = _realize_disturbances(cfg, result, rng)
+        draws = _realize_disturbances(cfg, result, rng, pinned)
         if cfg.debug_checks:
             for row in draws:
                 _assert_contained(row, cfg.disturbance)

@@ -227,43 +227,9 @@ class TestAssembleConstraints:
         np.testing.assert_array_equal(cs.pairs, single.pairs)
         np.testing.assert_array_equal(cs.b, pooled.b)
 
-    def test_custom_class_k_hook(self, geom, params, box5, rng):
-        states = random_states(rng, 3)
-        union = HullUnion((box5,))
-        cubic = assemble_constraints(states, geom, params, union, U_MAX)
-        linear = assemble_constraints(
-            states, geom, params, union, U_MAX, class_k=lambda h: 2.0 * h
-        )
-        h = cubic.h_pairs
-        np.testing.assert_allclose(linear.b - cubic.b, params.gamma * h**3 - 2.0 * h)
-
     def test_rejects_empty_and_checks_support_min_consistency(self, geom, params, box5):
         with pytest.raises(ValueError):
             assemble_constraints([], geom, params, HullUnion((box5,)), U_MAX)
-
-    def test_pruning_off_by_default_and_monotone(self, geom, params, box5, rng):
-        states = random_states(rng, 6, spread=2.0)
-        union = HullUnion((box5,))
-        full = assemble_constraints(states, geom, params, union, U_MAX)
-        assert full.rows == 15
-        huge = assemble_constraints(
-            states, geom, params, union, U_MAX, prune_distance=1e6
-        )
-        np.testing.assert_array_equal(huge.A, full.A)
-        np.testing.assert_array_equal(huge.b, full.b)
-        tight = assemble_constraints(
-            states, geom, params, union, U_MAX, prune_distance=1.0
-        )
-        assert tight.rows < full.rows
-        # Kept rows are exactly the pairs within the cutoff.
-        outputs = [output_point(s, geom) for s in states]
-        expected = sum(
-            1
-            for i in range(5)
-            for j in range(i + 1, 6)
-            if np.linalg.norm(outputs[i] - outputs[j]) <= 1.0
-        )
-        assert tight.rows == expected
 
     def test_min_pairwise_h_matches_scalar_minimum(self, geom, params, rng):
         from robustcbf import min_pairwise_h

@@ -1,10 +1,17 @@
+import dataclasses
 import json
 import math
 
 import numpy as np
 import pytest
 
-from robustcbf import aggregate_metrics, assemble_constraints, circle_init, zero_union
+from robustcbf import (
+    HullUnion,
+    aggregate_metrics,
+    assemble_constraints,
+    circle_init,
+    zero_union,
+)
 from robustcbf.cli import (
     EXIT_CHECK,
     EXIT_CONFIG,
@@ -32,6 +39,63 @@ robots:
 sim:
   duration: 0.2
 """
+
+# MINIMAL with every optional key spelled out at its documented default.
+ALL_DEFAULTS = """
+robots:
+  count: 2
+  wheel_radius: 0.016
+  base_length: 0.105
+  look_ahead: 0.03
+barrier:
+  delta: 0.12
+  gamma: 150.0
+disturbance:
+  psi: 5.0
+sim:
+  duration: 0.2
+  dt: 0.005
+  radius: 0.6
+  seed: 0
+  iterations: 1
+  plant_disturbance: off
+  plant_vertex: 0
+  gain: 1.0
+  goal_tolerance: 0.05
+  integrator: euler
+  debug_checks: false
+filter:
+  u_max: 25.0
+  fallback: slack
+  slack_weight: 1.0e+6
+"""
+
+# Values that used to load and then fail mid-run, or run something other
+# than what the file says; each key is appended to MINIMAL's last section
+# or written in its own.
+INVALID = {
+    "fallback": MINIMAL + "filter:\n  fallback: bogus\n",
+    "u_max": MINIMAL + "filter:\n  u_max: -1\n",
+    "slack_weight": MINIMAL + "filter:\n  slack_weight: 0\n",
+    "plant_vertex": MINIMAL + "  plant_vertex: 9\n",
+    "count": MINIMAL.replace("count: 2", "count: 2.7"),
+    "iterations": MINIMAL + "  iterations: 1.9\n",
+    "debug_checks": MINIMAL + "  debug_checks: 'no'\n",
+    "seed": MINIMAL + "  seed: -1\n",
+    "dt": MINIMAL + "  dt: 1" + "0" * 400 + "\n",
+}
+
+
+def config_fields(cfg):
+    """The fields of a ScenarioConfig, hull unions as vertex lists."""
+    out = {}
+    for spec in dataclasses.fields(cfg):
+        value = getattr(cfg, spec.name)
+        if isinstance(value, HullUnion):
+            value = [hull.vertices.tolist() for hull in value.hulls]
+        out[spec.name] = value
+    return out
+
 
 SMALL_RUN = """
 robots:
@@ -143,6 +207,29 @@ class TestLoadConfig:
         with pytest.raises(ConfigError, match="look_ahead"):
             load_config(write_scenario(tmp_path, body))
 
+    def test_every_key_at_its_default_loads_as_minimal(self, tmp_path):
+        full = load_config(write_scenario(tmp_path, ALL_DEFAULTS, "full.yaml"))
+        minimal = load_config(write_scenario(tmp_path, MINIMAL, "minimal.yaml"))
+        assert config_fields(full) == config_fields(minimal)
+
+    @pytest.mark.parametrize("key", sorted(INVALID))
+    def test_invalid_value_is_config_error_naming_the_key(self, tmp_path, key):
+        path = write_scenario(tmp_path, INVALID[key])
+        with pytest.raises(ConfigError, match=key):
+            load_config(path)
+        assert run_command(path, tmp_path / "out", mode="robust") == EXIT_CONFIG
+        assert not (tmp_path / "out").exists()
+
+    def test_integral_number_accepted_for_integer_key(self, tmp_path):
+        cfg = load_config(write_scenario(tmp_path, MINIMAL.replace("count: 2", "count: 2.0")))
+        assert cfg.robot_count == 2 and isinstance(cfg.robot_count, int)
+
+    def test_string_and_boolean_keys_reject_other_types(self, tmp_path):
+        with pytest.raises(ConfigError, match="sim.integrator: expected str"):
+            load_config(write_scenario(tmp_path, MINIMAL + "  integrator: 4\n"))
+        with pytest.raises(ConfigError, match="sim.debug_checks: expected bool"):
+            load_config(write_scenario(tmp_path, MINIMAL + "  debug_checks: 1\n"))
+
 
 class TestRunCommand:
     def test_run_writes_metrics_and_summary(self, tmp_path):
@@ -217,6 +304,13 @@ class TestRunCommand:
         bad = write_scenario(tmp_path, "robots:\n  count: 2\n")
         assert run_command(bad, tmp_path / "out", mode="robust") == EXIT_CONFIG
         assert not (tmp_path / "out").exists()
+
+    def test_invalid_seed_override_is_config_error(self, tmp_path):
+        scenario = write_scenario(tmp_path, SMALL_RUN)
+        out = tmp_path / "out"
+        assert run_command(scenario, out, mode="robust", seed=-1) == EXIT_CONFIG
+        assert trace_command(scenario, tmp_path / "t.csv", seed=-1) == EXIT_CONFIG
+        assert not out.exists()
 
     def test_unknown_mode_is_config_error(self, tmp_path):
         scenario = write_scenario(tmp_path, SMALL_RUN)

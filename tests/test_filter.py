@@ -233,18 +233,6 @@ class TestFilterStep:
         with pytest.raises(ValueError):
             filter_step([RobotState(0, 0, 0)], [], cfg)
 
-    def test_prune_distance_keeps_min_h_honest(self, geom, params, rng):
-        cfg = make_config(geom, params, fallback="error", prune_distance=0.5)
-        states = far_apart_states(rng, 3)  # all pairs beyond the cutoff
-        nominal = [WheelCommand(5.0, 5.0)] * 3
-        result = filter_step(states, nominal, cfg)
-        assert result.constraints.rows == 0
-        from robustcbf import min_pairwise_h
-
-        assert result.min_h == pytest.approx(
-            min_pairwise_h(states, geom, params), rel=1e-12
-        )
-
     def test_continuity_diagnostic(self, geom, params):
         # Small state perturbations produce small command changes away from
         # degenerate geometry (empirical check, not a guarantee).

@@ -198,14 +198,13 @@ class TestRunScenario:
             run_scenario(cfg)
 
     def test_vertex_mode_bounds_checked(self):
-        cfg = benign_two_robot(
-            duration=0.2,
-            disturbance=HullUnion((symmetric_box(2.0),)),
-            plant_disturbance="vertex",
-            plant_vertex=9,
-        )
-        with pytest.raises(IndexError):
-            run_scenario(cfg)
+        with pytest.raises(ValueError, match="plant_vertex"):
+            benign_two_robot(
+                duration=0.2,
+                disturbance=HullUnion((symmetric_box(2.0),)),
+                plant_disturbance="vertex",
+                plant_vertex=9,
+            )
 
     def test_worst_case_drives_toward_the_tightest_pair(self, geom, params):
         # With the robust filter the adversarial vertex cannot create
