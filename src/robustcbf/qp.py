@@ -170,16 +170,24 @@ def _stacked_constraints(problem: QpProblem):
 
 
 class _WorkingSet:
-    """Active rows with incrementally maintained N, J N^T and N J N^T."""
+    """Active rows in buffers allocated once per solve: N (cap x m), J N^T
+    (m x cap), B = N J N^T (cap x cap) and the multipliers lam (cap), used
+    through their leading `size` rows and columns; cap doubles when full."""
 
     def __init__(self, inv_hessian: np.ndarray, C: np.ndarray):
         self._J = inv_hessian
         self._C = C
         self.indices: list = []
-        m = inv_hessian.shape[0]
-        self._N = np.zeros((0, m))
-        self._JNt = np.zeros((m, 0))
-        self._B = np.zeros((0, 0))
+        self._allocate(min(C.shape[0], inv_hessian.shape[0]))
+
+    def _allocate(self, cap: int) -> None:
+        """Fresh buffers for cap rows that keep the active rows."""
+        k, m = self.size, self._J.shape[0]
+        kept = (self.N, self.JNt, self._B[:k, :k], self.lam) if k else None
+        self._N, self._JNt = np.empty((cap, m)), np.empty((m, cap))
+        self._B, self._lam = np.empty((cap, cap)), np.empty(cap)
+        if k:
+            self._N[:k], self._JNt[:, :k], self._B[:k, :k], self._lam[:k] = kept
 
     @property
     def size(self) -> int:
@@ -187,39 +195,53 @@ class _WorkingSet:
 
     @property
     def N(self) -> np.ndarray:
-        return self._N
+        return self._N[: self.size]
 
-    def add(self, idx: int, c: np.ndarray, Jc: np.ndarray) -> None:
+    @property
+    def JNt(self) -> np.ndarray:
+        return self._JNt[:, : self.size]
+
+    @property
+    def lam(self) -> np.ndarray:
+        return self._lam[: self.size]
+
+    def add(self, idx: int, c: np.ndarray, Jc: np.ndarray, lam: float = 0.0) -> None:
         k = self.size
-        new_B = np.empty((k + 1, k + 1))
+        if k == self._lam.size:
+            self._allocate(max(1, 2 * k))
         if k:
-            col = self._N @ Jc
-            new_B[:k, :k] = self._B
-            new_B[:k, k] = col
-            new_B[k, :k] = col
-        new_B[k, k] = float(c @ Jc)
-        self._B = new_B
-        self._N = np.vstack([self._N, c[None, :]])
-        self._JNt = np.hstack([self._JNt, Jc[:, None]])
+            col = self._N[:k] @ Jc
+            self._B[:k, k] = col
+            self._B[k, :k] = col
+        self._B[k, k] = float(c @ Jc)
+        self._N[k], self._JNt[:, k], self._lam[k] = c, Jc, lam
         self.indices.append(idx)
 
     def drop(self, pos: int) -> None:
+        k = self.size
         del self.indices[pos]
-        self._N = np.delete(self._N, pos, axis=0)
-        self._JNt = np.delete(self._JNt, pos, axis=1)
-        self._B = np.delete(np.delete(self._B, pos, axis=0), pos, axis=1)
+        self._N[pos : k - 1] = self._N[pos + 1 : k]
+        self._JNt[:, pos : k - 1] = self._JNt[:, pos + 1 : k]
+        self._B[pos : k - 1, :k] = self._B[pos + 1 : k, :k]
+        self._B[: k - 1, pos : k - 1] = self._B[: k - 1, pos + 1 : k]
+        self._lam[pos : k - 1] = self._lam[pos + 1 : k]
 
     def solve_B(self, rhs: np.ndarray) -> np.ndarray:
-        if self.size == 0:
+        k = self.size
+        if k == 0:
             return np.zeros(0)
-        return np.linalg.solve(self._B, rhs)
+        return np.linalg.solve(self._B[:k, :k], rhs)
 
     def eq_multipliers(self, linear: np.ndarray, d: np.ndarray) -> np.ndarray:
-        rhs = d[self.indices] + self._JNt.T @ linear
-        return self.solve_B(rhs)
+        """Solve the equality system on the active rows into lam.  J N^T is
+        copied out first: BLAS may round (J N^T)^T q differently on a strided
+        view, which would change the answer in the last bits."""
+        lam = self.lam
+        lam[:] = self.solve_B(d[self.indices] + np.ascontiguousarray(self.JNt).T @ linear)
+        return lam
 
-    def primal(self, linear: np.ndarray, lam: np.ndarray) -> np.ndarray:
-        return self._JNt @ lam - self._J @ linear
+    def primal(self, linear: np.ndarray) -> np.ndarray:
+        return self.JNt @ self.lam - self._J @ linear
 
     def try_add(self, idx: int) -> bool:
         c = self._C[idx]
@@ -228,7 +250,7 @@ class _WorkingSet:
         if cJc <= 0.0:
             return False
         if self.size:
-            w_vec = self._N @ Jc
+            w_vec = self.N @ Jc
             try:
                 r_dir = self.solve_B(w_vec)
             except np.linalg.LinAlgError:
@@ -255,35 +277,37 @@ class _WorkingSet:
         diag = np.diagonal(chol)
         if diag.min() ** 2 <= _DEPENDENCE_RTOL * max(float(np.diagonal(B).max()), 1e-300):
             return False
+        k = len(idx)
+        if k > self._lam.size:
+            self._allocate(k)
         self.indices = idx
-        self._N = N
-        self._JNt = JNt
-        self._B = B
+        self._N[:k], self._JNt[:, :k], self._B[:k, :k] = N, JNt, B
         return True
 
 
 def _blocking_ratio(lam_w: np.ndarray, r_dir: np.ndarray):
     """Position and step length of the first active multiplier that a step
-    along -r_dir drives to zero; (-1, inf) when no entry of r_dir is positive."""
-    positive = r_dir > 0.0
-    if not positive.any():
+    along -r_dir drives to zero; (-1, inf) when no entry of r_dir is positive.
+    Ties go to the lowest position."""
+    positive = (r_dir > 0.0).nonzero()[0]
+    if not positive.size:
         return -1, math.inf
-    ratios = np.where(positive, lam_w / np.where(positive, r_dir, 1.0), np.inf)
-    block = int(np.argmin(ratios))
-    return block, ratios[block]
+    ratios = lam_w[positive] / r_dir[positive]
+    block = int(ratios.argmin())
+    return int(positive[block]), ratios[block]
 
 
 def _solve_raw(inv_hessian, linear, C, d, feas_tol, max_iter, warm=()):
     """Dual active-set loop on min 0.5 u'Hu + q'u s.t. C u >= d, with
-    inv_hessian = H^-1 precomputed by the caller.
+    inv_hessian = H^-1 precomputed by the caller.  warm is an iterable of
+    row indices; those outside [0, rows) are ignored.
 
     Returns (u, full multipliers, status, iterations, active indices).
     """
     n_rows = C.shape[0]
     ws = _WorkingSet(inv_hessian, C)
 
-    lam_w = np.zeros(0)
-    warm = [int(i) for i in warm if 0 <= i < n_rows]
+    warm = [i for i in map(int, warm) if 0 <= i < n_rows]
     if warm and not ws.bulk_load(warm):
         for idx in warm:
             ws.try_add(idx)
@@ -294,7 +318,7 @@ def _solve_raw(inv_hessian, linear, C, d, feas_tol, max_iter, warm=()):
             if ws.size == 0 or (lam_w >= 0.0).all():
                 break
             ws.drop(int(np.argmin(lam_w)))
-        u = ws.primal(linear, lam_w) if ws.size else -inv_hessian @ linear
+        u = ws.primal(linear) if ws.size else -inv_hessian @ linear
     else:
         u = -inv_hessian @ linear
 
@@ -302,23 +326,24 @@ def _solve_raw(inv_hessian, linear, C, d, feas_tol, max_iter, warm=()):
     status = OPTIMAL
     while True:
         residual = C @ u - d
-        worst = int(np.argmin(residual))
+        worst = int(residual.argmin())
         if residual[worst] >= -feas_tol:
             break
         c = C[worst]
         d_r = d[worst]
+        Jc = inv_hessian @ c
+        cJc = float(c @ Jc)
         lam_new = 0.0
         while True:
             iterations += 1
             if iterations > max_iter:
                 status = MAX_ITERATIONS
                 break
-            Jc = inv_hessian @ c
-            cJc = float(c @ Jc)
+            lam_w = ws.lam
             if ws.size:
                 w_vec = ws.N @ Jc
                 r_dir = ws.solve_B(w_vec)
-                step_dir = Jc - ws._JNt @ r_dir
+                step_dir = Jc - ws.JNt @ r_dir
                 schur = cJc - float(w_vec @ r_dir)
             else:
                 r_dir = np.zeros(0)
@@ -331,10 +356,9 @@ def _solve_raw(inv_hessian, linear, C, d, feas_tol, max_iter, warm=()):
                 if block < 0:
                     status = INFEASIBLE
                     break
-                lam_w = lam_w - t * r_dir
+                lam_w -= t * r_dir
                 lam_new += t
                 ws.drop(block)
-                lam_w = np.delete(lam_w, block)
                 continue
 
             violation = float(c @ u - d_r)
@@ -344,26 +368,25 @@ def _solve_raw(inv_hessian, linear, C, d, feas_tol, max_iter, warm=()):
             t = min(t_full, t_block)
             u = u + t * step_dir
             if ws.size:
-                lam_w = lam_w - t * r_dir
+                lam_w -= t * r_dir
             lam_new += t
             if t_full <= t_block:
-                ws.add(worst, c, Jc)
-                lam_w = np.append(lam_w, lam_new)
+                ws.add(worst, c, Jc, lam_new)
                 break
             ws.drop(block)
-            lam_w = np.delete(lam_w, block)
         if status != OPTIMAL:
             break
 
-    if status == OPTIMAL and ws.size:
+    if status == OPTIMAL and ws.size and iterations:
         # Re-solve the final equality system: removes drift accumulated by
-        # the incremental primal updates.
-        lam_w = ws.eq_multipliers(linear, d)
-        u = ws.primal(linear, lam_w)
+        # the incremental primal updates.  With no iterations the warm-start
+        # prune above has just solved this very system.
+        ws.eq_multipliers(linear, d)
+        u = ws.primal(linear)
 
     lam_full = np.zeros(n_rows)
     if ws.size:
-        lam_full[ws.indices] = lam_w
+        lam_full[ws.indices] = ws.lam
     return u, lam_full, status, iterations, tuple(ws.indices)
 
 
@@ -396,15 +419,12 @@ def solve(problem: QpProblem, tol: Tolerances | None = None, warm_start=None) ->
     if max_iter is None:
         max_iter = 10 * (problem.variables + C.shape[0])
 
-    if warm_start is None:
-        warm: tuple = ()
-    elif isinstance(warm_start, QpSolution):
-        warm = warm_start.active_set
-    else:
-        warm = tuple(int(i) for i in warm_start)
+    if isinstance(warm_start, QpSolution):
+        warm_start = warm_start.active_set
 
     u, lam, status, iterations, active = _solve_raw(
-        problem.prepared.inv_hessian, linear, C, d, tol.feasibility, max_iter, warm
+        problem.prepared.inv_hessian, linear, C, d, tol.feasibility, max_iter,
+        () if warm_start is None else warm_start,
     )
     stationarity, feasibility, complementarity = _kkt_residuals(
         hessian, linear, C, d, u, lam

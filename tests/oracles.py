@@ -3,12 +3,16 @@
 Nothing here imports solver internals: support minima are brute-force vertex
 enumerations, Jacobians come from central differences, the QP reference
 is a projected-gradient ascent on the dual run to convergence, and the
-closed-loop reference steps one robot object at a time.
+closed-loop reference steps one robot object at a time.  The dual
+active-set reference is a frozen copy of the solver loop before its working
+set moved into preallocated buffers; it pins the solver's answers bit for
+bit.
 """
 
 from __future__ import annotations
 
 import math
+from typing import NamedTuple
 
 import numpy as np
 
@@ -21,6 +25,7 @@ from robustcbf import (
     sample_hull,
     wheel_matrix,
 )
+from robustcbf.qp import INFEASIBLE, MAX_ITERATIONS, OPTIMAL
 
 
 def fd_jacobian(func, x, eps):
@@ -113,6 +118,221 @@ def projected_gradient_qp(
     u = u_nom + 0.5 * (H_inv @ (C.T @ lam))
     residual = weight @ (u_nom - u)
     return u, float(residual @ residual)
+
+
+_DEPENDENCE_RTOL = 1e-12
+
+
+class ReallocatingWorkingSet:
+    """Active rows with N, J N^T and N J N^T rebuilt by vstack, hstack and
+    np.delete on every add and drop."""
+
+    def __init__(self, inv_hessian, C):
+        self._J = inv_hessian
+        self._C = C
+        self.indices = []
+        m = inv_hessian.shape[0]
+        self.N = np.zeros((0, m))
+        self.JNt = np.zeros((m, 0))
+        self._B = np.zeros((0, 0))
+
+    @property
+    def size(self):
+        return len(self.indices)
+
+    def add(self, idx, c, Jc):
+        k = self.size
+        new_B = np.empty((k + 1, k + 1))
+        if k:
+            col = self.N @ Jc
+            new_B[:k, :k] = self._B
+            new_B[:k, k] = col
+            new_B[k, :k] = col
+        new_B[k, k] = float(c @ Jc)
+        self._B = new_B
+        self.N = np.vstack([self.N, c[None, :]])
+        self.JNt = np.hstack([self.JNt, Jc[:, None]])
+        self.indices.append(idx)
+
+    def drop(self, pos):
+        del self.indices[pos]
+        self.N = np.delete(self.N, pos, axis=0)
+        self.JNt = np.delete(self.JNt, pos, axis=1)
+        self._B = np.delete(np.delete(self._B, pos, axis=0), pos, axis=1)
+
+    def solve_B(self, rhs):
+        if self.size == 0:
+            return np.zeros(0)
+        return np.linalg.solve(self._B, rhs)
+
+    def eq_multipliers(self, linear, d):
+        return self.solve_B(d[self.indices] + self.JNt.T @ linear)
+
+    def primal(self, linear, lam):
+        return self.JNt @ lam - self._J @ linear
+
+    def try_add(self, idx):
+        c = self._C[idx]
+        Jc = self._J @ c
+        cJc = float(c @ Jc)
+        if cJc <= 0.0:
+            return False
+        if self.size:
+            w_vec = self.N @ Jc
+            try:
+                r_dir = self.solve_B(w_vec)
+            except np.linalg.LinAlgError:
+                return False
+            if cJc - float(w_vec @ r_dir) <= _DEPENDENCE_RTOL * cJc:
+                return False
+        self.add(idx, c, Jc)
+        return True
+
+    def bulk_load(self, idx):
+        if not idx:
+            return True
+        N = self._C[idx]
+        JNt = self._J @ N.T
+        B = N @ JNt
+        try:
+            chol = np.linalg.cholesky(B)
+        except np.linalg.LinAlgError:
+            return False
+        if np.diagonal(chol).min() ** 2 <= _DEPENDENCE_RTOL * max(
+            float(np.diagonal(B).max()), 1e-300
+        ):
+            return False
+        self.indices = list(idx)
+        self.N, self.JNt, self._B = N, JNt, B
+        return True
+
+
+def _reference_ratio(lam_w, r_dir):
+    positive = r_dir > 0.0
+    if not positive.any():
+        return -1, math.inf
+    ratios = np.where(positive, lam_w / np.where(positive, r_dir, 1.0), np.inf)
+    block = int(np.argmin(ratios))
+    return block, ratios[block]
+
+
+class ReferenceSolve(NamedTuple):
+    u_star: np.ndarray
+    multipliers: np.ndarray
+    status: str
+    iterations: int
+    active_set: tuple
+    dependent_steps: int  # dual-only steps on a row dependent on the active set
+    sequential_load: bool  # the warm set was loaded row by row, not in bulk
+
+
+def reference_dual_active_set(problem, max_iterations=None, warm_start=None):
+    """Goldfarb-Idnani dual active-set solve of a QpProblem with the
+    reallocating working set, including the final equality re-solve after a
+    warm start that needed no iterations and the KKT downgrade of the status.
+
+    warm_start is a previous solution or an iterable of stacked-row indices;
+    max_iterations defaults to 10 * (variables + stacked rows).
+    """
+    m = problem.variables
+    eye = np.eye(m)
+    C = np.vstack([problem.A, eye, -eye])
+    d = np.concatenate([problem.b, np.full(m, -problem.u_max), np.full(m, -problem.u_max)])
+    hessian = problem.prepared.hessian
+    inv_hessian = problem.prepared.inv_hessian
+    linear = -hessian @ problem.u_nom
+    n_rows = C.shape[0]
+    max_iter = 10 * (m + n_rows) if max_iterations is None else max_iterations
+    warm = () if warm_start is None else getattr(warm_start, "active_set", warm_start)
+    warm = [i for i in (int(i) for i in warm) if 0 <= i < n_rows]
+
+    ws = ReallocatingWorkingSet(inv_hessian, C)
+    lam_w = np.zeros(0)
+    sequential_load = bool(warm) and not ws.bulk_load(warm)
+    if sequential_load:
+        for idx in warm:
+            ws.try_add(idx)
+    if ws.size:
+        while True:
+            lam_w = ws.eq_multipliers(linear, d)
+            if ws.size == 0 or (lam_w >= 0.0).all():
+                break
+            ws.drop(int(np.argmin(lam_w)))
+        u = ws.primal(linear, lam_w) if ws.size else -inv_hessian @ linear
+    else:
+        u = -inv_hessian @ linear
+
+    iterations = 0
+    dependent_steps = 0
+    status = OPTIMAL
+    while status == OPTIMAL:
+        residual = C @ u - d
+        worst = int(np.argmin(residual))
+        if residual[worst] >= -1e-8:
+            break
+        c = C[worst]
+        lam_new = 0.0
+        while True:
+            iterations += 1
+            if iterations > max_iter:
+                status = MAX_ITERATIONS
+                break
+            Jc = inv_hessian @ c
+            cJc = float(c @ Jc)
+            if ws.size:
+                w_vec = ws.N @ Jc
+                r_dir = ws.solve_B(w_vec)
+                step_dir = Jc - ws.JNt @ r_dir
+                schur = cJc - float(w_vec @ r_dir)
+            else:
+                r_dir = np.zeros(0)
+                step_dir = Jc
+                schur = cJc
+            if schur <= _DEPENDENCE_RTOL * max(cJc, 1e-300):
+                dependent_steps += 1
+                block, t = _reference_ratio(lam_w, r_dir)
+                if block < 0:
+                    status = INFEASIBLE
+                    break
+                lam_w = lam_w - t * r_dir
+                lam_new += t
+                ws.drop(block)
+                lam_w = np.delete(lam_w, block)
+                continue
+            t_full = -float(c @ u - d[worst]) / schur
+            block, t_block = _reference_ratio(lam_w, r_dir)
+            t = min(t_full, t_block)
+            u = u + t * step_dir
+            if ws.size:
+                lam_w = lam_w - t * r_dir
+            lam_new += t
+            if t_full <= t_block:
+                ws.add(worst, c, Jc)
+                lam_w = np.append(lam_w, lam_new)
+                break
+            ws.drop(block)
+            lam_w = np.delete(lam_w, block)
+
+    if status == OPTIMAL and ws.size:
+        lam_w = ws.eq_multipliers(linear, d)
+        u = ws.primal(linear, lam_w)
+    lam = np.zeros(n_rows)
+    if ws.size:
+        lam[ws.indices] = lam_w
+
+    if status == OPTIMAL:
+        gradient = hessian @ u + linear
+        stationarity = float(np.abs(gradient - C.T @ lam).max())
+        residual = C @ u - d
+        feasibility = float(max(0.0, (-residual).max()))
+        complementarity = max(
+            float(np.abs(lam * residual).max()), float(max(0.0, -lam.min()))
+        )
+        if feasibility > 1e-8 or max(stationarity, complementarity) > 1e-8:
+            status = MAX_ITERATIONS
+    return ReferenceSolve(
+        u, lam, status, iterations, tuple(ws.indices), dependent_steps, sequential_load
+    )
 
 
 def _reference_output(state, geom) -> np.ndarray:

@@ -1,8 +1,9 @@
 """Acceptance gate: one test per criterion, each printing a PASS/FAIL line.
 
 The circle-swap criteria run the full 30 s x 20 iteration experiment and
-dominate the runtime (~10 minutes total); run with `pytest -s
-tests/test_acceptance.py` to watch the lines appear.
+dominate the runtime (about 6 minutes on a 2-vCPU host); they carry the
+`slow` marker, so `pytest -m "not slow"` leaves them out.  Run with
+`pytest -s tests/test_acceptance.py` to watch the lines appear.
 """
 
 import math
@@ -61,6 +62,7 @@ def robust_runs(circle22_cfg):
     return repeat_experiment(circle22_cfg)
 
 
+@pytest.mark.slow
 def test_criterion_1_robust_invariance(circle22_cfg, robust_runs):
     start = time.perf_counter()
     worst = min(float(run.min_h.min()) for run in robust_runs)
@@ -74,6 +76,7 @@ def test_criterion_1_robust_invariance(circle22_cfg, robust_runs):
     )
 
 
+@pytest.mark.slow
 def test_criterion_2_non_robust_failure(circle22_cfg):
     cfg = replace(circle22_cfg, filter_disturbance=zero_union())
     runs = repeat_experiment(cfg)
@@ -273,6 +276,7 @@ def test_criterion_9_throughput_sanity(geom, params, circle22_cfg):
     )
 
 
+@pytest.mark.slow
 def test_cli_comparison_mirrors_the_two_columns(tmp_path):
     # Supporting check for criteria 1-2 at the CLI surface: a shortened
     # circle-swap in both modes reproduces the zero-vs-positive violation
@@ -306,6 +310,7 @@ def test_cli_benign_pair_completes_goals(tmp_path):
     assert summary["violation_time_s"] == 0.0
 
 
+@pytest.mark.slow
 def test_criterion_10_discretization_consistency(circle22_cfg, robust_runs):
     worst_base = min(float(run.min_h.min()) for run in robust_runs)
     half_cfg = replace(circle22_cfg, dt=0.0025)

@@ -1,16 +1,24 @@
+import math
+
 import numpy as np
 import pytest
 
 from robustcbf import (
     QpProblem,
     Tolerances,
+    assemble_constraints,
+    circle_init,
     kkt_check,
+    nominal_controller,
     objective_value,
+    output_point,
     solve,
 )
-from robustcbf.qp import INFEASIBLE, OPTIMAL
+from robustcbf.cli import load_config
+from robustcbf.qp import INFEASIBLE, MAX_ITERATIONS, OPTIMAL, _blocking_ratio, _WorkingSet
 
-from .oracles import projected_gradient_qp
+from .conftest import SCENARIO_DIR
+from .oracles import ReallocatingWorkingSet, projected_gradient_qp, reference_dual_active_set
 
 
 def random_orthogonal(rng, n):
@@ -30,6 +38,187 @@ def random_problem(rng, m=None, rows=None, u_max=25.0):
     interior = rng.uniform(-0.5 * u_max, 0.5 * u_max, size=m)
     b = A @ interior - rng.uniform(0.1, 5.0, size=rows)
     return QpProblem(weight, u_nom, A, b, u_max)
+
+
+def congested_problem(radius):
+    """The cold QP of 22 circle22 robots on a start circle of the given
+    radius, each driving toward its antipodal goal; radius 0.6 is the
+    scenario's own first step."""
+    cfg = load_config(SCENARIO_DIR / "circle22.yaml").filter_config()
+    geom = cfg.geometry
+    states = circle_init(22, radius, geom, cfg.barrier)
+    nominal = [
+        nominal_controller(s, -output_point(s, geom), 1.0, geom, cfg.u_max) for s in states
+    ]
+    cs = assemble_constraints(states, geom, cfg.barrier, cfg.disturbance, cfg.u_max)
+    u_nom = np.array([[c.omega_r, c.omega_l] for c in nominal]).reshape(-1)
+    return QpProblem(cfg.plan(22).weight, u_nom, cs.A, cs.b, cfg.u_max)
+
+
+def infeasible_problems():
+    """The problems of TestInfeasible: no point meets every row."""
+    one = np.eye(1)
+    return [
+        QpProblem(one, np.zeros(1), np.array([[1.0], [-1.0]]), np.array([1.0, 1.0]), 25.0),
+        QpProblem(one, np.zeros(1), np.array([[1.0]]), np.array([30.0]), 25.0),
+        QpProblem(
+            np.eye(2), np.zeros(2), np.array([[1.0, 1.0], [-1.0, -1.0]]), np.full(2, 2.0), 25.0
+        ),
+    ]
+
+
+def parallel_row_problem(rng, m=4, rows=5):
+    """A random problem whose rows each come with a half-scale copy that is
+    tighter but less violated: once the original row is active, its copy
+    is dependent on the active set."""
+    base = random_problem(rng, m=m, rows=rows)
+    A = np.vstack([base.A, 0.5 * base.A])
+    b = np.concatenate([base.b, 0.5 * base.b + 0.01])
+    return QpProblem(base.weight, base.u_nom, A, b, base.u_max)
+
+
+def assert_matches_reference(problem, max_iterations=None, warm_start=None):
+    """qp.solve agrees bit for bit with the reallocating reference solver."""
+    sol = solve(problem, tol=Tolerances(max_iterations=max_iterations), warm_start=warm_start)
+    ref = reference_dual_active_set(problem, max_iterations, warm_start)
+    assert sol.u_star.tobytes() == ref.u_star.tobytes()
+    assert sol.multipliers.tobytes() == ref.multipliers.tobytes()
+    assert sol.active_set == ref.active_set
+    assert sol.iterations == ref.iterations
+    assert sol.status == ref.status
+    return sol, ref
+
+
+class TestReferenceBitIdentity:
+    def test_random_problems_cold_and_warm(self, rng):
+        for _ in range(40):
+            problem = random_problem(rng, m=int(rng.integers(1, 8)), rows=int(rng.integers(0, 12)))
+            cold, _ = assert_matches_reference(problem)
+            assert_matches_reference(problem, warm_start=cold)
+            nudged = QpProblem(
+                problem.weight, problem.u_nom + 1e-3, problem.A, problem.b, problem.u_max
+            )
+            assert_matches_reference(problem, warm_start=solve(nudged))
+            assert_matches_reference(nudged, warm_start=cold)
+
+    def test_warm_start_indices_of_any_form(self, rng):
+        problem = random_problem(rng, m=5, rows=9)
+        n_rows = problem.rows + 2 * problem.variables
+        cold = solve(problem)
+        picks = np.array(list(cold.active_set) + [-1, n_rows, n_rows + 3, 2], dtype=np.int64)
+        for warm in (picks, picks.tolist(), [float(i) for i in picks]):
+            assert_matches_reference(problem, warm_start=warm)
+
+    def test_congested_22_robot_starts_cold(self):
+        for radius in (0.6, 0.5):
+            problem = congested_problem(radius)
+            sol, _ = assert_matches_reference(problem)
+            assert sol.status == OPTIMAL
+            assert sol.iterations >= 50
+
+    def test_congested_22_robot_warm_from_the_other_start(self):
+        wide, tight = congested_problem(0.6), congested_problem(0.5)
+        assert_matches_reference(tight, warm_start=solve(wide))
+        assert_matches_reference(wide, warm_start=solve(tight))
+
+    def test_parallel_rows_take_the_dependent_dual_step(self, rng):
+        steps = 0
+        for _ in range(15):
+            problem = parallel_row_problem(rng)
+            cold, ref = assert_matches_reference(problem)
+            assert cold.status == OPTIMAL
+            steps += ref.dependent_steps
+        assert steps > 0
+        # One dimension: u >= 1 is active when its half-scale copy u/2 >= 0.75
+        # is checked, so the copy replaces it through a dual-only step.
+        problem = QpProblem(
+            np.eye(1), np.zeros(1), np.array([[1.0], [0.5]]), np.array([1.0, 0.75]), 25.0
+        )
+        sol, ref = assert_matches_reference(problem)
+        assert ref.dependent_steps == 1
+        assert sol.u_star[0] == pytest.approx(1.5)
+
+    def test_dependent_warm_set_loads_row_by_row(self, rng):
+        problem = parallel_row_problem(rng)
+        for warm in ([0, 0], [0, problem.rows // 2], [1, 1, 2, problem.rows // 2 + 1]):
+            _, ref = assert_matches_reference(problem, warm_start=warm)
+            assert ref.sequential_load
+
+    def test_infeasible_problems(self):
+        for problem in infeasible_problems():
+            sol, _ = assert_matches_reference(problem)
+            assert sol.status == INFEASIBLE
+            assert_matches_reference(problem, max_iterations=3)
+
+    def test_max_iteration_cap(self, rng):
+        for cap in (0, 1, 2, 5):
+            for _ in range(5):
+                assert_matches_reference(random_problem(rng, m=6, rows=10), max_iterations=cap)
+        sol, _ = assert_matches_reference(congested_problem(0.6), max_iterations=20)
+        assert sol.status == MAX_ITERATIONS
+
+    def test_warm_start_from_the_optimum_needs_no_iterations(self, rng):
+        problems = [random_problem(rng, m=5, rows=9) for _ in range(10)]
+        for problem in problems + [congested_problem(0.6)]:
+            cold = solve(problem)
+            warm, _ = assert_matches_reference(problem, warm_start=cold)
+            assert warm.iterations == 0
+            np.testing.assert_allclose(warm.u_star, cold.u_star, rtol=0.0, atol=1e-9)
+
+
+class TestWorkingSetCapacity:
+    def test_every_variable_clamped_fills_the_working_set(self):
+        u_nom = np.array([40.0, -40.0, 33.0, -30.0])
+        problem = QpProblem(np.eye(4), u_nom, np.zeros((0, 4)), np.zeros(0), 25.0)
+        sol, _ = assert_matches_reference(problem)
+        assert len(sol.active_set) == problem.variables
+        np.testing.assert_array_equal(sol.u_star, np.clip(u_nom, -25.0, 25.0))
+        warm, _ = assert_matches_reference(problem, warm_start=sol)
+        assert warm.iterations == 0
+
+    def test_growth_past_capacity_keeps_the_rows(self, rng):
+        problem = random_problem(rng, m=3, rows=6)
+        J = problem.prepared.inv_hessian
+        C = np.vstack([problem.A, np.eye(3), -np.eye(3)])
+        ws = _WorkingSet(J, C)
+        ref = ReallocatingWorkingSet(J, C)
+        order = [4, 0, 7, 2, 9, 5, 1]  # seven rows against a capacity of three
+        for lam, idx in enumerate(order):
+            ws.add(idx, C[idx], J @ C[idx], float(lam))
+            ref.add(idx, C[idx], J @ C[idx])
+        lam = np.arange(len(order), dtype=float)
+        for pos in (None, 2, 0, 3):
+            if pos is not None:
+                ws.drop(pos)
+                ref.drop(pos)
+                lam = np.delete(lam, pos)
+            k = ref.size
+            assert ws.indices == ref.indices
+            assert ws.N.tobytes() == ref.N.tobytes()
+            assert np.ascontiguousarray(ws.JNt).tobytes() == ref.JNt.tobytes()
+            assert np.ascontiguousarray(ws._B[:k, :k]).tobytes() == ref._B.tobytes()
+            assert ws.lam.tobytes() == lam.tobytes()
+
+
+class TestBlockingRatio:
+    def test_no_positive_entry(self):
+        for lam, r_dir in (
+            (np.zeros(0), np.zeros(0)),
+            (np.array([1.0, 2.0]), np.array([-1.0, 0.0])),
+            (np.array([0.5]), np.array([-0.0])),
+        ):
+            assert _blocking_ratio(lam, r_dir) == (-1, math.inf)
+
+    def test_ties_go_to_the_lowest_position(self):
+        lam = np.array([3.0, 2.0, 1.0, 4.0])
+        r_dir = np.array([-1.0, 1.0, 0.5, 2.0])
+        block, t = _blocking_ratio(lam, r_dir)
+        assert (block, t) == (1, 2.0)
+        assert isinstance(block, int)
+
+    def test_zero_multiplier_blocks_at_once(self):
+        block, t = _blocking_ratio(np.array([1.0, 0.0, 0.0]), np.array([1.0, -1.0, 0.25]))
+        assert (block, t) == (2, 0.0)
 
 
 class TestProblemValidation:
