@@ -13,9 +13,10 @@ class DisturbanceHull:
     """Finite vertex list whose convex hull models an input disturbance.
 
     Vertices are stored as given; interior or duplicate points never change a
-    support minimum, so no hull reduction is performed.  Vertex order is
-    semantically irrelevant.  The margin pass reads the coordinate columns
-    from a contiguous (2, p) copy.
+    support minimum, so the hull itself performs no reduction (the safety
+    filter's plan feeds its margin pass boundary_hull's points instead).
+    Vertex order is semantically irrelevant.  The margin pass reads the
+    coordinate columns from a contiguous (2, p) copy.
     """
 
     vertices: np.ndarray
@@ -78,6 +79,47 @@ def symmetric_box(half_width: float) -> DisturbanceHull:
 def zero_union() -> HullUnion:
     """Single degenerate hull at the origin (no modeled disturbance)."""
     return HullUnion((DisturbanceHull(np.array([[0.0, 0.0]])),))
+
+
+def boundary_hull(hull: DisturbanceHull) -> DisturbanceHull:
+    """The declared points that can attain a computed support minimum, in
+    declared order: those at depth <= tau = 1e-9 * max|v| inside the convex
+    hull (a monotone chain, then each point's depth against its edges).
+
+    A dropped point q at depth >= tau has z.q >= min + tau |z|_2, while the
+    computed z0 v0 + z1 v1 is off by at most about 2u max|v| |z|_1 <
+    6.3e-16 max|v| |z|_2 (u = 2**-53, absent underflow).  So for z != 0 no
+    dropped point is the computed minimum, and the kept points return the
+    same bits.  For z = 0 every value is a zero and only its sign can
+    differ.  Hulls of p < 4, collinear or coincident points come back whole.
+    """
+    verts = hull.vertices
+    if verts.shape[0] < 4:
+        return hull
+    points = sorted(set(map(tuple, verts.tolist())))
+    ring = np.array(_half_hull(points)[:-1] + _half_hull(points[::-1])[:-1])
+    if not 3 <= ring.shape[0] < len(points):
+        return hull
+    edges = np.roll(ring, -1, axis=0) - ring
+    reach = 1e-9 * np.abs(verts).max() * np.hypot(edges[:, 0], edges[:, 1])
+    x, y = hull._columns
+    keep = np.zeros(verts.shape[0], dtype=bool)
+    for a, e, r in zip(ring, edges, reach):
+        keep |= e[0] * (y - a[1]) - e[1] * (x - a[0]) <= r
+    return hull if keep.all() else DisturbanceHull(verts[keep])
+
+
+def _half_hull(points: list) -> list:
+    """One monotone chain over sorted points, keeping strict left turns."""
+    chain = []
+    for qx, qy in points:
+        while len(chain) >= 2:
+            (ox, oy), (ax, ay) = chain[-2], chain[-1]
+            if (ax - ox) * (qy - oy) - (ay - oy) * (qx - ox) > 0.0:
+                break
+            chain.pop()
+        chain.append((qx, qy))
+    return chain
 
 
 def _check_direction(z) -> np.ndarray:

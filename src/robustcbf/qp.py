@@ -406,9 +406,10 @@ def solve(problem: QpProblem, tol: Tolerances | None = None, warm_start=None) ->
     """Solve the box-and-rows QP.
 
     warm_start may be a previous QpSolution or an iterable of stacked-row
-    indices; it seeds the active set and never changes the answer, only the
-    iteration count.  Infeasibility is reported through the status, not an
-    exception.
+    indices; it seeds the active set.  The answer agrees with a cold solve's
+    to about 1e-9 but can differ in the last bits: the bulk load forms B in
+    one product, where a cold solve grows it row by row.  Infeasibility is
+    reported through the status, not an exception.
     """
     tol = tol or Tolerances()
     start = time.perf_counter()

@@ -12,10 +12,8 @@ import numpy as np
 
 from . import qp
 from .barrier import BarrierParams, ConstraintSet, assemble_constraints
-from .disturbance import HullUnion
-from .dynamics import (
-    RobotGeometry, RobotState, WheelCommand, as_commands, as_poses, body_output_matrix
-)
+from .disturbance import HullUnion, boundary_hull
+from .dynamics import RobotGeometry, RobotState, WheelCommand, as_commands, body_output_matrix
 
 _FALLBACKS = ("error", "zero-input", "slack")
 
@@ -27,10 +25,14 @@ class FilterInfeasibleError(RuntimeError):
 @dataclass(frozen=True, eq=False)
 class FilterPlan:
     """What the filter reuses at every step for one robot count: the pair
-    index arrays np.triu_indices(n, 1) and the prepared QP weight."""
+    index arrays np.triu_indices(n, 1), the prepared QP weight, and
+    margin_union, the disturbance union with each hull cut to its
+    boundary_hull points, which the margin pass reads in place of the
+    declared hulls for the same bits."""
 
     pair_index: tuple
     weight: qp.PreparedWeight
+    margin_union: HullUnion
 
 
 @dataclass(frozen=True)
@@ -68,6 +70,7 @@ class FilterConfig:
             plan = FilterPlan(
                 pair_index=np.triu_indices(n, k=1),
                 weight=qp.prepare_weight(ensemble_weight(n, self.geometry)),
+                margin_union=HullUnion(tuple(map(boundary_hull, self.disturbance.hulls))),
             )
             self._plans[n] = plan
         return plan
@@ -126,19 +129,19 @@ def filter_step(
     when the commands are already safe the answer is u_nom itself.
     warm_start accepts a previous step's QpSolution to seed the active set.
     """
-    poses = as_poses(states)
     nominal = as_commands(u_nom).reshape(-1)
-    n = poses.shape[0]
+    n = len(states)
     if n < 1 or nominal.size != 2 * n:
         raise ValueError("states and u_nom must have equal length >= 1")
 
     start = time.perf_counter()
     plan = cfg.plan(n)
+    # assemble_constraints is where the poses are checked and copied, once.
     constraints = assemble_constraints(
-        poses,
+        states,
         cfg.geometry,
         cfg.barrier,
-        cfg.disturbance,
+        plan.margin_union,
         cfg.u_max,
         plan.pair_index,
     )

@@ -1,3 +1,4 @@
+import math
 import sys
 from pathlib import Path
 
@@ -6,7 +7,9 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from robustcbf import BarrierParams, RobotGeometry, symmetric_box  # noqa: E402
+from robustcbf import (  # noqa: E402
+    BarrierParams, DisturbanceHull, RobotGeometry, symmetric_box
+)
 
 # GRITSbot-class testbed constants used across the suite.
 WHEEL_RADIUS = 0.016
@@ -16,6 +19,23 @@ DIAMETER = 0.12
 GAMMA = 150.0
 U_MAX = 25.0
 PSI = 5.0
+
+
+def ring_hulls(seed: int, count: int = 3, vertices: int = 256) -> tuple:
+    """Seeded rings of wheel-offset points, radius 3 jittered down by up to
+    10 %, around centres 1 rad/s from the origin and evenly spaced in angle:
+    only a few dozen points of each ring lie on its convex hull's boundary."""
+    rng = np.random.default_rng(seed)
+    hulls = []
+    for k in range(count):
+        angle = 2.0 * math.pi * k / count
+        centre = np.array([math.cos(angle), math.sin(angle)])
+        phase = rng.uniform(0.0, 2.0 * math.pi, size=vertices)
+        radius = 3.0 * rng.uniform(0.9, 1.0, size=vertices)
+        ring = centre + radius[:, None] * np.stack([np.cos(phase), np.sin(phase)], axis=1)
+        hulls.append(DisturbanceHull(ring))
+    return tuple(hulls)
+
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 SCENARIO_DIR = REPO_ROOT / "scenarios"

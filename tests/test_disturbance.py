@@ -14,7 +14,9 @@ from robustcbf import (
     union_support_mins,
     zero_union,
 )
+from robustcbf.disturbance import boundary_hull
 
+from .conftest import ring_hulls
 from .oracles import convex_combination, support_min_enum
 
 finite_coord = st.floats(min_value=-100.0, max_value=100.0, allow_nan=False)
@@ -225,3 +227,85 @@ class TestSampleHull:
         a = sample_hull(box5, "uniform-convex", rng=99)
         b = sample_hull(box5, "uniform-convex", rng=np.random.default_rng(99))
         np.testing.assert_array_equal(a, b)
+
+
+def same_minima_bits(hull, reduced, rng, k=2000):
+    """Whether support_min_rows gives the same bits on both hulls for k
+    nonzero directions with magnitudes from 1e-3 to 1e3."""
+    directions = rng.normal(size=(k, 2)) * 10.0 ** rng.uniform(-3.0, 3.0, size=(k, 1))
+    full = support_min_rows(directions, hull).view(np.int64)
+    return np.array_equal(support_min_rows(directions, reduced).view(np.int64), full)
+
+
+def is_declared_subsequence(reduced, hull) -> bool:
+    rows = iter(hull.vertices.tolist())
+    return all(point in rows for point in reduced.vertices.tolist())
+
+
+class TestBoundaryHull:
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_ring_hulls_keep_their_boundary_and_every_bit(self, rng, seed):
+        for hull in ring_hulls(seed):
+            reduced = boundary_hull(hull)
+            assert 3 <= reduced.size < 64
+            assert is_declared_subsequence(reduced, hull)
+            assert same_minima_bits(hull, reduced, rng)
+
+    @pytest.mark.parametrize("scale", [1e-6, 1.0, 1e6])
+    @pytest.mark.parametrize("p", [5, 64, 4096, 40_000])
+    def test_gaussian_clouds_keep_every_bit(self, rng, p, scale):
+        hull = DisturbanceHull(scale * rng.normal(size=(p, 2)))
+        reduced = boundary_hull(hull)
+        assert is_declared_subsequence(reduced, hull)
+        if p >= 64:
+            assert reduced.size < p // 4
+        assert same_minima_bits(hull, reduced, rng, k=500 if p > 4096 else 2000)
+
+    @pytest.mark.parametrize("scale", [1e-6, 1e6])
+    def test_scaled_rings_keep_every_bit(self, rng, scale):
+        for hull in ring_hulls(4, count=2):
+            scaled = DisturbanceHull(scale * hull.vertices)
+            reduced = boundary_hull(scaled)
+            assert reduced.size < 64
+            assert same_minima_bits(scaled, reduced, rng)
+
+    def test_depth_below_tau_is_kept(self):
+        # tau = 1e-9 * max|v| = 1e-9 for the unit box.
+        corners = [[1.0, 1.0], [1.0, -1.0], [-1.0, 1.0], [-1.0, -1.0]]
+        shallow, deep = [0.0, 1.0 - 0.5e-9], [0.0, 1.0 - 4e-9]
+        hull = DisturbanceHull(np.array(corners + [shallow, deep, [0.0, 0.0]]))
+        np.testing.assert_array_equal(boundary_hull(hull).vertices, corners + [shallow])
+
+    def test_edge_midpoints_and_duplicates_are_kept(self, rng):
+        box = symmetric_box(2.0)
+        assert boundary_hull(box) is box
+        midpoints = [[2.0, 0.0], [0.0, 2.0], [-2.0, 0.0], [0.0, -2.0]]
+        kept = np.vstack([box.vertices, midpoints, box.vertices[:2], midpoints[:1]])
+        assert boundary_hull(DisturbanceHull(kept)).vertices.shape == kept.shape
+        hull = DisturbanceHull(np.vstack([kept, [[0.5, -0.5], [0.0, 0.0]]]))
+        reduced = boundary_hull(hull)
+        np.testing.assert_array_equal(reduced.vertices, kept)
+        assert same_minima_bits(hull, reduced, rng)
+
+    @pytest.mark.parametrize(
+        "points",
+        [
+            [[0.0, 0.0], [1.0, 0.0], [0.2, 0.1]],
+            [[t, 2.0 * t - 1.0] for t in np.linspace(-3.0, 3.0, 9)],
+            [[1.5, -2.5]] * 6,
+            [[0.0, 0.0]] * 4,
+        ],
+        ids=["p3", "collinear", "coincident", "origin"],
+    )
+    def test_degenerate_hulls_come_back_whole(self, points):
+        hull = DisturbanceHull(np.array(points))
+        assert boundary_hull(hull) is hull
+
+    def test_input_hull_is_untouched(self):
+        hull = ring_hulls(5, count=1)[0]
+        before = hull.vertices.copy()
+        reduced = boundary_hull(hull)
+        assert reduced is not hull
+        np.testing.assert_array_equal(hull.vertices, before)
+        np.testing.assert_array_equal(hull._columns, before.T)
+        assert not hull.vertices.flags.writeable

@@ -9,6 +9,7 @@ from robustcbf import (
     HullUnion,
     RobotState,
     WheelCommand,
+    assemble_constraints,
     body_output_matrix,
     certificate_holds,
     circle_init,
@@ -18,9 +19,10 @@ from robustcbf import (
     symmetric_box,
     zero_union,
 )
+from robustcbf.dynamics import output_points
 from robustcbf.qp import OPTIMAL, QpProblem
 
-from .conftest import U_MAX
+from .conftest import DIAMETER, U_MAX, ring_hulls
 
 
 def make_config(geom, params, psi=5.0, **kwargs):
@@ -452,3 +454,40 @@ class TestCertificateHolds:
         )
         assert holds
         assert worst == math.inf
+
+
+def congested_poses(rng, geom, n=22, radius=0.6, spacing=1.03 * DIAMETER):
+    """n robots placed one by one in a disc, with output points at least
+    spacing apart, so every pair starts just inside the safe set."""
+    poses = np.empty((0, 3))
+    while poses.shape[0] < n:
+        r, phi = radius * math.sqrt(rng.uniform()), rng.uniform(-math.pi, math.pi)
+        pose = np.array([[r * math.cos(phi), r * math.sin(phi), rng.uniform(-math.pi, math.pi)]])
+        gaps = output_points(poses, geom) - output_points(pose, geom)
+        if np.all(np.hypot(gaps[:, 0], gaps[:, 1]) >= spacing):
+            poses = np.vstack([poses, pose])
+    return poses
+
+
+class TestBoundaryMarginPass:
+    """The plan's margin union holds only each hull's boundary points; the
+    rows it yields must equal those of the declared hulls bit for bit."""
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_b_equals_the_declared_hulls_bit_for_bit(self, geom, params, seed):
+        rng = np.random.default_rng(seed)
+        cfg = FilterConfig(geom, params, HullUnion(ring_hulls(seed)), u_max=U_MAX)
+        reduced = cfg.plan(22).margin_union.hulls
+        assert all(r.size < d.size // 4 for r, d in zip(reduced, cfg.disturbance.hulls))
+        altered = 0.0
+        for _ in range(4):
+            poses = congested_poses(rng, geom)
+            commands = rng.uniform(-U_MAX, U_MAX, size=(22, 2))
+            result = filter_step(poses, commands, cfg)
+            declared = assemble_constraints(poses, geom, params, cfg.disturbance, U_MAX)
+            np.testing.assert_array_equal(
+                result.constraints.b.view(np.int64), declared.b.view(np.int64)
+            )
+            np.testing.assert_array_equal(result.constraints.A, declared.A)
+            altered = max(altered, result.altered.max())
+        assert altered > 0.0

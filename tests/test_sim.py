@@ -18,11 +18,12 @@ from robustcbf import (
     pairwise_h,
     repeat_experiment,
     run_scenario,
+    safety_filter,
     symmetric_box,
 )
 from robustcbf.sim import derived_seeds, nominal_commands
 
-from .conftest import U_MAX
+from .conftest import U_MAX, ring_hulls
 from .oracles import reference_closed_loop
 
 
@@ -300,6 +301,33 @@ class TestArrayLoopMatchesPerRobotReference:
         np.testing.assert_array_equal(metrics.min_h, min_h)
         np.testing.assert_array_equal(metrics.max_alter, max_alter)
         assert metrics.goal_completion == completion == 1.0
+
+    def test_boundary_margin_pass_matches_the_declared_hulls(self, monkeypatch):
+        # oracles.reference_closed_loop calls filter_step, so it shares the
+        # plan's reduced hulls; compare against a run that keeps every point.
+        # The 201st recorded pose is the final pose of 200 steps.
+        cfg = crossing_start(
+            disturbance=HullUnion(ring_hulls(11, count=2)),
+            plant_disturbance="uniform-convex",
+            sim_duration=1.005,
+            record_states=True,
+        )
+        assert cfg.steps() == 201
+        real, kept = safety_filter.boundary_hull, []
+
+        def recording(hull):
+            kept.append(real(hull))
+            return kept[-1]
+
+        monkeypatch.setattr(safety_filter, "boundary_hull", recording)
+        reduced = run_scenario(cfg)
+        assert len(kept) == 2 and max(h.size for h in kept) < 64
+        monkeypatch.setattr(safety_filter, "boundary_hull", lambda hull: hull)
+        declared = run_scenario(cfg)
+        np.testing.assert_array_equal(reduced.min_h, declared.min_h)
+        np.testing.assert_array_equal(reduced.max_alter, declared.max_alter)
+        np.testing.assert_array_equal(reduced.states, declared.states)
+        assert reduced.max_alter.max() > 0.0
 
     def test_single_robot_loop(self):
         cfg = ScenarioConfig(robot_count=1, sim_duration=6.0, circle_radius=0.3)
