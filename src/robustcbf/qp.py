@@ -1,11 +1,12 @@
 """Dense solver for strongly convex quadratic programs with inequality rows
 and an infinity-norm box bound.
 
-The algorithm is a dual active-set method: it starts from the unconstrained
-optimum and adds violated constraints one at a time, taking partial dual
-steps when a blocking multiplier would turn negative.  For strictly convex
-problems this terminates finitely, returns exact multipliers, and detects
-primal infeasibility when the dual becomes unbounded.
+The algorithm is the Goldfarb-Idnani dual active-set method: from the
+unconstrained optimum it adds violated constraints one at a time, farthest
+first, with partial dual steps when a blocking multiplier would turn
+negative.  For strictly convex problems this terminates finitely, returns
+exact multipliers, and detects primal infeasibility when the dual becomes
+unbounded.  Cold solves keep B^-1 over the active rows by rank-one updates.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ INFEASIBLE = "infeasible"
 MAX_ITERATIONS = "max-iterations"
 
 _DEPENDENCE_RTOL = 1e-12
+_TIE_RTOL = 1e-12
 _CONDITION_WARN = 1e8
 
 
@@ -171,23 +173,27 @@ def _stacked_constraints(problem: QpProblem):
 
 class _WorkingSet:
     """Active rows in buffers allocated once per solve: N (cap x m), J N^T
-    (m x cap), B = N J N^T (cap x cap) and the multipliers lam (cap), used
-    through their leading `size` rows and columns; cap doubles when full."""
+    (m x cap), B = N J N^T and its inverse Binv (cap x cap each) and the
+    multipliers lam (cap), used through their leading `size` rows and
+    columns; cap doubles when full.  Binv is kept while `inverse` holds: the
+    set grew from empty by adds and drops, not by a bulk load."""
 
     def __init__(self, inv_hessian: np.ndarray, C: np.ndarray):
         self._J = inv_hessian
         self._C = C
         self.indices: list = []
+        self.inverse = True
         self._allocate(min(C.shape[0], inv_hessian.shape[0]))
 
     def _allocate(self, cap: int) -> None:
         """Fresh buffers for cap rows that keep the active rows."""
         k, m = self.size, self._J.shape[0]
-        kept = (self.N, self.JNt, self._B[:k, :k], self.lam) if k else None
-        self._N, self._JNt = np.empty((cap, m)), np.empty((m, cap))
-        self._B, self._lam = np.empty((cap, cap)), np.empty(cap)
+        kept = (self.N, self.JNt, self._B[:k, :k], self._Binv[:k, :k], self.lam) if k else None
+        self._N, self._JNt, self._lam = np.empty((cap, m)), np.empty((m, cap)), np.empty(cap)
+        self._B, self._Binv = np.empty((cap, cap)), np.empty((cap, cap))
         if k:
-            self._N[:k], self._JNt[:, :k], self._B[:k, :k], self._lam[:k] = kept
+            (self._N[:k], self._JNt[:, :k], self._B[:k, :k], self._Binv[:k, :k],
+             self._lam[:k]) = kept
 
     @property
     def size(self) -> int:
@@ -205,7 +211,9 @@ class _WorkingSet:
     def lam(self) -> np.ndarray:
         return self._lam[: self.size]
 
-    def add(self, idx: int, c: np.ndarray, Jc: np.ndarray, lam: float = 0.0) -> None:
+    def add(self, idx: int, c: np.ndarray, Jc: np.ndarray, r_dir: np.ndarray,
+            schur: float, lam: float = 0.0) -> None:
+        """Append row c; r_dir = B^-1 N J c and schur = c J c - N J c . r_dir."""
         k = self.size
         if k == self._lam.size:
             self._allocate(max(1, 2 * k))
@@ -214,30 +222,41 @@ class _WorkingSet:
             self._B[:k, k] = col
             self._B[k, :k] = col
         self._B[k, k] = float(c @ Jc)
+        if self.inverse:
+            scaled = r_dir / schur
+            self._Binv[:k, :k] += r_dir[:, None] * scaled
+            self._Binv[:k, k] = self._Binv[k, :k] = -scaled
+            self._Binv[k, k] = 1.0 / schur
         self._N[k], self._JNt[:, k], self._lam[k] = c, Jc, lam
         self.indices.append(idx)
 
     def drop(self, pos: int) -> None:
         k = self.size
         del self.indices[pos]
+        if self.inverse:
+            Binv = self._Binv[:k, :k]
+            Binv -= Binv[:, pos, None] * (Binv[pos] / Binv[pos, pos])
         self._N[pos : k - 1] = self._N[pos + 1 : k]
         self._JNt[:, pos : k - 1] = self._JNt[:, pos + 1 : k]
-        self._B[pos : k - 1, :k] = self._B[pos + 1 : k, :k]
-        self._B[: k - 1, pos : k - 1] = self._B[: k - 1, pos + 1 : k]
+        for M in (self._B, self._Binv) if self.inverse else (self._B,):
+            M[pos : k - 1, :k] = M[pos + 1 : k, :k]
+            M[: k - 1, pos : k - 1] = M[: k - 1, pos + 1 : k]
         self._lam[pos : k - 1] = self._lam[pos + 1 : k]
 
     def solve_B(self, rhs: np.ndarray) -> np.ndarray:
         k = self.size
-        if k == 0:
-            return np.zeros(0)
-        return np.linalg.solve(self._B[:k, :k], rhs)
+        if self.inverse:
+            return self._Binv[:k, :k] @ rhs
+        return np.linalg.solve(self._B[:k, :k], rhs) if k else np.zeros(0)
 
     def eq_multipliers(self, linear: np.ndarray, d: np.ndarray) -> np.ndarray:
-        """Solve the equality system on the active rows into lam.  J N^T is
-        copied out first: BLAS may round (J N^T)^T q differently on a strided
-        view, which would change the answer in the last bits."""
-        lam = self.lam
-        lam[:] = self.solve_B(d[self.indices] + np.ascontiguousarray(self.JNt).T @ linear)
+        """Solve the equality system on the active rows into lam by LU on B.
+        J N^T is copied out first: BLAS may round (J N^T)^T q differently on
+        a strided view, which would change the answer in the last bits."""
+        k, lam = self.size, self.lam
+        if k:
+            rhs = d[self.indices] + np.ascontiguousarray(self.JNt).T @ linear
+            lam[:] = np.linalg.solve(self._B[:k, :k], rhs)
         return lam
 
     def primal(self, linear: np.ndarray) -> np.ndarray:
@@ -249,16 +268,15 @@ class _WorkingSet:
         cJc = float(c @ Jc)
         if cJc <= 0.0:
             return False
-        if self.size:
-            w_vec = self.N @ Jc
-            try:
-                r_dir = self.solve_B(w_vec)
-            except np.linalg.LinAlgError:
-                return False
-            schur = cJc - float(w_vec @ r_dir)
-            if schur <= _DEPENDENCE_RTOL * cJc:
-                return False
-        self.add(idx, c, Jc)
+        w_vec = self.N @ Jc
+        try:
+            r_dir = self.solve_B(w_vec)
+        except np.linalg.LinAlgError:
+            return False
+        schur = cJc - float(w_vec @ r_dir)
+        if schur <= _DEPENDENCE_RTOL * cJc:
+            return False
+        self.add(idx, c, Jc, r_dir, schur)
         return True
 
     def bulk_load(self, indices) -> bool:
@@ -280,7 +298,7 @@ class _WorkingSet:
         k = len(idx)
         if k > self._lam.size:
             self._allocate(k)
-        self.indices = idx
+        self.indices, self.inverse = idx, False
         self._N[:k], self._JNt[:, :k], self._B[:k, :k] = N, JNt, B
         return True
 
@@ -301,6 +319,10 @@ def _solve_raw(inv_hessian, linear, C, d, feas_tol, max_iter, warm=()):
     """Dual active-set loop on min 0.5 u'Hu + q'u s.t. C u >= d, with
     inv_hessian = H^-1 precomputed by the caller.  warm is an iterable of
     row indices; those outside [0, rows) are ignored.
+
+    The violated row of least residual / |c| enters.  B r = N H^-1 c is
+    solved with the kept inverse on a cold start, else by LU; the final
+    equality re-solve always runs LU on B.
 
     Returns (u, full multipliers, status, iterations, active indices).
     """
@@ -324,11 +346,25 @@ def _solve_raw(inv_hessian, linear, C, d, feas_tol, max_iter, warm=()):
 
     iterations = 0
     status = OPTIMAL
+    norms = None
     while True:
         residual = C @ u - d
-        worst = int(residual.argmin())
-        if residual[worst] >= -feas_tol:
+        violated = (residual < -feas_tol).nonzero()[0]
+        if not violated.size:
             break
+        # Row norms once per solve, when two rows first compete.  Distances
+        # within a relative _TIE_RTOL go to the lowest row, so rounding cannot
+        # reorder symmetric rows.  A zero row enters first, found dependent.
+        pick = 0
+        if violated.size > 1:
+            if norms is None:
+                norms = np.sqrt(np.einsum("ij,ij->i", C, C))
+            norms_v = norms[violated]
+            pick = norms_v.argmin()
+            if norms_v[pick] > 0.0:
+                dist = residual[violated] / norms_v
+                pick = (dist <= dist.min() * (1.0 - _TIE_RTOL)).argmax()
+        worst = int(violated[pick])
         c = C[worst]
         d_r = d[worst]
         Jc = inv_hessian @ c
@@ -340,15 +376,10 @@ def _solve_raw(inv_hessian, linear, C, d, feas_tol, max_iter, warm=()):
                 status = MAX_ITERATIONS
                 break
             lam_w = ws.lam
-            if ws.size:
-                w_vec = ws.N @ Jc
-                r_dir = ws.solve_B(w_vec)
-                step_dir = Jc - ws.JNt @ r_dir
-                schur = cJc - float(w_vec @ r_dir)
-            else:
-                r_dir = np.zeros(0)
-                step_dir = Jc
-                schur = cJc
+            w_vec = ws.N @ Jc
+            r_dir = ws.solve_B(w_vec)
+            step_dir = Jc - ws.JNt @ r_dir
+            schur = cJc - float(w_vec @ r_dir)
 
             if schur <= _DEPENDENCE_RTOL * max(cJc, 1e-300):
                 # Candidate row is dependent on the active rows: dual-only step.
@@ -367,11 +398,10 @@ def _solve_raw(inv_hessian, linear, C, d, feas_tol, max_iter, warm=()):
 
             t = min(t_full, t_block)
             u = u + t * step_dir
-            if ws.size:
-                lam_w -= t * r_dir
+            lam_w -= t * r_dir
             lam_new += t
             if t_full <= t_block:
-                ws.add(worst, c, Jc, lam_new)
+                ws.add(worst, c, Jc, r_dir, schur, lam_new)
                 break
             ws.drop(block)
         if status != OPTIMAL:

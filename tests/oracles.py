@@ -5,8 +5,10 @@ enumerations, Jacobians come from central differences, the QP reference
 is a projected-gradient ascent on the dual run to convergence, and the
 closed-loop reference steps one robot object at a time.  The dual
 active-set reference is a frozen copy of the solver loop before its working
-set moved into preallocated buffers; it pins the solver's answers bit for
-bit.
+set moved into preallocated buffers and kept B^-1, which solves B by LU on
+every step.  With the solver's scaled entering rule it pins the solver's
+steps and active sets; with the raw rule it pins the answers of the solver
+before that rule changed.
 """
 
 from __future__ import annotations
@@ -226,13 +228,37 @@ class ReferenceSolve(NamedTuple):
     sequential_load: bool  # the warm set was loaded row by row, not in bulk
 
 
-def reference_dual_active_set(problem, max_iterations=None, warm_start=None):
+def most_negative_row(C, residual):
+    """Raw entering rule: the row of least residual, or None when it is
+    violated by no more than 1e-8."""
+    worst = int(np.argmin(residual))
+    return None if residual[worst] >= -1e-8 else worst
+
+
+def farthest_violated_row(C, residual):
+    """Scaled entering rule: among the rows violated by more than 1e-8, the
+    one of least residual / |c|, the lowest of those within a relative 1e-12
+    of it, and a zero row first; None when no row is violated."""
+    violated = np.flatnonzero(residual < -1e-8)
+    if violated.size == 0:
+        return None
+    norms = np.sqrt(np.einsum("ij,ij->i", C[violated], C[violated]))
+    if not norms.all():
+        return int(violated[np.argmin(norms)])
+    dist = residual[violated] / norms
+    return int(violated[np.flatnonzero(dist <= dist.min() * (1.0 - 1e-12))[0]])
+
+
+def reference_dual_active_set(
+    problem, max_iterations=None, warm_start=None, entering=most_negative_row
+):
     """Goldfarb-Idnani dual active-set solve of a QpProblem with the
     reallocating working set, including the final equality re-solve after a
     warm start that needed no iterations and the KKT downgrade of the status.
 
     warm_start is a previous solution or an iterable of stacked-row indices;
-    max_iterations defaults to 10 * (variables + stacked rows).
+    max_iterations defaults to 10 * (variables + stacked rows); entering
+    picks the row to enter from (C, C u - d), or None at the optimum.
     """
     m = problem.variables
     eye = np.eye(m)
@@ -266,9 +292,8 @@ def reference_dual_active_set(problem, max_iterations=None, warm_start=None):
     dependent_steps = 0
     status = OPTIMAL
     while status == OPTIMAL:
-        residual = C @ u - d
-        worst = int(np.argmin(residual))
-        if residual[worst] >= -1e-8:
+        worst = entering(C, C @ u - d)
+        if worst is None:
             break
         c = C[worst]
         lam_new = 0.0

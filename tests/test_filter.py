@@ -313,6 +313,7 @@ class TestFallbacks:
             np.testing.assert_array_equal(result.command_array(), np.zeros(4))
         else:
             assert result.solver.status == OPTIMAL
+            assert result.solver.kkt_residual <= 1e-8
             assert np.abs(result.command_array()).max() <= U_MAX + 1e-10
 
     def test_slack_weight_dominates(self, geom, params):
