@@ -211,20 +211,18 @@ class _WorkingSet:
     def lam(self) -> np.ndarray:
         return self._lam[: self.size]
 
-    def add(self, idx: int, c: np.ndarray, Jc: np.ndarray, r_dir: np.ndarray,
-            schur: float, lam: float = 0.0) -> None:
-        """Append row c; r_dir = B^-1 N J c and schur = c J c - N J c . r_dir."""
+    def add(self, idx: int, c: np.ndarray, Jc: np.ndarray, w_vec: np.ndarray, cJc: float,
+            r_dir: np.ndarray, schur: float, lam: float = 0.0) -> None:
+        """Append row c, given w_vec = N J c, cJc = c J c, r_dir = B^-1 w_vec
+        and schur = cJc - w_vec . r_dir as the caller computed them."""
         k = self.size
         if k == self._lam.size:
             self._allocate(max(1, 2 * k))
-        if k:
-            col = self._N[:k] @ Jc
-            self._B[:k, k] = col
-            self._B[k, :k] = col
-        self._B[k, k] = float(c @ Jc)
+        self._B[:k, k] = self._B[k, :k] = w_vec
+        self._B[k, k] = cJc
         if self.inverse:
             scaled = r_dir / schur
-            self._Binv[:k, :k] += r_dir[:, None] * scaled
+            self._Binv[:k, :k] += np.multiply.outer(r_dir, scaled)
             self._Binv[:k, k] = self._Binv[k, :k] = -scaled
             self._Binv[k, k] = 1.0 / schur
         self._N[k], self._JNt[:, k], self._lam[k] = c, Jc, lam
@@ -276,7 +274,7 @@ class _WorkingSet:
         schur = cJc - float(w_vec @ r_dir)
         if schur <= _DEPENDENCE_RTOL * cJc:
             return False
-        self.add(idx, c, Jc, r_dir, schur)
+        self.add(idx, c, Jc, w_vec, cJc, r_dir, schur)
         return True
 
     def bulk_load(self, indices) -> bool:
@@ -365,6 +363,10 @@ def _solve_raw(inv_hessian, linear, C, d, feas_tol, max_iter, warm=()):
                 dist = residual[violated] / norms_v
                 pick = (dist <= dist.min() * (1.0 - _TIE_RTOL)).argmax()
         worst = int(violated[pick])
+        if worst in ws.indices:
+            # Only a dependent warm set leaves an active row violated.
+            status = MAX_ITERATIONS
+            break
         c = C[worst]
         d_r = d[worst]
         Jc = inv_hessian @ c
@@ -401,7 +403,7 @@ def _solve_raw(inv_hessian, linear, C, d, feas_tol, max_iter, warm=()):
             lam_w -= t * r_dir
             lam_new += t
             if t_full <= t_block:
-                ws.add(worst, c, Jc, r_dir, schur, lam_new)
+                ws.add(worst, c, Jc, w_vec, cJc, r_dir, schur, lam_new)
                 break
             ws.drop(block)
         if status != OPTIMAL:
@@ -436,8 +438,10 @@ def solve(problem: QpProblem, tol: Tolerances | None = None, warm_start=None) ->
     """Solve the box-and-rows QP.
 
     warm_start may be a previous QpSolution or an iterable of stacked-row
-    indices; it seeds the active set.  The answer agrees with a cold solve's
-    to about 1e-9 but can differ in the last bits: the bulk load forms B in
+    indices; it seeds the active set.  A warm solve that does not end
+    optimal (a dependent seed set can stall it) is redone cold, and the cold
+    solve's result returned.  So the answer agrees with a cold solve's to
+    about 1e-9, but can differ in the last bits: the bulk load forms B in
     one product, where a cold solve grows it row by row.  Infeasibility is
     reported through the status, not an exception.
     """
@@ -452,19 +456,26 @@ def solve(problem: QpProblem, tol: Tolerances | None = None, warm_start=None) ->
 
     if isinstance(warm_start, QpSolution):
         warm_start = warm_start.active_set
-
-    u, lam, status, iterations, active = _solve_raw(
-        problem.prepared.inv_hessian, linear, C, d, tol.feasibility, max_iter,
-        () if warm_start is None else warm_start,
-    )
-    stationarity, feasibility, complementarity = _kkt_residuals(
-        hessian, linear, C, d, u, lam
-    )
-    kkt_residual = max(stationarity, complementarity)
-    if status == OPTIMAL and (
-        feasibility > tol.feasibility or kkt_residual > tol.stationarity
-    ):
-        status = MAX_ITERATIONS
+    warm = () if warm_start is None else tuple(warm_start)
+    for seed_rows in (warm, ()) if warm else ((),):
+        try:
+            u, lam, status, iterations, active = _solve_raw(
+                problem.prepared.inv_hessian, linear, C, d, tol.feasibility, max_iter, seed_rows
+            )
+        except np.linalg.LinAlgError:
+            if not seed_rows:
+                raise
+            continue
+        stationarity, feasibility, complementarity = _kkt_residuals(
+            hessian, linear, C, d, u, lam
+        )
+        kkt_residual = max(stationarity, complementarity)
+        if status == OPTIMAL and (
+            feasibility > tol.feasibility or kkt_residual > tol.stationarity
+        ):
+            status = MAX_ITERATIONS
+        if status == OPTIMAL:
+            break
     return QpSolution(
         u_star=u,
         status=status,

@@ -12,8 +12,9 @@ import numpy as np
 from .barrier import BarrierParams, pair_h_values
 from .disturbance import (
     HullUnion,
+    flat_dirichlet_points,
     pooled_vertices,
-    sample_hull,
+    sample_hull,  # noqa: F401 - perfbench hooks sim.sample_hull by name
     support_argmin,
     support_min,
     symmetric_box,
@@ -232,11 +233,7 @@ def _realize_disturbances(
         return np.tile(vertex, (n, 1))
     if mode == "vertex":
         return np.tile(pinned, (n, 1))
-    draws = np.empty((n, 2))
-    for k in range(n):
-        hull = union.hulls[int(rng.integers(union.size))] if union.size > 1 else union.hulls[0]
-        draws[k] = sample_hull(hull, "uniform-convex", rng=rng)
-    return draws
+    return flat_dirichlet_points(union, n, rng)
 
 
 _DEBUG_DIRECTIONS = np.array(

@@ -10,6 +10,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 from robustcbf import (  # noqa: E402
     BarrierParams, DisturbanceHull, RobotGeometry, symmetric_box
 )
+from robustcbf.dynamics import output_points  # noqa: E402
 
 # GRITSbot-class testbed constants used across the suite.
 WHEEL_RADIUS = 0.016
@@ -35,6 +36,19 @@ def ring_hulls(seed: int, count: int = 3, vertices: int = 256) -> tuple:
         ring = centre + radius[:, None] * np.stack([np.cos(phase), np.sin(phase)], axis=1)
         hulls.append(DisturbanceHull(ring))
     return tuple(hulls)
+
+
+def congested_poses(rng, geom, n=22, radius=0.6, spacing=1.03 * DIAMETER):
+    """n robots placed one by one in a disc, with output points at least
+    spacing apart, so every pair starts just inside the safe set."""
+    poses = np.empty((0, 3))
+    while poses.shape[0] < n:
+        r, phi = radius * math.sqrt(rng.uniform()), rng.uniform(-math.pi, math.pi)
+        pose = np.array([[r * math.cos(phi), r * math.sin(phi), rng.uniform(-math.pi, math.pi)]])
+        gaps = output_points(poses, geom) - output_points(pose, geom)
+        if np.all(np.hypot(gaps[:, 0], gaps[:, 1]) >= spacing):
+            poses = np.vstack([poses, pose])
+    return poses
 
 
 REPO_ROOT = Path(__file__).resolve().parent.parent

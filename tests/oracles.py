@@ -24,7 +24,6 @@ from robustcbf import (
     body_output_matrix,
     filter_step,
     pooled_vertices,
-    sample_hull,
     wheel_matrix,
 )
 from robustcbf.qp import INFEASIBLE, MAX_ITERATIONS, OPTIMAL
@@ -419,7 +418,8 @@ def _reference_step(state, u, d, dt, geom, method):
 
 
 def _reference_draws(cfg, result, rng) -> np.ndarray:
-    """The plant disturbance of one step, one robot at a time."""
+    """The plant disturbance of one step, one robot at a time; uniform-convex
+    draws use numpy's own rng.dirichlet."""
     n = cfg.robot_count
     union = cfg.disturbance
     mode = cfg.plant_disturbance
@@ -442,7 +442,7 @@ def _reference_draws(cfg, result, rng) -> np.ndarray:
     draws = np.empty((n, 2))
     for k in range(n):
         hull = union.hulls[int(rng.integers(union.size))] if union.size > 1 else union.hulls[0]
-        draws[k] = sample_hull(hull, "uniform-convex", rng=rng)
+        draws[k] = rng.dirichlet(np.ones(hull.size)) @ hull.vertices
     return draws
 
 

@@ -4,7 +4,9 @@ import math
 
 import numpy as np
 import pytest
+import yaml
 
+from robustcbf import cli
 from robustcbf import (
     HullUnion,
     aggregate_metrics,
@@ -163,6 +165,9 @@ class TestLoadConfig:
         path = write_scenario(tmp_path, "robots:\n  count: [unclosed\n")
         with pytest.raises(ConfigError, match="line"):
             load_config(path)
+        path = write_scenario(tmp_path, MINIMAL + "  dt: 0.01\n   gain: 2\n")
+        with pytest.raises(ConfigError, match="at line 7, column 8"):
+            load_config(path)
 
     def test_missing_required_keys(self, tmp_path):
         with pytest.raises(ConfigError, match="robots.count"):
@@ -229,6 +234,59 @@ class TestLoadConfig:
             load_config(write_scenario(tmp_path, MINIMAL + "  integrator: 4\n"))
         with pytest.raises(ConfigError, match="sim.debug_checks: expected bool"):
             load_config(write_scenario(tmp_path, MINIMAL + "  debug_checks: 1\n"))
+
+
+def union_scenario(seed=5, hulls=3, vertices=256) -> str:
+    """A scenario with seeded float vertex lists, written by PyYAML."""
+    rng = np.random.default_rng(seed)
+    body = yaml.safe_load(MINIMAL)
+    body["disturbance"] = {
+        "hulls": [{"vertices": rng.normal(size=(vertices, 2)).tolist()} for _ in range(hulls)]
+    }
+    return yaml.safe_dump(body)
+
+
+LOADER_FIXTURES = {
+    "minimal": MINIMAL,
+    "all-defaults": ALL_DEFAULTS,
+    "small-run": SMALL_RUN,
+    "union": union_scenario(),
+    **{f"invalid-{key}": body for key, body in INVALID.items()},
+}
+
+
+@pytest.mark.skipif(not hasattr(yaml, "CSafeLoader"), reason="PyYAML built without libyaml")
+class TestLibyamlLoader:
+    """load_config parses with libyaml's CSafeLoader when PyYAML has it;
+    every scenario must come out as under the pure-Python SafeLoader."""
+
+    def load_both(self, path, monkeypatch):
+        results = []
+        for loader in (yaml.CSafeLoader, yaml.SafeLoader):
+            monkeypatch.setattr(cli, "_YAML_LOADER", loader)
+            try:
+                results.append(config_fields(load_config(path)))
+            except ConfigError as exc:
+                results.append(f"ConfigError: {exc}")
+        return results
+
+    def test_loader_in_use_is_libyaml(self):
+        assert cli._YAML_LOADER is yaml.CSafeLoader
+
+    @pytest.mark.parametrize("path", sorted(SCENARIO_DIR.glob("*.yaml")), ids=lambda p: p.name)
+    def test_shipped_scenarios_load_the_same(self, path, monkeypatch):
+        text = path.read_text()
+        assert yaml.load(text, Loader=yaml.CSafeLoader) == yaml.load(text, Loader=yaml.SafeLoader)
+        csafe, safe = self.load_both(path, monkeypatch)
+        assert csafe == safe
+
+    @pytest.mark.parametrize("name", sorted(LOADER_FIXTURES))
+    def test_fixtures_load_the_same(self, name, tmp_path, monkeypatch):
+        path = write_scenario(tmp_path, LOADER_FIXTURES[name])
+        csafe, safe = self.load_both(path, monkeypatch)
+        assert csafe == safe
+        if not name.startswith("invalid"):
+            assert isinstance(csafe, dict)
 
 
 class TestRunCommand:

@@ -14,7 +14,8 @@ from robustcbf import (
     union_support_mins,
     zero_union,
 )
-from robustcbf.disturbance import boundary_hull
+from robustcbf import disturbance
+from robustcbf.disturbance import boundary_hull, flat_dirichlet_points
 
 from .conftest import ring_hulls
 from .oracles import convex_combination, support_min_enum
@@ -168,16 +169,21 @@ class TestSupportMinRows:
     def test_empty_input(self, box5):
         assert support_min_rows(np.zeros((0, 2)), box5).shape == (0,)
 
-    @pytest.mark.parametrize("p", [1, 4, 256, 4096, 40_000])
-    def test_blocks_match_one_full_pass_bit_for_bit(self, rng, p):
+    @pytest.mark.parametrize("p", [1, 4, 37, 64, 256, 4096, 40_000])
+    def test_blocks_match_one_full_pass_bit_for_bit(self, rng, monkeypatch, p):
         # From p = 256 on, 231 rows take several blocks (one row per block
-        # at p = 40000); the blocks must not change a single bit.
+        # at p = 40000); neither the blocks nor the layout may change a bit.
         hull = DisturbanceHull(rng.normal(size=(p, 2)))
-        for k in (1, 7, 231):
-            rows = rng.normal(size=(k, 2))
-            verts = hull.vertices
-            full = rows[:, 0:1] * verts[None, :, 0] + rows[:, 1:2] * verts[None, :, 1]
-            np.testing.assert_array_equal(support_min_rows(rows, hull), full.min(axis=1))
+        verts = hull.vertices
+        for vertex_major_points in (p, 0):
+            monkeypatch.setattr(disturbance, "_VERTEX_MAJOR_POINTS", vertex_major_points)
+            for k in (1, 7, 231):
+                rows = rng.normal(size=(k, 2))
+                full = rows[:, 0:1] * verts[None, :, 0] + rows[:, 1:2] * verts[None, :, 1]
+                np.testing.assert_array_equal(
+                    support_min_rows(rows, hull).view(np.int64),
+                    full.min(axis=1).view(np.int64),
+                )
 
 
 class TestSampleHull:
@@ -227,6 +233,46 @@ class TestSampleHull:
         a = sample_hull(box5, "uniform-convex", rng=99)
         b = sample_hull(box5, "uniform-convex", rng=np.random.default_rng(99))
         np.testing.assert_array_equal(a, b)
+
+    def test_uniform_convex_is_numpys_dirichlet(self, box5):
+        for seed in range(5):
+            rng = np.random.default_rng(seed)
+            expected = rng.dirichlet(np.ones(4)) @ box5.vertices
+            got = sample_hull(box5, "uniform-convex", rng=seed)
+            np.testing.assert_array_equal(got.view(np.int64), expected.view(np.int64))
+
+
+class TestFlatDirichletPoints:
+    """The batched plant draws equal per-point rng.dirichlet draws bit for
+    bit, in the same order of calls on the generator."""
+
+    @staticmethod
+    def per_point(union, n, rng):
+        points = np.empty((n, 2))
+        for k in range(n):
+            hull = union.hulls[int(rng.integers(union.size))] if union.size > 1 else union.hulls[0]
+            points[k] = rng.dirichlet(np.ones(hull.size)) @ hull.vertices
+        return points
+
+    @pytest.mark.parametrize("n", [1, 2, 22])
+    @pytest.mark.parametrize(
+        "sizes", [(256,), (1,), (40, 40), (256, 3, 1), (7, 256, 40)],
+        ids=["single", "one-point", "equal", "unequal", "unequal-last-longest"],
+    )
+    def test_equals_per_point_numpy_dirichlet(self, n, sizes):
+        points = np.random.default_rng(len(sizes)).normal(scale=3.0, size=(sum(sizes), 2))
+        bounds = np.cumsum((0,) + sizes)
+        union = HullUnion(
+            tuple(DisturbanceHull(points[lo:hi]) for lo, hi in zip(bounds, bounds[1:]))
+        )
+        for seed in range(10):
+            batched, reference = np.random.default_rng(seed), np.random.default_rng(seed)
+            for _ in range(3):
+                got = flat_dirichlet_points(union, n, batched)
+                expected = self.per_point(union, n, reference)
+                np.testing.assert_array_equal(got.view(np.int64), expected.view(np.int64))
+            # Both generators must stand at the same point of the stream.
+            assert batched.random() == reference.random()
 
 
 def same_minima_bits(hull, reduced, rng, k=2000):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from robustcbf import (
+    DisturbanceHull,
     FilterConfig,
     FilterInfeasibleError,
     HullUnion,
@@ -19,10 +20,10 @@ from robustcbf import (
     symmetric_box,
     zero_union,
 )
-from robustcbf.dynamics import output_points
+from robustcbf.disturbance import boundary_hull
 from robustcbf.qp import OPTIMAL, QpProblem
 
-from .conftest import DIAMETER, U_MAX, ring_hulls
+from .conftest import U_MAX, congested_poses, ring_hulls
 
 
 def make_config(geom, params, psi=5.0, **kwargs):
@@ -457,38 +458,54 @@ class TestCertificateHolds:
         assert worst == math.inf
 
 
-def congested_poses(rng, geom, n=22, radius=0.6, spacing=1.03 * DIAMETER):
-    """n robots placed one by one in a disc, with output points at least
-    spacing apart, so every pair starts just inside the safe set."""
-    poses = np.empty((0, 3))
-    while poses.shape[0] < n:
-        r, phi = radius * math.sqrt(rng.uniform()), rng.uniform(-math.pi, math.pi)
-        pose = np.array([[r * math.cos(phi), r * math.sin(phi), rng.uniform(-math.pi, math.pi)]])
-        gaps = output_points(poses, geom) - output_points(pose, geom)
-        if np.all(np.hypot(gaps[:, 0], gaps[:, 1]) >= spacing):
-            poses = np.vstack([poses, pose])
-    return poses
+def overlapping_rings(seed: int) -> tuple:
+    """Two radius-3 rings with centres 2 rad/s apart and a ring of radius 1
+    inside both: the pooled boundary drops an arc of each large ring and the
+    whole small one."""
+    small = ring_hulls(seed + 1, count=1, vertices=64)[0].vertices / 3.0
+    return ring_hulls(seed, count=2) + (DisturbanceHull(small),)
 
 
 class TestBoundaryMarginPass:
-    """The plan's margin union holds only each hull's boundary points; the
-    rows it yields must equal those of the declared hulls bit for bit."""
+    """The plan's margin union is one hull, the boundary points of the
+    pooled declared vertices; the rows it yields must equal those of the
+    declared hulls bit for bit."""
 
-    @pytest.mark.parametrize("seed", [1, 2, 3])
-    def test_b_equals_the_declared_hulls_bit_for_bit(self, geom, params, seed):
-        rng = np.random.default_rng(seed)
-        cfg = FilterConfig(geom, params, HullUnion(ring_hulls(seed)), u_max=U_MAX)
-        reduced = cfg.plan(22).margin_union.hulls
-        assert all(r.size < d.size // 4 for r, d in zip(reduced, cfg.disturbance.hulls))
+    @staticmethod
+    def assert_b_matches_the_declared_hulls(cfg, rng):
+        (pooled,) = cfg.plan(22).margin_union.hulls
+        hulls = cfg.disturbance.hulls
+        assert pooled.size < sum(boundary_hull(hull).size for hull in hulls)
+        declared_points = {tuple(v) for hull in hulls for v in hull.vertices.tolist()}
+        assert {tuple(v) for v in pooled.vertices.tolist()} <= declared_points
         altered = 0.0
         for _ in range(4):
-            poses = congested_poses(rng, geom)
+            poses = congested_poses(rng, cfg.geometry)
             commands = rng.uniform(-U_MAX, U_MAX, size=(22, 2))
             result = filter_step(poses, commands, cfg)
-            declared = assemble_constraints(poses, geom, params, cfg.disturbance, U_MAX)
+            declared = assemble_constraints(
+                poses, cfg.geometry, cfg.barrier, cfg.disturbance, U_MAX
+            )
             np.testing.assert_array_equal(
                 result.constraints.b.view(np.int64), declared.b.view(np.int64)
             )
             np.testing.assert_array_equal(result.constraints.A, declared.A)
             altered = max(altered, result.altered.max())
         assert altered > 0.0
+        return pooled
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_b_equals_the_declared_hulls_bit_for_bit(self, geom, params, seed):
+        cfg = FilterConfig(geom, params, HullUnion(ring_hulls(seed)), u_max=U_MAX)
+        pooled = self.assert_b_matches_the_declared_hulls(cfg, np.random.default_rng(seed))
+        assert pooled.size < 64
+
+    def test_overlapping_rings_lose_whole_arcs_and_keep_every_bit(self, geom, params):
+        hulls = overlapping_rings(7)
+        cfg = FilterConfig(geom, params, HullUnion(hulls), u_max=U_MAX)
+        pooled = self.assert_b_matches_the_declared_hulls(cfg, np.random.default_rng(7))
+        kept = {tuple(v) for v in pooled.vertices.tolist()}
+        sources = [kept & {tuple(v) for v in hull.vertices.tolist()} for hull in hulls]
+        assert not sources[2]
+        for hull, source in zip(hulls[:2], sources[:2]):
+            assert 0 < len(source) < boundary_hull(hull).size

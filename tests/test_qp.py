@@ -16,9 +16,10 @@ from robustcbf import (
 )
 from robustcbf import qp
 from robustcbf.cli import load_config
+from robustcbf.sim import nominal_commands
 from robustcbf.qp import INFEASIBLE, MAX_ITERATIONS, OPTIMAL, _blocking_ratio, _WorkingSet
 
-from .conftest import SCENARIO_DIR
+from .conftest import SCENARIO_DIR, congested_poses
 from .oracles import (
     ReallocatingWorkingSet,
     farthest_violated_row,
@@ -225,9 +226,9 @@ class TestWorkingSetCapacity:
         order = [4, 0, 7, 2, 9, 5, 1]
         for lam, idx in enumerate(order):
             c, Jc = C[idx], J @ C[idx]
-            w_vec = ws.N @ Jc
+            w_vec, cJc = ws.N @ Jc, float(c @ Jc)
             r_dir = ws.solve_B(w_vec)
-            ws.add(idx, c, Jc, r_dir, float(c @ Jc) - float(w_vec @ r_dir), float(lam))
+            ws.add(idx, c, Jc, w_vec, cJc, r_dir, cJc - float(w_vec @ r_dir), float(lam))
             ref.add(idx, c, Jc)
         lam = np.arange(len(order), dtype=float)
         for pos in (None, 2, 0, 3):
@@ -484,6 +485,56 @@ class TestSolutionInvariants:
         assert np.all(sol.multipliers >= -1e-12)
         for idx in sol.active_set:
             assert 0 <= idx < 14
+
+
+class TestWarmStartFromViolatedRows:
+    """Seeding the active set with every row violated at u_nom gives about
+    45 rows for 44 variables: a dependent set, which bulk_load rejects and
+    try_add loads row by row.  Such a warm solve used to end infeasible or
+    at the iteration cap where the cold solve is optimal, and once raised
+    LinAlgError after entering an active row a second time."""
+
+    def test_congested_snapshots_end_optimal_at_the_cold_answer(self, monkeypatch, geom):
+        cfg = load_config(SCENARIO_DIR / "circle22.yaml").filter_config()
+        plan = cfg.plan(22)
+        angles = 2.0 * math.pi * np.arange(22) / 22
+        goals = -(0.6 - geom.look_ahead) * np.stack([np.cos(angles), np.sin(angles)], axis=1)
+        real, fallbacks = qp._solve_raw, []
+
+        def recording(*args):
+            try:
+                out = real(*args)
+            except np.linalg.LinAlgError:
+                fallbacks.append("raised")
+                raise
+            if len(args[-1]) and out[2] != OPTIMAL:
+                fallbacks.append(out[2])
+            return out
+
+        monkeypatch.setattr(qp, "_solve_raw", recording)
+        worst, seeded = 0.0, []
+        for seed in (1, 2):
+            rng = np.random.default_rng(seed)
+            solved = 0
+            while solved < 300:
+                poses = congested_poses(rng, geom, radius=0.5)
+                commands = nominal_commands(poses, goals, 1.0, geom, cfg.u_max)
+                cs = assemble_constraints(
+                    poses, geom, cfg.barrier, plan.margin_union, cfg.u_max, plan.pair_index
+                )
+                problem = QpProblem(plan.weight, commands.reshape(-1), cs.A, cs.b, cfg.u_max)
+                cold = solve(problem)
+                if cold.status != OPTIMAL:
+                    continue  # the disc can wedge robots into an infeasible set
+                solved += 1
+                violated = np.flatnonzero(cs.A @ problem.u_nom < cs.b)
+                seeded.append(violated.size)
+                warm = solve(problem, warm_start=violated)
+                assert warm.status == OPTIMAL
+                worst = max(worst, float(np.abs(warm.u_star - cold.u_star).max()))
+        assert worst <= 1e-9
+        assert max(seeded) > problem.variables
+        assert len(fallbacks) >= 10
 
 
 class TestInfeasible:

@@ -304,8 +304,9 @@ class TestArrayLoopMatchesPerRobotReference:
 
     def test_boundary_margin_pass_matches_the_declared_hulls(self, monkeypatch):
         # oracles.reference_closed_loop calls filter_step, so it shares the
-        # plan's reduced hulls; compare against a run that keeps every point.
-        # The 201st recorded pose is the final pose of 200 steps.
+        # plan's pooled boundary hull; compare against a run whose margin
+        # pass reads every declared hull.  The 201st recorded pose is the
+        # final pose of 200 steps.
         cfg = crossing_start(
             disturbance=HullUnion(ring_hulls(11, count=2)),
             plant_disturbance="uniform-convex",
@@ -313,16 +314,22 @@ class TestArrayLoopMatchesPerRobotReference:
             record_states=True,
         )
         assert cfg.steps() == 201
-        real, kept = safety_filter.boundary_hull, []
+        real_hull, kept = safety_filter.boundary_hull, []
 
         def recording(hull):
-            kept.append(real(hull))
+            kept.append(real_hull(hull))
             return kept[-1]
 
         monkeypatch.setattr(safety_filter, "boundary_hull", recording)
         reduced = run_scenario(cfg)
-        assert len(kept) == 2 and max(h.size for h in kept) < 64
-        monkeypatch.setattr(safety_filter, "boundary_hull", lambda hull: hull)
+        declared_sizes = [hull.size for hull in cfg.disturbance.hulls]
+        assert len(kept) == 1 and kept[0].size < min(64, sum(declared_sizes))
+        real_plan = safety_filter.FilterConfig.plan
+        monkeypatch.setattr(
+            safety_filter.FilterConfig,
+            "plan",
+            lambda fcfg, n: replace(real_plan(fcfg, n), margin_union=fcfg.disturbance),
+        )
         declared = run_scenario(cfg)
         np.testing.assert_array_equal(reduced.min_h, declared.min_h)
         np.testing.assert_array_equal(reduced.max_alter, declared.max_alter)
