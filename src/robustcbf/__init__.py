@@ -11,9 +11,7 @@ from .barrier import (
     assemble_constraints,
     class_k_cubic,
     min_pairwise_h,
-    pairwise_h,
     pairwise_h_grad,
-    robust_margin,
 )
 from .disturbance import (
     DisturbanceHull,
@@ -23,7 +21,6 @@ from .disturbance import (
     support_min,
     support_min_rows,
     symmetric_box,
-    union_support_mins,
     zero_union,
 )
 from .dynamics import (
@@ -31,11 +28,9 @@ from .dynamics import (
     RobotState,
     WheelCommand,
     body_output_matrix,
-    output_jacobian,
     output_point,
     step_dynamics,
     wheel_matrix,
-    wrap_angle,
 )
 from .qp import QpProblem, QpSolution, Tolerances, kkt_check, objective_value, solve
 from .safety_filter import (
@@ -84,13 +79,10 @@ __all__ = [
     "min_pairwise_h",
     "nominal_controller",
     "objective_value",
-    "output_jacobian",
     "output_point",
-    "pairwise_h",
     "pairwise_h_grad",
     "pooled_vertices",
     "repeat_experiment",
-    "robust_margin",
     "run_scenario",
     "sample_hull",
     "solve",
@@ -98,9 +90,7 @@ __all__ = [
     "support_min",
     "support_min_rows",
     "symmetric_box",
-    "union_support_mins",
     "wheel_matrix",
-    "wrap_angle",
     "zero_union",
 ]
 

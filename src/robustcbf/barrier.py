@@ -8,7 +8,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .disturbance import DisturbanceHull, HullUnion, support_min, support_min_rows
+from .disturbance import HullUnion, support_min_rows
 from .dynamics import RobotGeometry, RobotState, as_poses, output_jacobians, output_points
 
 
@@ -49,12 +49,6 @@ class ConstraintSet:
         return self.A.shape[0]
 
 
-def pairwise_h(p_i, p_j, params: BarrierParams) -> float:
-    """Collision barrier: squared output distance minus squared diameter."""
-    diff = np.asarray(p_i, dtype=float) - np.asarray(p_j, dtype=float)
-    return float(diff @ diff - params.delta**2)
-
-
 def pair_h_values(p_i: np.ndarray, p_j: np.ndarray, params: BarrierParams) -> np.ndarray:
     """Barrier values h of the pairs of output points stacked as (m, 2) rows."""
     diffs = p_i - p_j
@@ -76,7 +70,7 @@ def min_pairwise_h(
 
 
 def pairwise_h_grad(p_i, p_j):
-    """Exact gradients of pairwise_h with respect to each output point.
+    """Exact gradients of h = |p_i - p_j|^2 - delta^2 in each output point.
 
     Carries the factor 2 of the derivative of the squared norm; the
     finite-difference tests pin this.
@@ -89,18 +83,6 @@ def pairwise_h_grad(p_i, p_j):
 def class_k_cubic(h, gamma: float):
     """Odd, strictly increasing certificate relaxation gamma * h^3."""
     return gamma * h**3
-
-
-def robust_margin(grad_i, grad_j, g_i, g_j, hull: DisturbanceHull) -> float:
-    """Worst-case certificate decrease over the hull for one robot pair.
-
-    Combines both robots' input directions into z = grad_i @ g_i +
-    grad_j @ g_j and returns the support minimum of z over the hull.
-    """
-    z = np.asarray(grad_i, dtype=float) @ np.asarray(g_i, dtype=float) + np.asarray(
-        grad_j, dtype=float
-    ) @ np.asarray(g_j, dtype=float)
-    return support_min(z, hull)
 
 
 def assemble_constraints(

@@ -258,6 +258,9 @@ def run_command(
     disturbance stays as declared.  Exit codes: 0 ok, 1 config error,
     2 runtime failure, 3 check-threshold breach.
     """
+    if jobs < 1:
+        print(f"--jobs must be >= 1, got {jobs}", file=sys.stderr)
+        return EXIT_CONFIG
     cfg = _load(config_path, seed)
     if cfg is None:
         return EXIT_CONFIG

@@ -192,12 +192,6 @@ def support_min_rows(directions: np.ndarray, hull: DisturbanceHull) -> np.ndarra
     return out
 
 
-def union_support_mins(z, union: HullUnion) -> list:
-    """Per-hull support minima, in declaration order."""
-    z = _check_direction(z)
-    return [support_min(z, hull) for hull in union.hulls]
-
-
 def pooled_vertices(union: HullUnion) -> np.ndarray:
     """All vertices of a union, stacked in declaration order."""
     return np.vstack([hull.vertices for hull in union.hulls])

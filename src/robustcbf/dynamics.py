@@ -154,11 +154,6 @@ def output_point(state: RobotState, geom: RobotGeometry) -> np.ndarray:
     return output_points(as_poses([state]), geom)[0]
 
 
-def output_jacobian(state: RobotState, geom: RobotGeometry) -> np.ndarray:
-    """2x2 Jacobian of the output point with respect to the wheel velocities."""
-    return output_jacobians(as_poses([state]), geom)[0]
-
-
 def _pose_rates(cos_t, sin_t, gearing: np.ndarray, wheels: np.ndarray) -> np.ndarray:
     """(v cos, v sin, omega) per robot, (v, omega) = gearing @ wheels[k]; the
     stacked matmul rounds exactly as that 2x2 matvec, wheels @ gearing.T not."""

@@ -212,7 +212,7 @@ class _WorkingSet:
         return self._lam[: self.size]
 
     def add(self, idx: int, c: np.ndarray, Jc: np.ndarray, w_vec: np.ndarray, cJc: float,
-            r_dir: np.ndarray, schur: float, lam: float = 0.0) -> None:
+            r_dir: np.ndarray, schur: float, lam: float) -> None:
         """Append row c, given w_vec = N J c, cJc = c J c, r_dir = B^-1 w_vec
         and schur = cJc - w_vec . r_dir as the caller computed them."""
         k = self.size
@@ -260,45 +260,21 @@ class _WorkingSet:
     def primal(self, linear: np.ndarray) -> np.ndarray:
         return self.JNt @ self.lam - self._J @ linear
 
-    def try_add(self, idx: int) -> bool:
-        c = self._C[idx]
-        Jc = self._J @ c
-        cJc = float(c @ Jc)
-        if cJc <= 0.0:
-            return False
-        w_vec = self.N @ Jc
-        try:
-            r_dir = self.solve_B(w_vec)
-        except np.linalg.LinAlgError:
-            return False
-        schur = cJc - float(w_vec @ r_dir)
-        if schur <= _DEPENDENCE_RTOL * cJc:
-            return False
-        self.add(idx, c, Jc, w_vec, cJc, r_dir, schur)
-        return True
-
-    def bulk_load(self, indices) -> bool:
-        """Load a whole active set at once; False when the rows are not
-        safely independent (caller falls back to sequential adds)."""
-        idx = list(indices)
-        if not idx:
-            return True
+    def bulk_load(self, idx: list) -> None:
+        """Load a whole active set at once, B in one product and solved by
+        LU.  Raises np.linalg.LinAlgError unless the rows are safely
+        independent, as the dual method keeps them; solve then starts cold."""
         N = self._C[idx]
         JNt = self._J @ N.T
         B = N @ JNt
-        try:
-            chol = np.linalg.cholesky(B)
-        except np.linalg.LinAlgError:
-            return False
-        diag = np.diagonal(chol)
+        diag = np.diagonal(np.linalg.cholesky(B))
         if diag.min() ** 2 <= _DEPENDENCE_RTOL * max(float(np.diagonal(B).max()), 1e-300):
-            return False
+            raise np.linalg.LinAlgError("warm-start rows are linearly dependent")
         k = len(idx)
         if k > self._lam.size:
             self._allocate(k)
         self.indices, self.inverse = idx, False
         self._N[:k], self._JNt[:, :k], self._B[:k, :k] = N, JNt, B
-        return True
 
 
 def _blocking_ratio(lam_w: np.ndarray, r_dir: np.ndarray):
@@ -316,7 +292,7 @@ def _blocking_ratio(lam_w: np.ndarray, r_dir: np.ndarray):
 def _solve_raw(inv_hessian, linear, C, d, feas_tol, max_iter, warm=()):
     """Dual active-set loop on min 0.5 u'Hu + q'u s.t. C u >= d, with
     inv_hessian = H^-1 precomputed by the caller.  warm is an iterable of
-    row indices; those outside [0, rows) are ignored.
+    row indices; those in [0, rows) are bulk loaded, LinAlgError if dependent.
 
     The violated row of least residual / |c| enters.  B r = N H^-1 c is
     solved with the kept inverse on a cold start, else by LU; the final
@@ -328,10 +304,8 @@ def _solve_raw(inv_hessian, linear, C, d, feas_tol, max_iter, warm=()):
     ws = _WorkingSet(inv_hessian, C)
 
     warm = [i for i in map(int, warm) if 0 <= i < n_rows]
-    if warm and not ws.bulk_load(warm):
-        for idx in warm:
-            ws.try_add(idx)
-    if ws.size:
+    if warm:
+        ws.bulk_load(warm)
         # Equality-solve on the warm active set, pruning negative multipliers.
         while True:
             lam_w = ws.eq_multipliers(linear, d)
@@ -364,7 +338,7 @@ def _solve_raw(inv_hessian, linear, C, d, feas_tol, max_iter, warm=()):
                 pick = (dist <= dist.min() * (1.0 - _TIE_RTOL)).argmax()
         worst = int(violated[pick])
         if worst in ws.indices:
-            # Only a dependent warm set leaves an active row violated.
+            # Only an ill-conditioned warm set leaves an active row violated.
             status = MAX_ITERATIONS
             break
         c = C[worst]
@@ -438,12 +412,12 @@ def solve(problem: QpProblem, tol: Tolerances | None = None, warm_start=None) ->
     """Solve the box-and-rows QP.
 
     warm_start may be a previous QpSolution or an iterable of stacked-row
-    indices; it seeds the active set.  A warm solve that does not end
-    optimal (a dependent seed set can stall it) is redone cold, and the cold
-    solve's result returned.  So the answer agrees with a cold solve's to
-    about 1e-9, but can differ in the last bits: the bulk load forms B in
-    one product, where a cold solve grows it row by row.  Infeasibility is
-    reported through the status, not an exception.
+    indices; it seeds the active set.  A seed whose rows are dependent is
+    rejected and the problem solved cold, with the cold solve's bits; so is
+    a warm solve that does not end optimal.  Otherwise the answer agrees
+    with a cold solve's to about 1e-9, but can differ in the last bits: the
+    bulk load forms B in one product, where a cold solve grows it row by
+    row.  Infeasibility is reported through the status, not an exception.
     """
     tol = tol or Tolerances()
     start = time.perf_counter()

@@ -83,10 +83,9 @@ class FilterResult:
     """Filtered commands plus diagnostics for one control step.
 
     solver.u_star holds the filtered commands as (omega_r, omega_l) per
-    robot; commands builds WheelCommand objects from it on access.
-    wall_clock covers constraint assembly and the QP solve only; min_h is
-    the smallest pairwise barrier value at the input state (inf for a single
-    robot).
+    robot.  wall_clock covers constraint assembly and the QP solve only;
+    min_h is the smallest pairwise barrier value at the input state (inf for
+    a single robot).
     """
 
     altered: np.ndarray
@@ -95,15 +94,6 @@ class FilterResult:
     constraints: ConstraintSet
     wall_clock: float
     fallback_applied: str | None = None
-
-    @property
-    def commands(self) -> tuple:
-        u = self.solver.u_star
-        return tuple(WheelCommand(u[k], u[k + 1]) for k in range(0, u.size, 2))
-
-    def command_array(self) -> np.ndarray:
-        """The commands stacked as (omega_r, omega_l) per robot; a copy."""
-        return self.solver.u_star.copy()
 
 
 def ensemble_weight(n: int, geom: RobotGeometry) -> np.ndarray:

@@ -323,14 +323,15 @@ def derived_seeds(base_seed: int, count: int) -> list:
 def repeat_experiment(cfg: ScenarioConfig, jobs: int = 1) -> list:
     """Run the scenario cfg.iterations times with derived seeds.
 
-    Results come back ordered by iteration index regardless of jobs; feed
-    them to aggregate_metrics for the wall-clock and violation summary.
+    Up to min(jobs, iterations) worker processes run them.  Results come
+    back ordered by iteration index regardless of jobs; feed them to
+    aggregate_metrics for the wall-clock and violation summary.
     """
     seeds = derived_seeds(cfg.rng_seed, cfg.iterations)
     work = [(cfg, seed) for seed in seeds]
     if jobs <= 1 or cfg.iterations == 1:
         return [_run_with_seed(item) for item in work]
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
+    with ProcessPoolExecutor(max_workers=min(jobs, cfg.iterations)) as pool:
         return list(pool.map(_run_with_seed, work))
 
 

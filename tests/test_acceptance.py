@@ -25,9 +25,7 @@ from robustcbf import (
     kkt_check,
     nominal_controller,
     objective_value,
-    output_jacobian,
     output_point,
-    pairwise_h,
     pairwise_h_grad,
     pooled_vertices,
     repeat_experiment,
@@ -35,10 +33,10 @@ from robustcbf import (
     support_min,
     support_min_rows,
     symmetric_box,
-    union_support_mins,
     zero_union,
 )
-from robustcbf.barrier import assemble_constraints
+from robustcbf.barrier import assemble_constraints, pair_h_values
+from robustcbf.dynamics import as_poses, output_jacobians
 from robustcbf.cli import load_config
 from robustcbf.qp import OPTIMAL
 
@@ -148,7 +146,8 @@ def test_criterion_5_union_convexification_equivalence():
         )
         z = rng.normal(size=2)
         pooled = DisturbanceHull(pooled_vertices(union))
-        if min(union_support_mins(z, union)) != support_min(z, pooled):
+        per_hull = [support_min_rows(z[None], hull)[0] for hull in union.hulls]
+        if min(per_hull) != support_min(z, pooled):
             mismatches += 1
     report(
         "criterion 5 (union/convexification equivalence)",
@@ -164,7 +163,7 @@ def test_criterion_6_gradient_correctness(geom, params):
         p_i = rng.uniform(-2.0, 2.0, size=2)
         p_j = rng.uniform(-2.0, 2.0, size=2)
         grad_i, _ = pairwise_h_grad(p_i, p_j)
-        fd = fd_jacobian(lambda p: [pairwise_h(p, p_j, params)], p_i, 1e-5)[0]
+        fd = fd_jacobian(lambda p: pair_h_values(p[None], p_j[None], params), p_i, 1e-5)[0]
         scale = max(float(np.abs(grad_i).max()), 1e-9)
         worst = max(worst, float(np.abs(fd - grad_i).max()) / scale)
     dt = 1e-3
@@ -176,7 +175,7 @@ def test_criterion_6_gradient_correctness(geom, params):
             return output_point(nxt, geom)
 
         fd = fd_jacobian(through_step, np.zeros(2), eps=1.0) / dt
-        jac = output_jacobian(state, geom)
+        (jac,) = output_jacobians(as_poses([state]), geom)
         worst = max(worst, float(np.abs(fd - jac).max() / np.abs(jac).max()))
     report(
         "criterion 6 (gradient correctness)",
@@ -209,7 +208,7 @@ def test_criterion_7_minimal_invasiveness(geom, params):
         checked += 1
         result = filter_step(states, nominal, cfg)
         stacked = np.concatenate([c.as_array() for c in nominal])
-        worst = max(worst, float(np.abs(result.command_array() - stacked).max()))
+        worst = max(worst, float(np.abs(result.solver.u_star - stacked).max()))
     report(
         "criterion 7 (minimal invasiveness)",
         worst <= 1e-6,

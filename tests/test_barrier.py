@@ -12,15 +12,14 @@ from robustcbf import (
     RobotState,
     assemble_constraints,
     class_k_cubic,
-    output_jacobian,
-    output_point,
-    pairwise_h,
     pairwise_h_grad,
     pooled_vertices,
-    robust_margin,
     support_min,
+    support_min_rows,
     symmetric_box,
 )
+from robustcbf.barrier import pair_h_values
+from robustcbf.dynamics import as_poses, output_jacobians, output_points
 
 from .conftest import U_MAX
 from .oracles import fd_jacobian, support_min_enum
@@ -49,18 +48,20 @@ class TestBarrierParams:
 
 class TestPairwiseH:
     def test_boundary_contact(self, params):
-        assert pairwise_h([0.0, 0.0], [0.12, 0.0], params) == pytest.approx(0.0)
+        h = pair_h_values(np.array([[0.0, 0.0]]), np.array([[0.12, 0.0]]), params)
+        assert h == pytest.approx([0.0])
 
     def test_unit_separation(self, params):
-        assert pairwise_h([0.0, 0.0], [1.0, 0.0], params) == pytest.approx(0.9856)
+        p_i, p_j = np.array([[0.0, 0.0], [0.5, 2.0]]), np.array([[1.0, 0.0], [0.5, 1.0]])
+        h = pair_h_values(p_i, p_j, params)
+        assert h == pytest.approx([0.9856, 0.9856])
 
     @settings(max_examples=100, deadline=None)
     @given(ax=coord, ay=coord, bx=coord, by=coord)
     def test_symmetric_in_the_pair(self, ax, ay, bx, by):
         params = BarrierParams(delta=0.12, gamma=150.0)
-        assert pairwise_h([ax, ay], [bx, by], params) == pairwise_h(
-            [bx, by], [ax, ay], params
-        )
+        a, b = np.array([[ax, ay]]), np.array([[bx, by]])
+        np.testing.assert_array_equal(pair_h_values(a, b, params), pair_h_values(b, a, params))
 
 
 class TestPairwiseGrad:
@@ -85,8 +86,8 @@ class TestPairwiseGrad:
             p_i = rng.uniform(-2.0, 2.0, size=2)
             p_j = rng.uniform(-2.0, 2.0, size=2)
             grad_i, grad_j = pairwise_h_grad(p_i, p_j)
-            fd_i = fd_jacobian(lambda p: [pairwise_h(p, p_j, params)], p_i, 1e-5)[0]
-            fd_j = fd_jacobian(lambda p: [pairwise_h(p_i, p, params)], p_j, 1e-5)[0]
+            fd_i = fd_jacobian(lambda p: pair_h_values(p[None], p_j[None], params), p_i, 1e-5)[0]
+            fd_j = fd_jacobian(lambda p: pair_h_values(p_i[None], p[None], params), p_j, 1e-5)[0]
             np.testing.assert_allclose(grad_i, fd_i, atol=1e-7)
             np.testing.assert_allclose(grad_j, fd_j, atol=1e-7)
 
@@ -107,30 +108,29 @@ class TestClassK:
 
 
 class TestRobustMargin:
+    """The margin of a pair row is support_min_rows of z = grad_i @ g_i +
+    grad_j @ g_j, its two robots' input directions combined."""
+
     def test_zero_hull_recovers_non_robust(self, rng):
         grad_i = rng.normal(size=2)
         g = rng.normal(size=(2, 2))
-        margin = robust_margin(grad_i, -grad_i, g, g, symmetric_box(0.0))
-        assert margin == 0.0
+        z = grad_i @ g + (-grad_i) @ g
+        assert support_min_rows(z[None], symmetric_box(0.0))[0] == 0.0
 
     def test_constructed_unit_direction(self):
         # grad_i = (1, 1) through identity Jacobians, grad_j = 0.
-        margin = robust_margin(
-            [1.0, 1.0], [0.0, 0.0], np.eye(2), np.eye(2), symmetric_box(5.0)
-        )
-        assert margin == -10.0
+        z = np.array([1.0, 1.0]) @ np.eye(2) + np.zeros(2) @ np.eye(2)
+        assert support_min_rows(z[None], symmetric_box(5.0))[0] == -10.0
 
     def test_matches_vertex_enumeration(self, rng, box5):
-        for _ in range(100):
-            grad_i = rng.normal(size=2)
-            grad_j = rng.normal(size=2)
-            g_i = rng.normal(size=(2, 2))
-            g_j = rng.normal(size=(2, 2))
-            z = grad_i @ g_i + grad_j @ g_j
-            expected = support_min_enum(z, box5.vertices)
-            got = robust_margin(grad_i, grad_j, g_i, g_j, box5)
+        grads_i, grads_j = rng.normal(size=(2, 100, 2))
+        jac_i, jac_j = rng.normal(size=(2, 100, 2, 2))
+        z = np.einsum("ka,kab->kb", grads_i, jac_i) + np.einsum("ka,kab->kb", grads_j, jac_j)
+        margins = support_min_rows(z, box5)
+        for got, z_row in zip(margins, z):
+            expected = support_min_enum(z_row, box5.vertices)
             assert got == pytest.approx(expected, rel=1e-12, abs=1e-12)
-            assert got == pytest.approx(-5.0 * (abs(z[0]) + abs(z[1])), rel=1e-9)
+            assert got == pytest.approx(-5.0 * (abs(z_row[0]) + abs(z_row[1])), rel=1e-9)
 
 
 class TestAssembleConstraints:
@@ -159,14 +159,15 @@ class TestAssembleConstraints:
         union = HullUnion((box5,))
         states = random_states(rng, 5)
         cs = assemble_constraints(states, geom, params, union, U_MAX)
-        outputs = [output_point(s, geom) for s in states]
-        jacobians = [output_jacobian(s, geom) for s in states]
+        outputs = output_points(as_poses(states), geom)
+        jacobians = output_jacobians(as_poses(states), geom)
         row = 0
         for i in range(4):
             for j in range(i + 1, 5):
                 grad_i, grad_j = pairwise_h_grad(outputs[i], outputs[j])
-                h = pairwise_h(outputs[i], outputs[j], params)
-                margin = robust_margin(grad_i, grad_j, jacobians[i], jacobians[j], box5)
+                h = pair_h_values(outputs[i : i + 1], outputs[j : j + 1], params)[0]
+                z = grad_i @ jacobians[i] + grad_j @ jacobians[j]
+                margin = support_min_enum(z, box5.vertices)
                 expected_b = -class_k_cubic(h, params.gamma) - margin
                 np.testing.assert_allclose(
                     cs.A[row, 2 * i : 2 * i + 2], grad_i @ jacobians[i], rtol=1e-12, atol=1e-15
@@ -235,9 +236,9 @@ class TestAssembleConstraints:
         from robustcbf import min_pairwise_h
 
         states = random_states(rng, 5)
-        outputs = [output_point(s, geom) for s in states]
+        outputs = output_points(as_poses(states), geom)
         expected = min(
-            pairwise_h(outputs[i], outputs[j], params)
+            pair_h_values(outputs[i : i + 1], outputs[j : j + 1], params)[0]
             for i in range(4)
             for j in range(i + 1, 5)
         )

@@ -479,6 +479,14 @@ class TestMain:
         )
         assert code == EXIT_OK
 
+    @pytest.mark.parametrize("jobs", ["0", "-3"])
+    def test_jobs_below_one_is_config_error(self, tmp_path, capsys, jobs):
+        scenario = write_scenario(tmp_path, SMALL_RUN)
+        out = tmp_path / "out"
+        assert main(["run", str(scenario), "--out", str(out), "--jobs", jobs]) == EXIT_CONFIG
+        assert "--jobs" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestSummarize:
     def test_empty_runs(self):

@@ -11,7 +11,6 @@ from robustcbf import (
     support_min,
     support_min_rows,
     symmetric_box,
-    union_support_mins,
     zero_union,
 )
 from robustcbf import disturbance
@@ -131,13 +130,17 @@ class TestSupportDominance:
 
 
 class TestUnion:
+    """Per-hull margins are support_min_rows over each hull of the union."""
+
     def test_singleton_reduces_to_support_min(self, box5):
         z = np.array([0.3, -0.7])
-        assert union_support_mins(z, HullUnion((box5,))) == [support_min(z, box5)]
+        (hull,) = HullUnion((box5,)).hulls
+        assert support_min_rows(z[None], hull).tolist() == [support_min(z, box5)]
 
     def test_per_box_minima(self):
         union = HullUnion((symmetric_box(5.0), symmetric_box(3.0)))
-        assert union_support_mins(np.array([1.0, 0.0]), union) == [-5.0, -3.0]
+        directions = np.array([[1.0, 0.0]])
+        assert [support_min_rows(directions, hull)[0] for hull in union.hulls] == [-5.0, -3.0]
 
     def test_min_equals_pooled_support_min(self, rng):
         # Union of hulls and its convexification certify identically.
@@ -150,7 +153,8 @@ class TestUnion:
             union = HullUnion(hulls)
             z = rng.normal(size=2)
             pooled = DisturbanceHull(pooled_vertices(union))
-            assert min(union_support_mins(z, union)) == support_min(z, pooled)
+            per_hull = [support_min_rows(z[None], hull)[0] for hull in union.hulls]
+            assert min(per_hull) == support_min(z, pooled)
 
     def test_zero_union_is_the_origin(self):
         union = zero_union()

@@ -10,13 +10,11 @@ from robustcbf import (
     RobotState,
     WheelCommand,
     body_output_matrix,
-    output_jacobian,
     output_point,
     step_dynamics,
     wheel_matrix,
-    wrap_angle,
 )
-from robustcbf.dynamics import as_poses, step_ensemble
+from robustcbf.dynamics import as_poses, output_jacobians, step_ensemble, wrap_angle
 
 from .oracles import fd_jacobian
 
@@ -90,38 +88,41 @@ class TestOutputPoint:
         np.testing.assert_allclose(p, [1.0, 2.0], atol=1e-11)
 
 
+def random_poses(rng, n):
+    """n poses, each drawn as a normal position and then a uniform heading."""
+    return np.array([[*rng.normal(size=2), rng.uniform(-math.pi, math.pi)] for _ in range(n)])
+
+
 class TestOutputJacobian:
     def test_heading_zero_matches_table_constants(self, geom):
-        jac = output_jacobian(RobotState(0.0, 0.0, 0.0), geom)
+        (jac,) = output_jacobians(np.zeros((1, 3)), geom)
         expected = np.array([[0.008, 0.008], [-0.03 * 0.016 / 0.105, 0.03 * 0.016 / 0.105]])
         np.testing.assert_allclose(jac, expected, rtol=1e-12)
 
     def test_determinant_is_rotation_free(self, geom, rng):
         expected = geom.look_ahead * geom.wheel_radius**2 / geom.base_length
-        for _ in range(20):
-            state = RobotState(*rng.normal(size=2), rng.uniform(-math.pi, math.pi))
-            assert np.linalg.det(output_jacobian(state, geom)) == pytest.approx(expected)
+        for jac in output_jacobians(random_poses(rng, 20), geom):
+            assert np.linalg.det(jac) == pytest.approx(expected)
 
     def test_periodic_in_heading(self, geom):
         theta = 0.4321
-        a = output_jacobian(RobotState(0.0, 0.0, theta), geom)
-        b = output_jacobian(RobotState(0.0, 0.0, theta + 2.0 * math.pi), geom)
+        poses = np.array([[0.0, 0.0, theta], [0.0, 0.0, theta + 2.0 * math.pi]])
+        a, b = output_jacobians(poses, geom)
         np.testing.assert_allclose(a, b, atol=1e-12)
 
     def test_inverse_times_itself_is_identity(self, geom, rng):
-        for _ in range(50):
-            state = RobotState(*rng.normal(size=2), rng.uniform(-math.pi, math.pi))
-            jac = output_jacobian(state, geom)
+        for jac in output_jacobians(random_poses(rng, 50), geom):
             np.testing.assert_allclose(
                 np.linalg.inv(jac) @ jac, np.eye(2), atol=1e-10
             )
 
     def test_matches_finite_differences_through_the_step(self, geom, rng):
-        # d/du of (output of one Euler step) equals dt * output_jacobian to
-        # leading order; divide the central difference by dt to compare.
+        # d/du of (output of one Euler step) equals dt * the output Jacobian
+        # to leading order; divide the central difference by dt to compare.
         dt = 1e-3
-        for _ in range(100):
-            state = RobotState(*rng.normal(size=2), rng.uniform(-math.pi, math.pi))
+        poses = random_poses(rng, 100)
+        for pose, jac in zip(poses, output_jacobians(poses, geom)):
+            state = RobotState(*pose)
 
             def through_step(u):
                 nxt = step_dynamics(
@@ -130,7 +131,6 @@ class TestOutputJacobian:
                 return output_point(nxt, geom)
 
             fd = fd_jacobian(through_step, np.zeros(2), eps=1.0) / dt
-            jac = output_jacobian(state, geom)
             err = np.abs(fd - jac).max() / np.abs(jac).max()
             assert err < 1e-5
 
@@ -271,7 +271,7 @@ class TestAsPoses:
 @given(theta=st.floats(min_value=-3.0, max_value=3.0, allow_nan=False))
 def test_body_output_matrix_is_the_zero_heading_jacobian(theta):
     geom = RobotGeometry(0.016, 0.105, 0.03)
-    jac = output_jacobian(RobotState(0.0, 0.0, theta), geom)
+    (jac,) = output_jacobians(np.array([[0.0, 0.0, theta]]), geom)
     c, s = math.cos(theta), math.sin(theta)
     rot = np.array([[c, -s], [s, c]])
     np.testing.assert_allclose(jac, rot @ body_output_matrix(geom), atol=1e-15)

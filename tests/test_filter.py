@@ -20,7 +20,9 @@ from robustcbf import (
     symmetric_box,
     zero_union,
 )
+from robustcbf.barrier import pair_h_values
 from robustcbf.disturbance import boundary_hull
+from robustcbf.dynamics import as_poses, output_points
 from robustcbf.qp import OPTIMAL, QpProblem
 
 from .conftest import U_MAX, congested_poses, ring_hulls
@@ -97,7 +99,7 @@ class TestFilterStep:
         result = filter_step(states, nominal, cfg)
         assert result.solver.status == OPTIMAL
         np.testing.assert_allclose(
-            result.command_array(), [5.0, 4.0, -3.0, 6.0], atol=1e-6
+            result.solver.u_star, [5.0, 4.0, -3.0, 6.0], atol=1e-6
         )
         assert np.all(result.altered <= 1e-6)
 
@@ -108,8 +110,8 @@ class TestFilterStep:
         result = filter_step(states, nominal, cfg)
         assert result.solver.status == OPTIMAL
         assert result.min_h == pytest.approx(0.0, abs=1e-12)
-        assert np.abs(result.command_array() - np.full(4, U_MAX)).max() > 1.0
-        slack = result.constraints.A @ result.command_array() - result.constraints.b
+        assert np.abs(result.solver.u_star - np.full(4, U_MAX)).max() > 1.0
+        slack = result.constraints.A @ result.solver.u_star - result.constraints.b
         assert np.all(slack >= -1e-8)
         problem = QpProblem(
             ensemble_weight(2, geom),
@@ -119,7 +121,7 @@ class TestFilterStep:
             U_MAX,
         )
         stationarity, feasibility, complementarity = kkt_check(
-            problem, result.command_array()
+            problem, result.solver.u_star
         )
         assert stationarity <= 1e-6
         assert feasibility <= 1e-8
@@ -137,9 +139,9 @@ class TestFilterStep:
         result = filter_step(states, nominal, cfg)
         assert result.constraints.rows == 231
         assert result.solver.status == OPTIMAL
-        slack = result.constraints.A @ result.command_array() - result.constraints.b
+        slack = result.constraints.A @ result.solver.u_star - result.constraints.b
         assert np.all(slack >= -1e-8)
-        assert np.abs(result.command_array()).max() <= U_MAX + 1e-10
+        assert np.abs(result.solver.u_star).max() <= U_MAX + 1e-10
 
     def test_minimal_invasiveness_on_safe_nominals(self, geom, params, rng):
         cfg = make_config(geom, params, fallback="error")
@@ -153,7 +155,7 @@ class TestFilterStep:
             assert holds
             result = filter_step(states, nominal, cfg)
             stacked = np.concatenate([c.as_array() for c in nominal])
-            assert np.abs(result.command_array() - stacked).max() <= 1e-6
+            assert np.abs(result.solver.u_star - stacked).max() <= 1e-6
 
     def test_robust_answer_satisfies_non_robust_rows(self, geom, params, rng):
         robust_cfg = make_config(geom, params, fallback="error")
@@ -165,7 +167,7 @@ class TestFilterStep:
         ]
         nominal = [WheelCommand(20.0, 20.0)] * 3
         result = filter_step(states, nominal, robust_cfg)
-        holds, _ = certificate_holds(states, result.commands, plain_cfg)
+        holds, _ = certificate_holds(states, result.solver.u_star.reshape(-1, 2), plain_cfg)
         assert holds
 
     def test_permutation_equivariance(self, geom, params, rng):
@@ -176,11 +178,11 @@ class TestFilterStep:
             RobotState(0.1, 0.3, -1.0),
         ]
         nominal = [WheelCommand(18.0, 20.0), WheelCommand(15.0, -5.0), WheelCommand(9.0, 9.0)]
-        base = filter_step(states, nominal, cfg).command_array()
+        base = filter_step(states, nominal, cfg).solver.u_star
         perm = [2, 0, 1]
         permuted = filter_step(
             [states[k] for k in perm], [nominal[k] for k in perm], cfg
-        ).command_array()
+        ).solver.u_star
         for new_pos, old_pos in enumerate(perm):
             np.testing.assert_allclose(
                 permuted[2 * new_pos : 2 * new_pos + 2],
@@ -195,30 +197,23 @@ class TestFilterStep:
                 RobotState(*rng.uniform(-0.4, 0.4, size=2), rng.uniform(-math.pi, math.pi))
                 for _ in range(4)
             ]
-            from robustcbf import pairwise_h, output_point
-
-            outputs = [output_point(s, geom) for s in states]
-            if min(
-                pairwise_h(outputs[i], outputs[j], params)
-                for i in range(3)
-                for j in range(i + 1, 4)
-            ) <= 0.0:
+            outputs = output_points(as_poses(states), geom)
+            iu, ju = np.triu_indices(4, k=1)
+            if pair_h_values(outputs[iu], outputs[ju], params).min() <= 0.0:
                 continue
             nominal = [WheelCommand(*rng.uniform(-U_MAX, U_MAX, size=2)) for _ in range(4)]
             result = filter_step(states, nominal, cfg)
             assert result.solver.status == OPTIMAL
-            holds, worst = certificate_holds(states, result.commands, cfg)
+            holds, worst = certificate_holds(states, result.solver.u_star.reshape(-1, 2), cfg)
             assert holds, worst
 
     def test_min_h_matches_pairwise_minimum(self, geom, params, rng):
-        from robustcbf import output_point, pairwise_h
-
         cfg = make_config(geom, params)
         states = far_apart_states(rng, 3)
         result = filter_step(states, [WheelCommand(0.0, 0.0)] * 3, cfg)
-        outputs = [output_point(s, geom) for s in states]
+        outputs = output_points(as_poses(states), geom)
         expected = min(
-            pairwise_h(outputs[i], outputs[j], params)
+            pair_h_values(outputs[i : i + 1], outputs[j : j + 1], params)[0]
             for i in range(2)
             for j in range(i + 1, 3)
         )
@@ -229,7 +224,7 @@ class TestFilterStep:
         result = filter_step([RobotState(0, 0, 0)], [WheelCommand(30.0, -30.0)], cfg)
         assert result.min_h == math.inf
         # Box bound still applies.
-        assert np.abs(result.command_array()).max() <= U_MAX + 1e-10
+        assert np.abs(result.solver.u_star).max() <= U_MAX + 1e-10
 
     def test_length_mismatch_rejected(self, geom, params):
         cfg = make_config(geom, params)
@@ -242,11 +237,11 @@ class TestFilterStep:
         cfg = make_config(geom, params, fallback="error")
         states = [RobotState(0.0, 0.0, 0.2), RobotState(0.3, 0.1, math.pi)]
         nominal = [WheelCommand(20.0, 18.0), WheelCommand(19.0, 21.0)]
-        base = filter_step(states, nominal, cfg).command_array()
+        base = filter_step(states, nominal, cfg).solver.u_star
         nudged_states = [
             RobotState(s.x1 + 1e-7, s.x2 - 1e-7, s.theta + 1e-7) for s in states
         ]
-        nudged = filter_step(nudged_states, nominal, cfg).command_array()
+        nudged = filter_step(nudged_states, nominal, cfg).solver.u_star
         assert np.abs(nudged - base).max() <= 1e-3
 
 
@@ -281,7 +276,7 @@ class TestFallbacks:
         )
         result = filter_step(states, nominal, cfg)
         assert result.fallback_applied == "zero-input"
-        np.testing.assert_array_equal(result.command_array(), np.zeros(4))
+        np.testing.assert_array_equal(result.solver.u_star, np.zeros(4))
 
     def test_slack_fallback_keeps_box_hard(self, geom, params):
         states, nominal = overlapping_infeasible_config(geom, params)
@@ -295,7 +290,7 @@ class TestFallbacks:
         result = filter_step(states, nominal, cfg)
         assert result.fallback_applied == "slack"
         assert result.solver.status == OPTIMAL
-        assert np.abs(result.command_array()).max() <= 0.05 + 1e-10
+        assert np.abs(result.solver.u_star).max() <= 0.05 + 1e-10
 
     @pytest.mark.parametrize("fallback", ["error", "zero-input", "slack"])
     def test_coincident_robots(self, geom, params, fallback):
@@ -311,11 +306,11 @@ class TestFallbacks:
         assert result.fallback_applied == fallback
         assert result.min_h == -params.delta**2
         if fallback == "zero-input":
-            np.testing.assert_array_equal(result.command_array(), np.zeros(4))
+            np.testing.assert_array_equal(result.solver.u_star, np.zeros(4))
         else:
             assert result.solver.status == OPTIMAL
             assert result.solver.kkt_residual <= 1e-8
-            assert np.abs(result.command_array()).max() <= U_MAX + 1e-10
+            assert np.abs(result.solver.u_star).max() <= U_MAX + 1e-10
 
     def test_slack_weight_dominates(self, geom, params):
         # Feasible problems never trigger the fallback.
@@ -353,9 +348,9 @@ class TestArrayEntry:
             np.testing.assert_array_equal(from_array.constraints.b, from_list.constraints.b)
             assert from_array.min_h == from_list.min_h
             assert from_array.solver.status == from_list.solver.status
-            assert from_array.commands == from_list.commands
-            assert certificate_holds(poses, from_array.command_array().reshape(-1, 2), cfg) == (
-                certificate_holds(states, from_list.commands, cfg)
+            filtered = [WheelCommand(*c) for c in from_list.solver.u_star.reshape(-1, 2)]
+            assert certificate_holds(poses, from_array.solver.u_star.reshape(-1, 2), cfg) == (
+                certificate_holds(states, filtered, cfg)
             )
             warm_list, warm_array = from_list.solver, from_array.solver
         assert from_array.altered.max() > 0.0
@@ -364,9 +359,9 @@ class TestArrayEntry:
         cfg = make_config(geom, params)
         poses, commands = self.snapshot(rng, n=3)
         result = filter_step(poses, commands, cfg)
-        before = result.command_array()
+        before = result.solver.u_star.copy()
         commands[:] = 0.0
-        np.testing.assert_array_equal(result.command_array(), before)
+        np.testing.assert_array_equal(result.solver.u_star, before)
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_arrays_rejected(self, geom, params, rng, bad):
@@ -392,12 +387,6 @@ class TestArrayEntry:
             with pytest.raises(ValueError):
                 filter_step(poses, bad_commands, cfg)
 
-    def test_commands_are_built_from_the_solution(self, geom, params):
-        cfg = make_config(geom, params)
-        result = filter_step(head_on_contact(geom, params), [WheelCommand(25.0, 25.0)] * 2, cfg)
-        u = result.solver.u_star
-        assert result.commands == (WheelCommand(u[0], u[1]), WheelCommand(u[2], u[3]))
-
 
 class TestPlanPerRobotCount:
     def test_one_config_serves_mixed_robot_counts(self, geom, params):
@@ -422,7 +411,7 @@ class TestCertificateHolds:
         cfg = make_config(geom, params, fallback="error")
         states = head_on_contact(geom, params)
         result = filter_step(states, [WheelCommand(25.0, 25.0)] * 2, cfg)
-        holds, worst = certificate_holds(states, result.commands, cfg)
+        holds, worst = certificate_holds(states, result.solver.u_star.reshape(-1, 2), cfg)
         assert holds
         assert worst >= -1e-9
 

@@ -13,14 +13,15 @@ from robustcbf import (
     assemble_constraints,
     circle_init,
     nominal_controller,
-    output_jacobian,
     output_point,
-    pairwise_h,
     repeat_experiment,
     run_scenario,
     safety_filter,
     symmetric_box,
 )
+from robustcbf import sim
+from robustcbf.barrier import pair_h_values
+from robustcbf.dynamics import as_poses, output_jacobians, output_points
 from robustcbf.sim import derived_seeds, nominal_commands
 
 from .conftest import U_MAX, ring_hulls
@@ -79,12 +80,9 @@ class TestCircleInit:
         # Output points sit on a circle of radius - look_ahead (headings
         # point inward); the smallest pair gap is the adjacent chord.
         states = circle_init(22, 0.6, geom, params)
-        outputs = [output_point(s, geom) for s in states]
-        h_min = min(
-            pairwise_h(outputs[i], outputs[j], params)
-            for i in range(21)
-            for j in range(i + 1, 22)
-        )
+        outputs = output_points(as_poses(states), geom)
+        iu, ju = np.triu_indices(22, k=1)
+        h_min = float(pair_h_values(outputs[iu], outputs[ju], params).min())
         chord = 2.0 * (0.6 - geom.look_ahead) * math.sin(math.pi / 22.0)
         assert h_min == pytest.approx(chord**2 - params.delta**2, rel=1e-12)
         assert h_min > 0.0
@@ -123,7 +121,7 @@ class TestNominalController:
             gain = float(rng.uniform(0.2, 3.0))
             cmd = nominal_controller(state, goal, gain, geom, U_MAX)
             desired = gain * (goal - output_point(state, geom))
-            jac = output_jacobian(state, geom)
+            (jac,) = output_jacobians(as_poses([state]), geom)
             unsaturated = np.linalg.solve(jac, desired)
             peak = np.abs(unsaturated).max()
             expected = unsaturated * min(1.0, U_MAX / peak) if peak > 0 else unsaturated
@@ -401,6 +399,33 @@ class TestRepeatExperiment:
         parallel = repeat_experiment(cfg, jobs=2)
         for run_s, run_p in zip(sequential, parallel):
             np.testing.assert_array_equal(run_s.min_h, run_p.min_h)
+
+    def test_pool_never_exceeds_the_iterations(self, monkeypatch):
+        # A stub pool that records its size and maps in this process: no
+        # worker is ever started.
+        sizes = []
+
+        class SerialPool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, func, items):
+                return map(func, items)
+
+        monkeypatch.setattr(sim, "ProcessPoolExecutor", SerialPool)
+        cfg = benign_two_robot(duration=0.1, iterations=3)
+        sequential = repeat_experiment(cfg)
+        for jobs in (2, 3, 64):
+            runs = repeat_experiment(cfg, jobs=jobs)
+            for run_s, run_p in zip(sequential, runs, strict=True):
+                np.testing.assert_array_equal(run_s.min_h, run_p.min_h)
+        assert sizes == [2, 3, 3]
 
 
 class TestDisturbanceRealization:
