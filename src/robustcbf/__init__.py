@@ -32,7 +32,7 @@ from .dynamics import (
     step_dynamics,
     wheel_matrix,
 )
-from .qp import QpProblem, QpSolution, Tolerances, kkt_check, objective_value, solve
+from .qp import QpProblem, QpSolution, kkt_check, objective_value, solve
 from .safety_filter import (
     FilterConfig,
     FilterInfeasibleError,
@@ -65,7 +65,6 @@ __all__ = [
     "RobotState",
     "RunMetrics",
     "ScenarioConfig",
-    "Tolerances",
     "WheelCommand",
     "aggregate_metrics",
     "assemble_constraints",

@@ -15,7 +15,6 @@ from .disturbance import DisturbanceHull, HullUnion, symmetric_box, zero_union
 from .sim import (
     DEFAULT_BARRIER,
     DEFAULT_GEOMETRY,
-    RunMetrics,
     ScenarioConfig,
     aggregate_metrics,
     repeat_experiment,
@@ -191,19 +190,10 @@ def _format(value: float) -> str:
     return format(value, ".17g")
 
 
-def write_metrics_csv(path: Path, metrics: RunMetrics) -> None:
-    lines = [CSV_HEADER]
-    for k in range(metrics.times.size):
-        lines.append(
-            ",".join(
-                (
-                    _format(metrics.times[k]),
-                    _format(metrics.min_h[k]),
-                    _format(metrics.wall_clock[k]),
-                    _format(metrics.max_alter[k]),
-                )
-            )
-        )
+def write_csv(path: Path, header: str, columns) -> None:
+    """One line per index of the equal-length columns, each value written
+    with 17 significant digits, under the header line."""
+    lines = [header] + [",".join(map(_format, row)) for row in zip(*columns)]
     path.write_text("\n".join(lines) + "\n")
 
 
@@ -216,7 +206,7 @@ def _write_outputs(out_dir: Path, runs, dt: float, created: list) -> dict:
     else:
         targets = [out_dir / f"metrics_{k:02d}.csv" for k in range(len(runs))]
     for target, run in zip(targets, runs):
-        write_metrics_csv(target, run)
+        write_csv(target, CSV_HEADER, (run.times, run.min_h, run.wall_clock, run.max_alter))
         created.append(target)
     summary = aggregate_metrics(runs)
     summary_path = out_dir / "summary.json"
@@ -326,15 +316,14 @@ def trace_command(config_path, out_path, seed: int | None = None) -> int:
     if cfg is None:
         return EXIT_CONFIG
     out_path = Path(out_path)
+    created: list = []
     try:
         metrics = run_scenario(cfg)
         out_path.parent.mkdir(parents=True, exist_ok=True)
-        lines = [TRACE_HEADER]
-        for k in range(metrics.times.size):
-            lines.append(f"{_format(metrics.times[k])},{_format(metrics.min_h[k])}")
-        out_path.write_text("\n".join(lines) + "\n")
+        created.append(out_path)
+        write_csv(out_path, TRACE_HEADER, (metrics.times, metrics.min_h))
     except Exception as exc:  # noqa: BLE001 - surfaced as exit status
-        _cleanup([out_path])
+        _cleanup(created)
         print(f"trace failed: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
     return EXIT_OK

@@ -7,6 +7,10 @@ first, with partial dual steps when a blocking multiplier would turn
 negative.  For strictly convex problems this terminates finitely, returns
 exact multipliers, and detects primal infeasibility when the dual becomes
 unbounded.  Cold solves keep B^-1 over the active rows by rank-one updates.
+
+A QpProblem builds its stacked rows C u >= d and its linear term once, at
+construction; solve, solve_with_slack and kkt_check only read them.  Both
+solvers share FEASIBILITY_TOL and STATIONARITY_TOL.
 """
 
 from __future__ import annotations
@@ -22,18 +26,13 @@ OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
 MAX_ITERATIONS = "max-iterations"
 
+# A row is violated, and an optimal answer is accepted, within these.
+FEASIBILITY_TOL = 1e-8
+STATIONARITY_TOL = 1e-8
+
 _DEPENDENCE_RTOL = 1e-12
 _TIE_RTOL = 1e-12
 _CONDITION_WARN = 1e8
-
-
-@dataclass(frozen=True)
-class Tolerances:
-    """Solver tolerances; max_iterations defaults to 10 * (variables + rows)."""
-
-    feasibility: float = 1e-8
-    stationarity: float = 1e-8
-    max_iterations: int | None = None
 
 
 @dataclass(frozen=True, eq=False)
@@ -81,7 +80,11 @@ class QpProblem:
 
     weight is a PreparedWeight or a plain matrix, which is prepared on the
     spot; the problem's weight attribute is always the matrix and prepared
-    holds its Hessian terms.
+    holds its Hessian terms.  Construction also builds what every solve and
+    check reads: the stacked rows C u >= d with C = [A; I; -I] and
+    d = [b; -u_max; -u_max], and the linear term -H u_nom of
+    0.5 u'Hu + linear'u.  A and b are views of the top rows of C and d; all
+    arrays are read-only.
     """
 
     weight: np.ndarray
@@ -90,6 +93,9 @@ class QpProblem:
     b: np.ndarray
     u_max: float
     prepared: PreparedWeight = field(init=False, repr=False)
+    C: np.ndarray = field(init=False, repr=False)
+    d: np.ndarray = field(init=False, repr=False)
+    linear: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         prepared = self.weight
@@ -117,17 +123,23 @@ class QpProblem:
         if not (math.isfinite(self.u_max) and self.u_max > 0.0):
             raise ValueError(f"u_max must be finite and > 0, got {self.u_max!r}")
 
+        u_max = float(self.u_max)
+        eye = np.eye(m)
+        C = np.vstack([matrix, eye, -eye])
+        d = np.concatenate([rhs, np.full(2 * m, -u_max)])
         u_nom = u_nom.copy()
-        matrix = matrix.copy()
-        rhs = rhs.copy()
-        for arr in (u_nom, matrix, rhs):
+        linear = -prepared.hessian @ u_nom
+        for arr in (u_nom, C, d, linear):
             arr.setflags(write=False)
         object.__setattr__(self, "weight", prepared.matrix)
         object.__setattr__(self, "prepared", prepared)
         object.__setattr__(self, "u_nom", u_nom)
-        object.__setattr__(self, "A", matrix)
-        object.__setattr__(self, "b", rhs)
-        object.__setattr__(self, "u_max", float(self.u_max))
+        object.__setattr__(self, "A", C[: rhs.size])
+        object.__setattr__(self, "b", d[: rhs.size])
+        object.__setattr__(self, "u_max", u_max)
+        object.__setattr__(self, "C", C)
+        object.__setattr__(self, "d", d)
+        object.__setattr__(self, "linear", linear)
 
     @property
     def variables(self) -> int:
@@ -140,8 +152,9 @@ class QpProblem:
 
 @dataclass(frozen=True, eq=False)
 class QpSolution:
-    """Solver output; multipliers and active_set refer to the stacked rows
-    [A; lower box; upper box] and feed warm starts and KKT checks."""
+    """Solver output; multipliers and active_set index the problem's stacked
+    rows C = [A; I; -I] and feed warm starts and KKT checks.  kkt_residual
+    is the larger of the stationarity and complementarity residuals."""
 
     u_star: np.ndarray
     status: str
@@ -152,23 +165,9 @@ class QpSolution:
     active_set: tuple
 
 
-def _linear_term(problem: QpProblem) -> np.ndarray:
-    return -problem.prepared.hessian @ problem.u_nom
-
-
 def _invert_spd(hessian: np.ndarray) -> np.ndarray:
     inverse = np.linalg.inv(hessian)
     return 0.5 * (inverse + inverse.T)
-
-
-def _stacked_constraints(problem: QpProblem):
-    m = problem.variables
-    eye = np.eye(m)
-    C = np.vstack([problem.A, eye, -eye])
-    d = np.concatenate(
-        [problem.b, np.full(m, -problem.u_max), np.full(m, -problem.u_max)]
-    )
-    return C, d
 
 
 class _WorkingSet:
@@ -289,10 +288,11 @@ def _blocking_ratio(lam_w: np.ndarray, r_dir: np.ndarray):
     return int(positive[block]), ratios[block]
 
 
-def _solve_raw(inv_hessian, linear, C, d, feas_tol, max_iter, warm=()):
+def _solve_raw(inv_hessian, linear, C, d, max_iter=None, warm=()):
     """Dual active-set loop on min 0.5 u'Hu + q'u s.t. C u >= d, with
-    inv_hessian = H^-1 precomputed by the caller.  warm is an iterable of
-    row indices; those in [0, rows) are bulk loaded, LinAlgError if dependent.
+    inv_hessian = H^-1 precomputed by the caller.  max_iter defaults to
+    10 * (variables + stacked rows).  warm is an iterable of row indices;
+    those in [0, rows) are bulk loaded, LinAlgError if dependent.
 
     The violated row of least residual / |c| enters.  B r = N H^-1 c is
     solved with the kept inverse on a cold start, else by LU; the final
@@ -301,6 +301,8 @@ def _solve_raw(inv_hessian, linear, C, d, feas_tol, max_iter, warm=()):
     Returns (u, full multipliers, status, iterations, active indices).
     """
     n_rows = C.shape[0]
+    if max_iter is None:
+        max_iter = 10 * (C.shape[1] + n_rows)
     ws = _WorkingSet(inv_hessian, C)
 
     warm = [i for i in map(int, warm) if 0 <= i < n_rows]
@@ -321,7 +323,7 @@ def _solve_raw(inv_hessian, linear, C, d, feas_tol, max_iter, warm=()):
     norms = None
     while True:
         residual = C @ u - d
-        violated = (residual < -feas_tol).nonzero()[0]
+        violated = (residual < -FEASIBILITY_TOL).nonzero()[0]
         if not violated.size:
             break
         # Row norms once per solve, when two rows first compete.  Distances
@@ -408,44 +410,41 @@ def _kkt_residuals(hessian, linear, C, d, u, lam):
     return stationarity, feasibility, max(complementarity, dual_negativity)
 
 
-def solve(problem: QpProblem, tol: Tolerances | None = None, warm_start=None) -> QpSolution:
+def solve(problem: QpProblem, max_iterations: int | None = None, warm_start=None) -> QpSolution:
     """Solve the box-and-rows QP.
 
-    warm_start may be a previous QpSolution or an iterable of stacked-row
-    indices; it seeds the active set.  A seed whose rows are dependent is
-    rejected and the problem solved cold, with the cold solve's bits; so is
-    a warm solve that does not end optimal.  Otherwise the answer agrees
-    with a cold solve's to about 1e-9, but can differ in the last bits: the
-    bulk load forms B in one product, where a cold solve grows it row by
-    row.  Infeasibility is reported through the status, not an exception.
+    max_iterations caps the dual steps; None means 10 * (variables + stacked
+    rows).  warm_start may be a previous QpSolution or an iterable of
+    stacked-row indices; it seeds the active set.  A seed whose rows are
+    dependent is rejected and the problem solved cold, with the cold
+    solve's bits; so is a warm solve that does not end optimal.  Otherwise
+    the answer agrees with a cold solve's to about 1e-9, but can differ in
+    the last bits: the bulk load forms B in one product, where a cold solve
+    grows it row by row.  An answer whose feasibility or KKT residual
+    exceeds FEASIBILITY_TOL or STATIONARITY_TOL is reported as
+    max-iterations.  Infeasibility is reported through the status, not an
+    exception.
     """
-    tol = tol or Tolerances()
     start = time.perf_counter()
-    hessian = problem.prepared.hessian
-    linear = _linear_term(problem)
-    C, d = _stacked_constraints(problem)
-    max_iter = tol.max_iterations
-    if max_iter is None:
-        max_iter = 10 * (problem.variables + C.shape[0])
-
     if isinstance(warm_start, QpSolution):
         warm_start = warm_start.active_set
     warm = () if warm_start is None else tuple(warm_start)
+    C, d, linear = problem.C, problem.d, problem.linear
     for seed_rows in (warm, ()) if warm else ((),):
         try:
             u, lam, status, iterations, active = _solve_raw(
-                problem.prepared.inv_hessian, linear, C, d, tol.feasibility, max_iter, seed_rows
+                problem.prepared.inv_hessian, linear, C, d, max_iterations, seed_rows
             )
         except np.linalg.LinAlgError:
             if not seed_rows:
                 raise
             continue
         stationarity, feasibility, complementarity = _kkt_residuals(
-            hessian, linear, C, d, u, lam
+            problem.prepared.hessian, linear, C, d, u, lam
         )
         kkt_residual = max(stationarity, complementarity)
         if status == OPTIMAL and (
-            feasibility > tol.feasibility or kkt_residual > tol.stationarity
+            feasibility > FEASIBILITY_TOL or kkt_residual > STATIONARITY_TOL
         ):
             status = MAX_ITERATIONS
         if status == OPTIMAL:
@@ -463,7 +462,9 @@ def solve(problem: QpProblem, tol: Tolerances | None = None, warm_start=None) ->
 
 def solve_with_slack(problem: QpProblem, slack_weight: float) -> QpSolution:
     """Relaxed re-solve for an infeasible problem: every row of A gets its own
-    slack, penalized by slack_weight, while the box bound stays hard.
+    slack s >= 0, penalized by slack_weight * |s|^2, while the box bound
+    stays hard.  The rows are [C | S; 0 | I] over (u, s), where S puts an
+    identity beside the rows of A.
 
     u_star holds the original variables only, and active_set is empty.
     """
@@ -474,28 +475,16 @@ def solve_with_slack(problem: QpProblem, slack_weight: float) -> QpSolution:
     hessian = np.zeros((m + n_rows, m + n_rows))
     hessian[:m, :m] = problem.prepared.hessian
     hessian[m:, m:] = 2.0 * slack_weight * np.eye(n_rows)
-    linear = np.concatenate([_linear_term(problem), np.zeros(n_rows)])
+    linear = np.concatenate([problem.linear, np.zeros(n_rows)])
 
-    eye_u = np.eye(m)
-    C = np.zeros((n_rows + 2 * m + n_rows, m + n_rows))
-    C[:n_rows, :m] = problem.A
+    stacked = problem.C.shape[0]
+    C = np.zeros((stacked + n_rows, m + n_rows))
+    C[:stacked, :m] = problem.C
     C[:n_rows, m:] = np.eye(n_rows)
-    C[n_rows : n_rows + m, :m] = eye_u
-    C[n_rows + m : n_rows + 2 * m, :m] = -eye_u
-    C[n_rows + 2 * m :, m:] = np.eye(n_rows)
-    d = np.concatenate(
-        [
-            problem.b,
-            np.full(m, -problem.u_max),
-            np.full(m, -problem.u_max),
-            np.zeros(n_rows),
-        ]
-    )
+    C[stacked:, m:] = np.eye(n_rows)
+    d = np.concatenate([problem.d, np.zeros(n_rows)])
 
-    max_iter = 10 * (m + n_rows + C.shape[0])
-    v, lam, status, iterations, _ = _solve_raw(
-        _invert_spd(hessian), linear, C, d, 1e-8, max_iter, ()
-    )
+    v, lam, status, iterations, _ = _solve_raw(_invert_spd(hessian), linear, C, d)
     stationarity, _, complementarity = _kkt_residuals(hessian, linear, C, d, v, lam)
     return QpSolution(
         u_star=v[:m],
@@ -519,8 +508,8 @@ def kkt_check(problem: QpProblem, u, active_tol: float = 1e-6):
     u = np.asarray(u, dtype=float).reshape(-1)
     if u.size != problem.variables:
         raise ValueError("candidate point has the wrong dimension")
-    C, d = _stacked_constraints(problem)
-    gradient = problem.prepared.hessian @ u + _linear_term(problem)
+    C, d = problem.C, problem.d
+    gradient = problem.prepared.hessian @ u + problem.linear
     residual = C @ u - d
     feasibility = float(max(0.0, (-residual).max())) if residual.size else 0.0
     active = np.flatnonzero(np.abs(residual) <= active_tol * (1.0 + np.abs(d)))

@@ -11,12 +11,14 @@ import numpy as np
 
 from .barrier import BarrierParams, pair_h_values
 from .disturbance import (
+    DisturbanceHull,
     HullUnion,
     flat_dirichlet_points,
     pooled_vertices,
     sample_hull,  # noqa: F401 - perfbench hooks sim.sample_hull by name
     support_argmin,
-    support_min,
+    support_min,  # noqa: F401 - perfbench hooks sim.support_min by name
+    support_min_rows,
     symmetric_box,
 )
 from .dynamics import (
@@ -44,7 +46,8 @@ class ScenarioConfig:
     disturbance is the declared (true) hull union the plant draws from;
     filter_disturbance overrides what the filter protects against (None means
     the declared union; the CLI's non-robust mode passes the zero hull).
-    Construction checks every field, the filter's through FilterConfig.
+    Construction checks every field, the start circle through circle_init
+    and the filter's through FilterConfig.
     """
 
     robot_count: int
@@ -77,12 +80,7 @@ class ScenarioConfig:
             raise ValueError("dt must be > 0")
         if not (math.isfinite(self.sim_duration) and self.sim_duration > 0.0):
             raise ValueError("sim_duration must be > 0")
-        min_radius = self.robot_count * self.barrier.delta / (2.0 * math.pi)
-        if not self.circle_radius > min_radius:
-            raise ValueError(
-                f"circle_radius must exceed {min_radius:.4f} m for "
-                f"{self.robot_count} robots of diameter {self.barrier.delta}"
-            )
+        circle_init(self.robot_count, self.circle_radius, self.geometry, self.barrier)
         if self.plant_disturbance not in PLANT_MODES:
             raise ValueError(
                 f"plant_disturbance must be one of {PLANT_MODES}, "
@@ -98,7 +96,7 @@ class ScenarioConfig:
             raise ValueError(f"unknown integrator {self.integrator!r}")
         if self.rng_seed < 0:
             raise ValueError("rng_seed must be >= 0")
-        pool = pooled_vertices(self.disturbance).shape[0]
+        pool = sum(hull.size for hull in self.disturbance.hulls)
         if not 0 <= self.plant_vertex < pool:
             raise ValueError(
                 f"plant_vertex {self.plant_vertex} out of range for {pool} pooled vertices"
@@ -138,11 +136,14 @@ def circle_init(
 ) -> list:
     """Place n robots evenly on a circle, headings toward the center.
 
-    Raises if any pair starts in contact (output points closer than the
-    safety diameter), naming the first such pair.
+    Raises on a radius that is not finite and positive, and if any pair
+    starts in contact (output points closer than the safety diameter),
+    naming the first such pair.  ScenarioConfig runs this check too.
     """
     if n < 1:
         raise ValueError("need at least one robot")
+    if not (math.isfinite(radius) and radius > 0.0):
+        raise ValueError(f"circle_radius must be finite and > 0, got {radius!r}")
     states = [
         RobotState(radius * math.cos(angle), radius * math.sin(angle), angle + math.pi)
         for angle in (2.0 * math.pi * k / n for k in range(n))
@@ -153,8 +154,8 @@ def circle_init(
     contact = np.flatnonzero(h <= 0.0)
     if contact.size:
         raise ValueError(
-            f"robots {iu[contact[0]]} and {ju[contact[0]]} overlap at radius {radius}; "
-            "increase the circle radius"
+            f"robots {iu[contact[0]]} and {ju[contact[0]]} overlap at circle_radius "
+            f"{radius}; increase the radius"
         )
     return states
 
@@ -194,46 +195,42 @@ def nominal_controller(
     return WheelCommand(*nominal_commands(as_poses([state]), goals, gain, geom, u_max)[0])
 
 
-def _worst_case_disturbance(
-    result: FilterResult, union: HullUnion
-) -> np.ndarray:
+def _worst_case_disturbance(result: FilterResult, pooled: DisturbanceHull) -> np.ndarray:
     """Adversarial vertex against the tightest constraint's direction.
 
     Picks the pair row with the least slack at the filtered command,
     recovers its margin direction z (the sum of the two robots' blocks), and
-    returns the pooled-union vertex minimizing z . v.  Every robot receives
-    this vertex, which is exactly the worst disturbance the certificate
-    models.
+    returns the vertex of the pooled union minimizing z . v, the first of
+    equal ones: the vertex a search hull by hull finds too.  Every robot
+    receives this vertex, which is exactly the worst disturbance the
+    certificate models.
     """
     constraints = result.constraints
     if constraints.rows == 0:
-        return union.hulls[0].vertices[0].copy()
+        return pooled.vertices[0].copy()
     slack = constraints.A @ result.solver.u_star - constraints.b
     row = int(np.argmin(slack))
     i, j = constraints.pairs[row]
     direction = (
         constraints.A[row, 2 * i : 2 * i + 2] + constraints.A[row, 2 * j : 2 * j + 2]
     )
-    best_hull = min(union.hulls, key=lambda hull: support_min(direction, hull))
-    return best_hull.vertices[support_argmin(direction, best_hull)].copy()
+    return pooled.vertices[support_argmin(direction, pooled)].copy()
 
 
 def _realize_disturbances(
-    cfg: ScenarioConfig, result: FilterResult, rng: np.random.Generator, pinned: np.ndarray
+    cfg: ScenarioConfig, result: FilterResult, rng: np.random.Generator, pooled: DisturbanceHull
 ) -> np.ndarray:
-    """Per-robot plant disturbances of one step; pinned is the vertex mode's
-    pooled vertex, looked up once per run."""
+    """Per-robot plant disturbances of one step; pooled is the declared
+    union's vertices in one hull, built once per run."""
     n = cfg.robot_count
     mode = cfg.plant_disturbance
     if mode == "off":
         return np.zeros((n, 2))
-    union = cfg.disturbance
     if mode == "worst-case":
-        vertex = _worst_case_disturbance(result, union)
-        return np.tile(vertex, (n, 1))
+        return np.tile(_worst_case_disturbance(result, pooled), (n, 1))
     if mode == "vertex":
-        return np.tile(pinned, (n, 1))
-    return flat_dirichlet_points(union, n, rng)
+        return np.tile(pooled.vertices[cfg.plant_vertex], (n, 1))
+    return flat_dirichlet_points(cfg.disturbance, n, rng)
 
 
 _DEBUG_DIRECTIONS = np.array(
@@ -241,22 +238,15 @@ _DEBUG_DIRECTIONS = np.array(
 )
 
 
-def _assert_contained(d: np.ndarray, union: HullUnion) -> None:
-    for z in _DEBUG_DIRECTIONS:
-        bound = min(support_min(z, hull) for hull in union.hulls)
-        if float(z @ d) < bound - 1e-12:
-            raise AssertionError(
-                f"realized disturbance {d} escapes the declared hull along {z}"
-            )
-
-
 def run_scenario(cfg: ScenarioConfig) -> RunMetrics:
     """Run one closed-loop experiment and record its metrics.
 
     Goals are the antipodal circle points of the initial formation.  The
     loop per step, on (n, 3) poses and (n, 2) commands: nominal controller,
-    safety filter, plant disturbance, integration.  Fully deterministic for
-    a fixed config and seed.
+    safety filter, plant disturbance, integration.  The declared union is
+    pooled into one hull once per run; the vertex and worst-case plants and
+    the debug_checks bounds read it.  Fully deterministic for a fixed config
+    and seed.
     """
     n = cfg.robot_count
     geom = cfg.geometry
@@ -264,7 +254,8 @@ def run_scenario(cfg: ScenarioConfig) -> RunMetrics:
     # Antipodal targets: mirror the initial output points through the center.
     goals = -output_points(poses, geom)
     fcfg = cfg.filter_config()
-    pinned = pooled_vertices(cfg.disturbance)[cfg.plant_vertex]
+    pooled = DisturbanceHull(pooled_vertices(cfg.disturbance))
+    bounds = support_min_rows(_DEBUG_DIRECTIONS, pooled) - 1e-12 if cfg.debug_checks else None
     rng = np.random.default_rng(cfg.rng_seed)
     steps = cfg.steps()
 
@@ -286,10 +277,14 @@ def run_scenario(cfg: ScenarioConfig) -> RunMetrics:
         if trace is not None:
             trace[k] = poses
 
-        draws = _realize_disturbances(cfg, result, rng, pinned)
+        draws = _realize_disturbances(cfg, result, rng, pooled)
         if cfg.debug_checks:
-            for row in draws:
-                _assert_contained(row, cfg.disturbance)
+            robot, side = np.nonzero(draws @ _DEBUG_DIRECTIONS.T < bounds)
+            if robot.size:
+                raise AssertionError(
+                    f"realized disturbance {draws[robot[0]]} of robot {robot[0]} "
+                    f"escapes the declared hull along {_DEBUG_DIRECTIONS[side[0]]}"
+                )
         poses = step_ensemble(
             poses, result.solver.u_star.reshape(n, 2), draws, cfg.dt, geom, cfg.integrator
         )

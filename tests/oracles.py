@@ -172,40 +172,19 @@ class ReallocatingWorkingSet:
     def primal(self, linear, lam):
         return self.JNt @ lam - self._J @ linear
 
-    def try_add(self, idx):
-        c = self._C[idx]
-        Jc = self._J @ c
-        cJc = float(c @ Jc)
-        if cJc <= 0.0:
-            return False
-        if self.size:
-            w_vec = self.N @ Jc
-            try:
-                r_dir = self.solve_B(w_vec)
-            except np.linalg.LinAlgError:
-                return False
-            if cJc - float(w_vec @ r_dir) <= _DEPENDENCE_RTOL * cJc:
-                return False
-        self.add(idx, c, Jc)
-        return True
-
     def bulk_load(self, idx):
-        if not idx:
-            return True
+        """Load the rows idx at once; np.linalg.LinAlgError unless they are
+        safely independent."""
         N = self._C[idx]
         JNt = self._J @ N.T
         B = N @ JNt
-        try:
-            chol = np.linalg.cholesky(B)
-        except np.linalg.LinAlgError:
-            return False
+        chol = np.linalg.cholesky(B)
         if np.diagonal(chol).min() ** 2 <= _DEPENDENCE_RTOL * max(
             float(np.diagonal(B).max()), 1e-300
         ):
-            return False
+            raise np.linalg.LinAlgError("warm-start rows are linearly dependent")
         self.indices = list(idx)
         self.N, self.JNt, self._B = N, JNt, B
-        return True
 
 
 def _reference_ratio(lam_w, r_dir):
@@ -224,7 +203,6 @@ class ReferenceSolve(NamedTuple):
     iterations: int
     active_set: tuple
     dependent_steps: int  # dual-only steps on a row dependent on the active set
-    sequential_load: bool  # the warm set was loaded row by row, not in bulk
 
 
 def most_negative_row(C, residual):
@@ -255,7 +233,8 @@ def reference_dual_active_set(
     reallocating working set, including the final equality re-solve after a
     warm start that needed no iterations and the KKT downgrade of the status.
 
-    warm_start is a previous solution or an iterable of stacked-row indices;
+    warm_start is a previous solution or an iterable of stacked-row indices,
+    loaded in bulk; a seed that does not load raises np.linalg.LinAlgError.
     max_iterations defaults to 10 * (variables + stacked rows); entering
     picks the row to enter from (C, C u - d), or None at the optimum.
     """
@@ -273,10 +252,8 @@ def reference_dual_active_set(
 
     ws = ReallocatingWorkingSet(inv_hessian, C)
     lam_w = np.zeros(0)
-    sequential_load = bool(warm) and not ws.bulk_load(warm)
-    if sequential_load:
-        for idx in warm:
-            ws.try_add(idx)
+    if warm:
+        ws.bulk_load(warm)
     if ws.size:
         while True:
             lam_w = ws.eq_multipliers(linear, d)
@@ -354,9 +331,7 @@ def reference_dual_active_set(
         )
         if feasibility > 1e-8 or max(stationarity, complementarity) > 1e-8:
             status = MAX_ITERATIONS
-    return ReferenceSolve(
-        u, lam, status, iterations, tuple(ws.indices), dependent_steps, sequential_load
-    )
+    return ReferenceSolve(u, lam, status, iterations, tuple(ws.indices), dependent_steps)
 
 
 def _reference_output(state, geom) -> np.ndarray:

@@ -85,6 +85,8 @@ INVALID = {
     "debug_checks": MINIMAL + "  debug_checks: 'no'\n",
     "seed": MINIMAL + "  seed: -1\n",
     "dt": MINIMAL + "  dt: 1" + "0" * 400 + "\n",
+    # Clears n delta / 2 pi = 0.420 m, but circle_init needs about 0.452 m.
+    "radius": "robots:\n  count: 22\nsim:\n  duration: 0.05\n  radius: 0.43\n",
 }
 
 
@@ -459,6 +461,18 @@ class TestTraceCommand:
 
     def test_config_error_exit(self, tmp_path):
         assert trace_command(tmp_path / "missing.yaml", tmp_path / "t.csv") == EXIT_CONFIG
+
+    def test_failed_run_leaves_an_existing_file_intact(self, tmp_path, monkeypatch):
+        scenario = write_scenario(tmp_path, SMALL_RUN)
+        out = tmp_path / "keep.csv"
+        out.write_text("x\n")
+
+        def failing(cfg):
+            raise RuntimeError("run failed before any output")
+
+        monkeypatch.setattr(cli, "run_scenario", failing)
+        assert trace_command(scenario, out) == EXIT_RUNTIME
+        assert out.read_text() == "x\n"
 
 
 class TestMain:

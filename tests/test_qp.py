@@ -5,7 +5,6 @@ import pytest
 
 from robustcbf import (
     QpProblem,
-    Tolerances,
     assemble_constraints,
     circle_init,
     kkt_check,
@@ -101,7 +100,7 @@ def assert_matches_reference(problem, max_iterations=None, warm_start=None):
     count, with u_star and multipliers within 1e-9.  Uncapped, it also ends
     in the status of the raw-selection reference, and at its u_star when
     optimal."""
-    sol = solve(problem, tol=Tolerances(max_iterations=max_iterations), warm_start=warm_start)
+    sol = solve(problem, max_iterations=max_iterations, warm_start=warm_start)
     ref = reference_dual_active_set(problem, max_iterations, warm_start, farthest_violated_row)
     assert sol.status == ref.status
     assert sol.active_set == ref.active_set
@@ -225,8 +224,7 @@ class TestWorkingSetCapacity:
 
     def test_growth_past_capacity_keeps_the_rows(self, rng):
         problem = random_problem(rng, m=8, rows=6)
-        J = problem.prepared.inv_hessian
-        C = np.vstack([problem.A, np.eye(8), -np.eye(8)])
+        J, C = problem.prepared.inv_hessian, problem.C
         ws = _WorkingSet(J, C)
         ws._allocate(3)  # seven independent rows against a capacity of three
         ref = ReallocatingWorkingSet(J, C)
@@ -342,6 +340,19 @@ class TestProblemValidation:
         weight = np.diag([1.0, 1e-9])
         with pytest.warns(UserWarning):
             QpProblem(weight, np.zeros(2), np.zeros((0, 2)), np.zeros(0), 1.0)
+
+    def test_stacked_rows_are_built_once_and_read_only(self, rng):
+        A, b, u_nom = rng.normal(size=(3, 2)), rng.normal(size=3), np.array([1.0, -2.0])
+        problem = QpProblem(np.eye(2), u_nom, A, b, 4.0)
+        np.testing.assert_array_equal(problem.A, A)
+        np.testing.assert_array_equal(problem.b, b)
+        np.testing.assert_array_equal(problem.C, np.vstack([A, np.eye(2), -np.eye(2)]))
+        np.testing.assert_array_equal(problem.d, np.concatenate([b, np.full(4, -4.0)]))
+        np.testing.assert_array_equal(problem.linear, -2.0 * u_nom)
+        assert np.shares_memory(problem.A, problem.C)
+        assert np.shares_memory(problem.b, problem.d)
+        for arr in (problem.C, problem.d, problem.linear, problem.A, problem.b):
+            assert not arr.flags.writeable
 
     def test_problem_does_not_freeze_callers_arrays(self):
         A = np.ones((1, 2))
@@ -581,18 +592,12 @@ class TestInfeasible:
         problem = QpProblem(
             np.eye(1), np.array([0.0]), np.array([[1.0]]), np.array([30.0]), 25.0
         )
-        sol = solve(problem, tol=Tolerances(max_iterations=3))
+        sol = solve(problem, max_iterations=3)
         assert sol.status in (INFEASIBLE, "max-iterations")
 
 
 class TestTolerances:
-    def test_defaults(self):
-        tol = Tolerances()
-        assert tol.feasibility == 1e-8
-        assert tol.stationarity == 1e-8
-        assert tol.max_iterations is None
-
     def test_max_iteration_cap_reports(self, rng):
         problem = random_problem(rng, m=6, rows=10)
-        sol = solve(problem, tol=Tolerances(max_iterations=1))
+        sol = solve(problem, max_iterations=1)
         assert sol.status in (OPTIMAL, "max-iterations")

@@ -45,6 +45,16 @@ class TestScenarioConfig:
         with pytest.raises(ValueError):
             ScenarioConfig(robot_count=22, sim_duration=1.0, circle_radius=0.4)
 
+    def test_radius_check_is_circle_inits_own(self):
+        # 0.43 m clears the arc-length bound n delta / 2 pi = 0.420 m for 22
+        # robots, but adjacent output points are then closer than delta.
+        with pytest.raises(ValueError, match="robots 0 and 1 overlap at circle_radius"):
+            ScenarioConfig(robot_count=22, sim_duration=0.05, circle_radius=0.43)
+        run_scenario(ScenarioConfig(robot_count=22, sim_duration=0.05, circle_radius=0.46))
+        for radius in (0.0, -0.6, math.nan, math.inf):
+            with pytest.raises(ValueError, match="circle_radius must be finite and > 0"):
+                ScenarioConfig(robot_count=1, sim_duration=0.05, circle_radius=radius)
+
     def test_rejects_bad_fields(self):
         with pytest.raises(ValueError):
             ScenarioConfig(robot_count=0, sim_duration=1.0)
@@ -196,6 +206,22 @@ class TestRunScenario:
             )
             run_scenario(cfg)
 
+    def test_debug_checks_catch_a_draw_outside_the_hull(self, monkeypatch):
+        def escaping(union, n, rng):
+            draws = np.zeros((n, 2))
+            draws[-1] = (2.0, 2.5)
+            return draws
+
+        monkeypatch.setattr(sim, "flat_dirichlet_points", escaping)
+        cfg = benign_two_robot(
+            duration=0.2,
+            disturbance=HullUnion((symmetric_box(2.0),)),
+            plant_disturbance="uniform-convex",
+            debug_checks=True,
+        )
+        with pytest.raises(AssertionError, match="of robot 1 escapes the declared hull"):
+            run_scenario(cfg)
+
     def test_vertex_mode_bounds_checked(self):
         with pytest.raises(ValueError, match="plant_vertex"):
             benign_two_robot(
@@ -251,6 +277,12 @@ class TestRunScenario:
         assert metrics.min_h.min() > 0.0
 
 
+def two_hull_union():
+    """Seeded union of a 3-point and a 40-point hull."""
+    rng = np.random.default_rng(3)
+    return HullUnion(tuple(DisturbanceHull(rng.normal(size=(p, 2))) for p in (3, 40)))
+
+
 def crossing_start(**kwargs):
     """Eight robots on a tight circle.  The neighbours of robot 0 start with
     headings near +-pi, and the filter swerves one of them across the cut
@@ -289,16 +321,27 @@ class TestArrayLoopMatchesPerRobotReference:
         assert jumps.max() > math.pi
 
     def test_bit_identical_with_a_hull_union_and_goal_reached(self):
-        rng = np.random.default_rng(3)
-        union = HullUnion(tuple(DisturbanceHull(rng.normal(size=(p, 2))) for p in (3, 40)))
         cfg = benign_two_robot(
-            duration=8.0, disturbance=union, plant_disturbance="uniform-convex"
+            duration=8.0, disturbance=two_hull_union(), plant_disturbance="uniform-convex"
         )
         metrics = run_scenario(cfg)
         min_h, max_alter, completion, _ = reference_closed_loop(cfg)
         np.testing.assert_array_equal(metrics.min_h, min_h)
         np.testing.assert_array_equal(metrics.max_alter, max_alter)
         assert metrics.goal_completion == completion == 1.0
+
+    @pytest.mark.parametrize("mode", ["worst-case", "vertex"])
+    def test_bit_identical_on_the_pooled_union(self, mode):
+        # The reference searches the worst case hull by hull, and it picks
+        # vertices of both hulls here; vertex 41 lies in the second hull.
+        cfg = benign_two_robot(
+            duration=8.0, disturbance=two_hull_union(), plant_disturbance=mode, plant_vertex=41
+        )
+        metrics = run_scenario(cfg)
+        min_h, max_alter, completion, _ = reference_closed_loop(cfg)
+        np.testing.assert_array_equal(metrics.min_h, min_h)
+        np.testing.assert_array_equal(metrics.max_alter, max_alter)
+        assert metrics.goal_completion == completion
 
     def test_boundary_margin_pass_matches_the_declared_hulls(self, monkeypatch):
         # oracles.reference_closed_loop calls filter_step, so it shares the
@@ -443,20 +486,18 @@ class TestDisturbanceRealization:
         from robustcbf import FilterConfig, filter_step
         from robustcbf.sim import _worst_case_disturbance
 
-        union = HullUnion((symmetric_box(5.0),))
-        cfg = FilterConfig(geom, params, union, U_MAX)
+        hull = symmetric_box(5.0)
+        cfg = FilterConfig(geom, params, HullUnion((hull,)), U_MAX)
         states = circle_init(4, 0.3, geom, params)
         result = filter_step(states, [WheelCommand(10.0, 10.0)] * 4, cfg)
-        vertex = _worst_case_disturbance(result, union)
-        assert any(np.array_equal(vertex, v) for v in union.hulls[0].vertices)
+        vertex = _worst_case_disturbance(result, hull)
+        assert any(np.array_equal(vertex, v) for v in hull.vertices)
 
     def test_worst_case_single_robot_uses_first_vertex(self, geom, params):
         from robustcbf import FilterConfig, filter_step
         from robustcbf.sim import _worst_case_disturbance
 
-        union = HullUnion((symmetric_box(5.0),))
-        cfg = FilterConfig(geom, params, union, U_MAX)
+        hull = symmetric_box(5.0)
+        cfg = FilterConfig(geom, params, HullUnion((hull,)), U_MAX)
         result = filter_step([RobotState(0, 0, 0)], [WheelCommand(1.0, 1.0)], cfg)
-        np.testing.assert_array_equal(
-            _worst_case_disturbance(result, union), union.hulls[0].vertices[0]
-        )
+        np.testing.assert_array_equal(_worst_case_disturbance(result, hull), hull.vertices[0])
