@@ -91,7 +91,7 @@ def assemble_constraints(
     params: BarrierParams,
     hulls: HullUnion,
     u_max: float,
-    pair_index=None,
+    pairs=None,
 ) -> ConstraintSet:
     """Build the ensemble constraint A u >= b for all pairs.
 
@@ -101,22 +101,25 @@ def assemble_constraints(
     b = -gamma h^3 - robust margin, where the margin of a hull union is the
     elementwise least of the per-hull support minima.  That equals the
     support minimum over the pooled vertices bit for bit, so the row is the
-    tightest of the per-hull rows.  pair_index takes the (i, j) index arrays
-    of all pairs, np.triu_indices(n, 1), when the caller already holds them.
+    tightest of the per-hull rows.  pairs takes the (pairs, 2) array of all
+    (i, j) in that order when the caller already holds it; the returned set
+    shares it.
     """
     poses = as_poses(states)
     n = poses.shape[0]
     if n < 1:
         raise ValueError("need at least one robot")
 
-    iu, ju = np.triu_indices(n, k=1) if pair_index is None else pair_index
+    if pairs is None:
+        pairs = np.stack(np.triu_indices(n, k=1), axis=1)
+    iu, ju = pairs.T
     n_pairs = iu.size
     if n_pairs == 0:
         return ConstraintSet(
             A=np.zeros((0, 2 * n)),
             b=np.zeros(0),
             u_max=float(u_max),
-            pairs=np.zeros((0, 2), dtype=int),
+            pairs=pairs,
             h_pairs=np.zeros(0),
         )
 
@@ -146,6 +149,6 @@ def assemble_constraints(
         A=block,
         b=-class_k_cubic(h_vals, params.gamma) - margin,
         u_max=float(u_max),
-        pairs=np.stack([iu, ju], axis=1),
+        pairs=pairs,
         h_pairs=h_vals,
     )

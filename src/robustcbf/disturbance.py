@@ -198,23 +198,38 @@ def pooled_vertices(union: HullUnion) -> np.ndarray:
 
 
 def flat_dirichlet_points(union: HullUnion, n: int, rng: np.random.Generator) -> np.ndarray:
-    """n points (n, 2) of the union, each a hull picked by
-    rng.integers(union.size) (if there are several), then flat-Dirichlet
-    weights over its vertices: the draws and bits of n calls of
-    rng.dirichlet(np.ones(p)) @ vertices.  Those draw p standard
-    exponentials, sum them in order and scale by 1 / sum; here the points
-    share one zero-padded buffer, one accumulate and one multiply."""
-    hulls = []
-    weights = np.zeros((n, max(hull.size for hull in union.hulls)))
-    for k in range(n):
-        hull = union.hulls[int(rng.integers(union.size))] if union.size > 1 else union.hulls[0]
-        rng.standard_exponential(out=weights[k, : hull.size])
-        hulls.append(hull)
-    last = [hull.size - 1 for hull in hulls]
-    weights *= (1.0 / np.add.accumulate(weights, axis=1)[np.arange(n), last])[:, None]
+    """n points (n, 2) of the union.  If there are several hulls, one
+    rng.integers(union.size, size=n) call picks every robot's hull first.
+    Each point then has the draws and bits of
+    rng.dirichlet(np.ones(p)) @ vertices on its hull, robot by robot.
+
+    dirichlet draws p standard exponentials, sums them in order and scales
+    by 1 / sum.  Here one standard_exponential call draws every robot's
+    exponentials, laid out in a zero-padded (n, p_max) buffer.  Each hull
+    then weights its vertices in one stacked (1, p) @ (p, 2) product, which
+    numpy rounds like the 1-D w @ vertices; an (n, p) @ (p, 2) gemm does not.
+    """
+    hulls = union.hulls
+    picks = rng.integers(len(hulls), size=n) if len(hulls) > 1 else np.zeros(n, dtype=np.intp)
+    hull_sizes = np.array([hull.size for hull in hulls])
+    sizes, p_max = hull_sizes[picks], int(hull_sizes.max())
+    draws = rng.standard_exponential(int(sizes.sum()))
+    if (sizes == p_max).all():
+        weights = draws.reshape(n, p_max)
+    else:
+        weights = np.zeros((n, p_max))
+        weights[np.arange(p_max) < sizes[:, None]] = draws
+    # A (p, n) array reduced over axis 0 adds one row at a time, the order
+    # dirichlet sums in; numpy sums a single column pairwise instead.
+    if n > 1:
+        totals = np.add.reduce(weights.T.copy(), axis=0)
+    else:
+        totals = np.add.accumulate(weights, axis=1)[:, -1]
+    weights *= (1.0 / totals)[:, None]
     points = np.empty((n, 2))
-    for k, hull in enumerate(hulls):
-        points[k] = weights[k, : hull.size] @ hull.vertices
+    for index, hull in enumerate(hulls):
+        rows = picks == index
+        points[rows] = (weights[rows, None, : hull.size] @ hull.vertices)[:, 0]
     return points
 
 

@@ -189,7 +189,7 @@ class _WorkingSet:
         k, m = self.size, self._J.shape[0]
         kept = (self.N, self.JNt, self._B[:k, :k], self._Binv[:k, :k], self.lam) if k else None
         self._N, self._JNt, self._lam = np.empty((cap, m)), np.empty((m, cap)), np.empty(cap)
-        self._B, self._Binv = np.empty((cap, cap)), np.empty((cap, cap))
+        self._B, self._Binv = np.empty((cap, cap)), np.zeros((cap, cap))
         if k:
             (self._N[:k], self._JNt[:, :k], self._B[:k, :k], self._Binv[:k, :k],
              self._lam[:k]) = kept
@@ -221,7 +221,11 @@ class _WorkingSet:
         self._B[k, k] = cJc
         if self.inverse:
             scaled = r_dir / schur
-            self._Binv[:k, :k] += np.multiply.outer(r_dir, scaled)
+            # The leading k rows are contiguous, unlike the [:k, :k] view;
+            # the zero padding leaves the finite columns past k as they are.
+            padded = np.zeros(self._lam.size)
+            padded[:k] = scaled
+            self._Binv[:k] += np.multiply.outer(r_dir, padded)
             self._Binv[:k, k] = self._Binv[k, :k] = -scaled
             self._Binv[k, k] = 1.0 / schur
         self._N[k], self._JNt[:, k], self._lam[k] = c, Jc, lam

@@ -24,13 +24,13 @@ class FilterInfeasibleError(RuntimeError):
 
 @dataclass(frozen=True, eq=False)
 class FilterPlan:
-    """What the filter reuses at every step for one robot count: the pair
-    index arrays np.triu_indices(n, 1), the prepared QP weight, and
-    margin_union, one hull of the boundary_hull points of the pooled
-    disturbance vertices, which the margin pass reads in one call in place
-    of the declared hulls for the same bits."""
+    """What the filter reuses at every step for one robot count: the
+    read-only (pairs, 2) array of np.triu_indices(n, 1), the prepared QP
+    weight, and margin_union, one hull of the boundary_hull points of the
+    pooled disturbance vertices, which the margin pass reads in one call in
+    place of the declared hulls for the same bits."""
 
-    pair_index: tuple
+    pairs: np.ndarray
     weight: qp.PreparedWeight
     margin_union: HullUnion
 
@@ -67,8 +67,10 @@ class FilterConfig:
         """The FilterPlan for n robots, built on the first call for n."""
         plan = self._plans.get(n)
         if plan is None:
+            pairs = np.stack(np.triu_indices(n, k=1), axis=1)
+            pairs.setflags(write=False)
             plan = FilterPlan(
-                pair_index=np.triu_indices(n, k=1),
+                pairs=pairs,
                 weight=qp.prepare_weight(ensemble_weight(n, self.geometry)),
                 margin_union=HullUnion(
                     (boundary_hull(DisturbanceHull(pooled_vertices(self.disturbance))),)
@@ -135,7 +137,7 @@ def filter_step(
         cfg.barrier,
         plan.margin_union,
         cfg.u_max,
-        plan.pair_index,
+        plan.pairs,
     )
     problem = qp.QpProblem(plan.weight, nominal, constraints.A, constraints.b, cfg.u_max)
     solution = qp.solve(problem, warm_start=warm_start)

@@ -4,7 +4,6 @@ safety filter, disturbance realization, and metric recording."""
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -326,6 +325,9 @@ def repeat_experiment(cfg: ScenarioConfig, jobs: int = 1) -> list:
     work = [(cfg, seed) for seed in seeds]
     if jobs <= 1 or cfg.iterations == 1:
         return [_run_with_seed(item) for item in work]
+    # Imported here: the pool's modules cost every other caller start-up time.
+    from concurrent.futures import ProcessPoolExecutor
+
     with ProcessPoolExecutor(max_workers=min(jobs, cfg.iterations)) as pool:
         return list(pool.map(_run_with_seed, work))
 

@@ -394,7 +394,8 @@ def _reference_step(state, u, d, dt, geom, method):
 
 def _reference_draws(cfg, result, rng) -> np.ndarray:
     """The plant disturbance of one step, one robot at a time; uniform-convex
-    draws use numpy's own rng.dirichlet."""
+    draws pick every robot's hull first (for several hulls), then use numpy's
+    own rng.dirichlet robot by robot."""
     n = cfg.robot_count
     union = cfg.disturbance
     mode = cfg.plant_disturbance
@@ -414,9 +415,10 @@ def _reference_draws(cfg, result, rng) -> np.ndarray:
             values = [float(v[0]) * float(z[0]) + float(v[1]) * float(z[1]) for v in hull.vertices]
             vertex = hull.vertices[int(np.argmin(values))]
         return np.tile(vertex, (n, 1))
+    picks = rng.integers(union.size, size=n) if union.size > 1 else np.zeros(n, dtype=int)
     draws = np.empty((n, 2))
-    for k in range(n):
-        hull = union.hulls[int(rng.integers(union.size))] if union.size > 1 else union.hulls[0]
+    for k, pick in enumerate(picks):
+        hull = union.hulls[pick]
         draws[k] = rng.dirichlet(np.ones(hull.size)) @ hull.vertices
     return draws
 

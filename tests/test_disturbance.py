@@ -248,13 +248,15 @@ class TestSampleHull:
 
 class TestFlatDirichletPoints:
     """The batched plant draws equal per-point rng.dirichlet draws bit for
-    bit, in the same order of calls on the generator."""
+    bit, in the documented order of calls on the generator: every hull
+    index first (for a union of several hulls), then robot by robot."""
 
     @staticmethod
     def per_point(union, n, rng):
+        picks = rng.integers(union.size, size=n) if union.size > 1 else np.zeros(n, dtype=int)
         points = np.empty((n, 2))
-        for k in range(n):
-            hull = union.hulls[int(rng.integers(union.size))] if union.size > 1 else union.hulls[0]
+        for k, pick in enumerate(picks):
+            hull = union.hulls[pick]
             points[k] = rng.dirichlet(np.ones(hull.size)) @ hull.vertices
         return points
 
@@ -277,6 +279,49 @@ class TestFlatDirichletPoints:
                 np.testing.assert_array_equal(got.view(np.int64), expected.view(np.int64))
             # Both generators must stand at the same point of the stream.
             assert batched.random() == reference.random()
+
+    @pytest.mark.parametrize("n", [1, 2, 22])
+    @pytest.mark.parametrize("p", [1, 4, 256])
+    def test_single_hull_keeps_the_interleaved_per_robot_stream(self, n, p):
+        # One hull draws no index, so the stream is that of n dirichlet calls.
+        hull = DisturbanceHull(np.random.default_rng(p).normal(size=(p, 2)))
+        for seed in range(5):
+            batched, reference = np.random.default_rng(seed), np.random.default_rng(seed)
+            got = flat_dirichlet_points(HullUnion((hull,)), n, batched)
+            expected = np.array(
+                [reference.dirichlet(np.ones(p)) @ hull.vertices for _ in range(n)]
+            )
+            np.testing.assert_array_equal(got.view(np.int64), expected.view(np.int64))
+            assert batched.random() == reference.random()
+
+    def test_weights_and_points_follow_the_flat_dirichlet(self):
+        # Seeded moments only: each flat-Dirichlet weight has mean 1/p and
+        # variance (p - 1) / (p^2 (p + 1)); the triangle below turns a point
+        # into its weights (x, y, 1 - x - y).
+        draws = 20_000
+        rng = np.random.default_rng(11)
+        triangle = DisturbanceHull(np.array([[1.0, 0.0], [0.0, 1.0], [0.0, 0.0]]))
+        xy = flat_dirichlet_points(HullUnion((triangle,)), draws, rng)
+        weights = np.column_stack([xy, 1.0 - xy.sum(axis=1)])
+        p = 3
+        assert weights.min() >= -1e-12
+        stderr = np.sqrt((p - 1) / (p * p * (p + 1)) / draws)
+        assert np.all(np.abs(weights.mean(axis=0) - 1.0 / p) < 4.0 * stderr)
+
+        hull = DisturbanceHull(rng.normal(scale=3.0, size=(7, 2)))
+        points = flat_dirichlet_points(HullUnion((hull,)), draws, rng)
+        stderr = points.std(axis=0) / np.sqrt(draws)
+        centroid = hull.vertices.mean(axis=0)
+        assert np.all(np.abs(points.mean(axis=0) - centroid) < 4.0 * stderr)
+
+    def test_union_picks_each_hull_equally_often(self):
+        draws = 20_000
+        left = DisturbanceHull(np.array([[-2.0, -1.0], [-2.0, 1.0], [-1.0, 0.0]]))
+        right = DisturbanceHull(np.array([[2.0, -1.0], [2.0, 1.0], [1.0, 0.0], [1.5, 0.5]]))
+        points = flat_dirichlet_points(HullUnion((left, right)), draws, np.random.default_rng(12))
+        assert np.all(np.abs(points[:, 0]) >= 1.0 - 1e-12)
+        share = float((points[:, 0] > 0.0).mean())
+        assert abs(share - 0.5) < 4.0 * np.sqrt(0.25 / draws)
 
 
 def same_minima_bits(hull, reduced, rng, k=2000):

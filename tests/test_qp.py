@@ -539,7 +539,7 @@ class TestWarmStartFromViolatedRows:
                 poses = congested_poses(rng, geom, radius=0.5)
                 commands = nominal_commands(poses, goals, 1.0, geom, cfg.u_max)
                 cs = assemble_constraints(
-                    poses, geom, cfg.barrier, plan.margin_union, cfg.u_max, plan.pair_index
+                    poses, geom, cfg.barrier, plan.margin_union, cfg.u_max, plan.pairs
                 )
                 problem = QpProblem(plan.weight, commands.reshape(-1), cs.A, cs.b, cfg.u_max)
                 cold = solve(problem)

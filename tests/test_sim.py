@@ -1,4 +1,8 @@
+import concurrent.futures
 import math
+import os
+import subprocess
+import sys
 from dataclasses import replace
 
 import numpy as np
@@ -461,7 +465,9 @@ class TestRepeatExperiment:
             def map(self, func, items):
                 return map(func, items)
 
-        monkeypatch.setattr(sim, "ProcessPoolExecutor", SerialPool)
+        # repeat_experiment imports the pool class from concurrent.futures
+        # only when it starts workers, so the stub goes there.
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
         cfg = benign_two_robot(duration=0.1, iterations=3)
         sequential = repeat_experiment(cfg)
         for jobs in (2, 3, 64):
@@ -469,6 +475,18 @@ class TestRepeatExperiment:
             for run_s, run_p in zip(sequential, runs, strict=True):
                 np.testing.assert_array_equal(run_s.min_h, run_p.min_h)
         assert sizes == [2, 3, 3]
+
+    def test_import_leaves_the_process_pool_unloaded(self):
+        # The pool's modules cost start-up time; only jobs > 1 needs them.
+        code = (
+            "import sys, robustcbf, robustcbf.cli; "
+            "print('concurrent.futures' in sys.modules)"
+        )
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+        out = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True
+        )
+        assert out.stdout.strip() == "False"
 
 
 class TestDisturbanceRealization:
