@@ -134,19 +134,18 @@ def assemble_constraints(
     z_j = grads_j[:, 0:1] * jac_j[:, 0, :] + grads_j[:, 1:2] * jac_j[:, 1, :]
     z_rows = z_i + z_j
 
-    block = np.zeros((n_pairs, 2 * n))
+    # Robot r's two columns are entry r of a (pairs, n, 2) view of the rows.
+    block = np.zeros((n_pairs, n, 2))
     rows = np.arange(n_pairs)
-    block[rows, 2 * iu] = z_i[:, 0]
-    block[rows, 2 * iu + 1] = z_i[:, 1]
-    block[rows, 2 * ju] = z_j[:, 0]
-    block[rows, 2 * ju + 1] = z_j[:, 1]
+    block[rows, iu] = z_i
+    block[rows, ju] = z_j
 
     margin = support_min_rows(z_rows, hulls.hulls[0])
     for hull in hulls.hulls[1:]:
         margin = np.minimum(margin, support_min_rows(z_rows, hull))
 
     return ConstraintSet(
-        A=block,
+        A=block.reshape(n_pairs, 2 * n),
         b=-class_k_cubic(h_vals, params.gamma) - margin,
         u_max=float(u_max),
         pairs=pairs,

@@ -269,9 +269,7 @@ def run_command(
     breach = False
     try:
         for one in wanted:
-            run_cfg = cfg
-            if one == "non-robust":
-                run_cfg = replace(cfg, filter_disturbance=zero_union())
+            run_cfg = replace(cfg, filter_disturbance=zero_union()) if one == "non-robust" else cfg
             runs = repeat_experiment(run_cfg, jobs=jobs)
             target = out_dir if mode != "both" else out_dir / one.replace("-", "_")
             summary = _write_outputs(target, runs, run_cfg.dt, created)

@@ -46,7 +46,9 @@ class ScenarioConfig:
     filter_disturbance overrides what the filter protects against (None means
     the declared union; the CLI's non-robust mode passes the zero hull).
     Construction checks every field, the start circle through circle_init
-    and the filter's through FilterConfig.
+    and the filter's through FilterConfig, and keeps for every run what the
+    checks build: start_poses (n, 3), the declared union pooled in one hull,
+    and filter_cfg.  dataclasses.replace rebuilds them all.
     """
 
     robot_count: int
@@ -71,6 +73,9 @@ class ScenarioConfig:
     integrator: str = "euler"
     record_states: bool = False
     debug_checks: bool = False
+    start_poses: np.ndarray = field(init=False, repr=False)
+    pooled: DisturbanceHull = field(init=False, repr=False)
+    filter_cfg: FilterConfig = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         if self.robot_count < 1:
@@ -79,7 +84,7 @@ class ScenarioConfig:
             raise ValueError("dt must be > 0")
         if not (math.isfinite(self.sim_duration) and self.sim_duration > 0.0):
             raise ValueError("sim_duration must be > 0")
-        circle_init(self.robot_count, self.circle_radius, self.geometry, self.barrier)
+        start = circle_init(self.robot_count, self.circle_radius, self.geometry, self.barrier)
         if self.plant_disturbance not in PLANT_MODES:
             raise ValueError(
                 f"plant_disturbance must be one of {PLANT_MODES}, "
@@ -95,23 +100,28 @@ class ScenarioConfig:
             raise ValueError(f"unknown integrator {self.integrator!r}")
         if self.rng_seed < 0:
             raise ValueError("rng_seed must be >= 0")
-        pool = sum(hull.size for hull in self.disturbance.hulls)
-        if not 0 <= self.plant_vertex < pool:
+        pooled = DisturbanceHull(pooled_vertices(self.disturbance))
+        if not 0 <= self.plant_vertex < pooled.size:
             raise ValueError(
-                f"plant_vertex {self.plant_vertex} out of range for {pool} pooled vertices"
+                f"plant_vertex {self.plant_vertex} out of range for "
+                f"{pooled.size} pooled vertices"
             )
-        self.filter_config()  # u_max, fallback and slack_weight checks
-
-    def filter_config(self) -> FilterConfig:
-        hulls = self.filter_disturbance or self.disturbance
-        return FilterConfig(
+        fcfg = FilterConfig(  # u_max, fallback and slack_weight checks
             geometry=self.geometry,
             barrier=self.barrier,
-            disturbance=hulls,
+            disturbance=self.filter_disturbance or self.disturbance,
             u_max=self.u_max,
             fallback=self.fallback,
             slack_weight=self.slack_weight,
         )
+        poses = as_poses(start)
+        poses.setflags(write=False)
+        for name, value in (("start_poses", poses), ("pooled", pooled), ("filter_cfg", fcfg)):
+            object.__setattr__(self, name, value)
+
+    def filter_config(self) -> FilterConfig:
+        """The FilterConfig built at construction: every run shares its plans."""
+        return self.filter_cfg
 
     def steps(self) -> int:
         return int(math.floor(self.sim_duration / self.dt + 1e-9))
@@ -217,18 +227,17 @@ def _worst_case_disturbance(result: FilterResult, pooled: DisturbanceHull) -> np
 
 
 def _realize_disturbances(
-    cfg: ScenarioConfig, result: FilterResult, rng: np.random.Generator, pooled: DisturbanceHull
+    cfg: ScenarioConfig, result: FilterResult, rng: np.random.Generator
 ) -> np.ndarray:
-    """Per-robot plant disturbances of one step; pooled is the declared
-    union's vertices in one hull, built once per run."""
+    """Per-robot plant disturbances of one step."""
     n = cfg.robot_count
     mode = cfg.plant_disturbance
     if mode == "off":
         return np.zeros((n, 2))
     if mode == "worst-case":
-        return np.tile(_worst_case_disturbance(result, pooled), (n, 1))
+        return np.tile(_worst_case_disturbance(result, cfg.pooled), (n, 1))
     if mode == "vertex":
-        return np.tile(pooled.vertices[cfg.plant_vertex], (n, 1))
+        return np.tile(cfg.pooled.vertices[cfg.plant_vertex], (n, 1))
     return flat_dirichlet_points(cfg.disturbance, n, rng)
 
 
@@ -242,19 +251,17 @@ def run_scenario(cfg: ScenarioConfig) -> RunMetrics:
 
     Goals are the antipodal circle points of the initial formation.  The
     loop per step, on (n, 3) poses and (n, 2) commands: nominal controller,
-    safety filter, plant disturbance, integration.  The declared union is
-    pooled into one hull once per run; the vertex and worst-case plants and
-    the debug_checks bounds read it.  Fully deterministic for a fixed config
-    and seed.
+    safety filter, plant disturbance, integration.  It starts from
+    cfg.start_poses and filters with cfg.filter_cfg; the vertex and
+    worst-case plants and the debug_checks bounds read cfg.pooled.  Fully
+    deterministic for a fixed config and seed.
     """
     n = cfg.robot_count
     geom = cfg.geometry
-    poses = as_poses(circle_init(n, cfg.circle_radius, geom, cfg.barrier))
+    poses = cfg.start_poses
     # Antipodal targets: mirror the initial output points through the center.
     goals = -output_points(poses, geom)
-    fcfg = cfg.filter_config()
-    pooled = DisturbanceHull(pooled_vertices(cfg.disturbance))
-    bounds = support_min_rows(_DEBUG_DIRECTIONS, pooled) - 1e-12 if cfg.debug_checks else None
+    bounds = support_min_rows(_DEBUG_DIRECTIONS, cfg.pooled) - 1e-12 if cfg.debug_checks else None
     rng = np.random.default_rng(cfg.rng_seed)
     steps = cfg.steps()
 
@@ -267,7 +274,7 @@ def run_scenario(cfg: ScenarioConfig) -> RunMetrics:
     warm = None
     for k in range(steps):
         commands = nominal_commands(poses, goals, cfg.controller_gain, geom, cfg.u_max)
-        result = filter_step(poses, commands, fcfg, warm_start=warm)
+        result = filter_step(poses, commands, cfg.filter_cfg, warm_start=warm)
         warm = None if result.fallback_applied else result.solver
 
         min_h[k] = result.min_h
@@ -276,7 +283,7 @@ def run_scenario(cfg: ScenarioConfig) -> RunMetrics:
         if trace is not None:
             trace[k] = poses
 
-        draws = _realize_disturbances(cfg, result, rng, pooled)
+        draws = _realize_disturbances(cfg, result, rng)
         if cfg.debug_checks:
             robot, side = np.nonzero(draws @ _DEBUG_DIRECTIONS.T < bounds)
             if robot.size:
@@ -300,16 +307,9 @@ def run_scenario(cfg: ScenarioConfig) -> RunMetrics:
     )
 
 
-def _run_with_seed(args) -> RunMetrics:
-    cfg, seed = args
-    return run_scenario(replace(cfg, rng_seed=seed))
-
-
 def derived_seeds(base_seed: int, count: int) -> list:
     """Deterministic per-iteration seeds; iteration 0 keeps the base seed so
     a single-iteration experiment equals a plain run."""
-    if count == 1:
-        return [int(base_seed)]
     tail = np.random.SeedSequence(base_seed).generate_state(count - 1, dtype=np.uint64)
     return [int(base_seed)] + [int(s) for s in tail]
 
@@ -317,19 +317,22 @@ def derived_seeds(base_seed: int, count: int) -> list:
 def repeat_experiment(cfg: ScenarioConfig, jobs: int = 1) -> list:
     """Run the scenario cfg.iterations times with derived seeds.
 
-    Up to min(jobs, iterations) worker processes run them.  Results come
-    back ordered by iteration index regardless of jobs; feed them to
+    Only the uniform-convex plant reads the seed; any other runs once and
+    fills every slot with that run.  Up to min(jobs, iterations) worker
+    processes run the seeded ones, in iteration order; feed the list to
     aggregate_metrics for the wall-clock and violation summary.
     """
+    if cfg.plant_disturbance != "uniform-convex":
+        return [run_scenario(cfg)] * cfg.iterations
     seeds = derived_seeds(cfg.rng_seed, cfg.iterations)
-    work = [(cfg, seed) for seed in seeds]
+    configs = [cfg] + [replace(cfg, rng_seed=seed) for seed in seeds[1:]]
     if jobs <= 1 or cfg.iterations == 1:
-        return [_run_with_seed(item) for item in work]
+        return [run_scenario(one) for one in configs]
     # Imported here: the pool's modules cost every other caller start-up time.
     from concurrent.futures import ProcessPoolExecutor
 
     with ProcessPoolExecutor(max_workers=min(jobs, cfg.iterations)) as pool:
-        return list(pool.map(_run_with_seed, work))
+        return list(pool.map(run_scenario, configs))
 
 
 def aggregate_metrics(runs) -> dict:

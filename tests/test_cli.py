@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 import yaml
 
-from robustcbf import cli
+from robustcbf import cli, sim
 from robustcbf import (
     HullUnion,
     aggregate_metrics,
@@ -91,9 +91,10 @@ INVALID = {
 
 
 def config_fields(cfg):
-    """The fields of a ScenarioConfig, hull unions as vertex lists."""
+    """The init fields of a ScenarioConfig, hull unions as vertex lists;
+    what construction derives from them is left out."""
     out = {}
-    for spec in dataclasses.fields(cfg):
+    for spec in filter(lambda spec: spec.init, dataclasses.fields(cfg)):
         value = getattr(cfg, spec.name)
         if isinstance(value, HullUnion):
             value = [hull.vertices.tolist() for hull in value.hulls]
@@ -336,6 +337,17 @@ class TestRunCommand:
         compare = json.loads((out / "compare.json").read_text())
         assert set(compare) == {"robust", "non_robust", "delta"}
         assert "violation_time_s" in compare["delta"]
+
+    def test_both_modes_build_the_start_circle_twice(self, tmp_path, monkeypatch):
+        # Once when the scenario loads, once for the non-robust copy; the
+        # runs read the start poses their config built.
+        calls = []
+        real = sim.circle_init
+        monkeypatch.setattr(sim, "circle_init", lambda *args: calls.append(args) or real(*args))
+        body = "robots:\n  count: 22\nsim:\n  duration: 0.05\n  plant_disturbance: worst-case\n"
+        path = write_scenario(tmp_path, body)
+        assert run_command(path, tmp_path / "out", mode="both") == EXIT_OK
+        assert len(calls) <= 2
 
     def test_mode_honesty_rhs_differs_only_in_the_margin(self, tmp_path):
         # First-step constraint stacks: robust minus non-robust rhs equals

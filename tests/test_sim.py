@@ -22,6 +22,7 @@ from robustcbf import (
     run_scenario,
     safety_filter,
     symmetric_box,
+    zero_union,
 )
 from robustcbf import sim
 from robustcbf.barrier import pair_h_values
@@ -39,6 +40,16 @@ def benign_two_robot(duration=4.0, **kwargs):
         disturbance=HullUnion((symmetric_box(0.0),)),
         plant_disturbance="off",
         rng_seed=3,
+    )
+    defaults.update(kwargs)
+    return ScenarioConfig(**defaults)
+
+
+def eight_robot_swap(**kwargs):
+    """A short 8-robot circle swap under the default 5 rad/s box, close
+    enough that the filter alters commands within its 0.4 s."""
+    defaults = dict(
+        robot_count=8, sim_duration=0.4, circle_radius=0.3, plant_vertex=2, rng_seed=5
     )
     defaults.update(kwargs)
     return ScenarioConfig(**defaults)
@@ -72,6 +83,41 @@ class TestScenarioConfig:
             ScenarioConfig(robot_count=2, sim_duration=1.0, iterations=0)
         with pytest.raises(ValueError):
             ScenarioConfig(robot_count=2, sim_duration=1.0, integrator="verlet")
+
+    def test_filter_config_is_built_once(self):
+        cfg = ScenarioConfig(robot_count=4, sim_duration=0.05, circle_radius=0.3)
+        assert cfg.filter_config() is cfg.filter_config()
+        run_scenario(cfg)
+        plan = cfg.filter_config().plan(4)
+        run_scenario(cfg)
+        assert cfg.filter_config().plan(4) is plan
+
+    def test_replace_rebuilds_what_construction_derives(self):
+        cfg = ScenarioConfig(robot_count=22, sim_duration=0.05)
+        zero = zero_union()
+        assert replace(cfg, filter_disturbance=zero).filter_config().disturbance is zero
+        assert replace(cfg, u_max=10.0).filter_config().u_max == 10.0
+        wider = replace(cfg, circle_radius=0.7)
+        np.testing.assert_array_equal(
+            wider.start_poses, as_poses(circle_init(22, 0.7, cfg.geometry, cfg.barrier))
+        )
+        union = HullUnion((symmetric_box(1.0), symmetric_box(2.0)))
+        assert replace(cfg, disturbance=union).pooled.size == 8
+        with pytest.raises(ValueError, match="robots 0 and 1 overlap"):
+            replace(cfg, circle_radius=0.43)
+
+    def test_derived_data_is_read_only(self):
+        cfg = ScenarioConfig(robot_count=3, sim_duration=0.05)
+        with pytest.raises(ValueError):
+            cfg.start_poses[0, 0] = 1.0
+
+    def test_run_scenario_never_builds_the_circle(self, monkeypatch):
+        cfg = ScenarioConfig(robot_count=22, sim_duration=0.05)
+        calls = []
+        real = sim.circle_init
+        monkeypatch.setattr(sim, "circle_init", lambda *args: calls.append(args) or real(*args))
+        run_scenario(cfg)
+        assert calls == []
 
     def test_step_count_is_floor_of_the_ratio(self):
         cfg = ScenarioConfig(robot_count=2, sim_duration=30.0, dt=0.005)
@@ -468,13 +514,51 @@ class TestRepeatExperiment:
         # repeat_experiment imports the pool class from concurrent.futures
         # only when it starts workers, so the stub goes there.
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
-        cfg = benign_two_robot(duration=0.1, iterations=3)
+        # Only a seeded plant runs more than once, so only it opens a pool.
+        cfg = benign_two_robot(duration=0.1, iterations=3, plant_disturbance="uniform-convex")
         sequential = repeat_experiment(cfg)
         for jobs in (2, 3, 64):
             runs = repeat_experiment(cfg, jobs=jobs)
             for run_s, run_p in zip(sequential, runs, strict=True):
                 np.testing.assert_array_equal(run_s.min_h, run_p.min_h)
         assert sizes == [2, 3, 3]
+
+    @pytest.mark.parametrize("mode", ["off", "worst-case", "vertex"])
+    def test_seed_free_plants_ignore_the_seed(self, mode):
+        # What lets repeat_experiment run these plants once for every slot.
+        cfg = eight_robot_swap(plant_disturbance=mode, record_states=True)
+        a = run_scenario(cfg)
+        b = run_scenario(replace(cfg, rng_seed=cfg.rng_seed + 1))
+        np.testing.assert_array_equal(a.min_h, b.min_h)
+        np.testing.assert_array_equal(a.max_alter, b.max_alter)
+        assert a.goal_completion == b.goal_completion
+        np.testing.assert_array_equal(a.states[-1], b.states[-1])
+        assert a.max_alter.max() > 0.0
+
+    def test_uniform_convex_plant_reads_the_seed(self):
+        cfg = eight_robot_swap(plant_disturbance="uniform-convex")
+        a = run_scenario(cfg)
+        b = run_scenario(replace(cfg, rng_seed=cfg.rng_seed + 1))
+        assert not np.array_equal(a.min_h, b.min_h)
+
+    @pytest.mark.parametrize("mode", ["off", "worst-case", "vertex"])
+    def test_seed_free_plant_runs_once(self, mode, monkeypatch):
+        calls = []
+        monkeypatch.setattr(sim, "run_scenario", lambda cfg: calls.append(cfg) or cfg)
+        cfg = eight_robot_swap(plant_disturbance=mode, iterations=4)
+        for jobs in (1, 2):
+            calls.clear()
+            assert sim.repeat_experiment(cfg, jobs=jobs) == [cfg] * 4
+            assert calls == [cfg]
+
+    def test_seeded_plant_runs_every_derived_seed(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(sim, "run_scenario", lambda cfg: calls.append(cfg) or cfg)
+        cfg = eight_robot_swap(plant_disturbance="uniform-convex", iterations=4)
+        assert sim.repeat_experiment(cfg) == calls
+        assert calls[0] is cfg
+        assert [one.rng_seed for one in calls] == derived_seeds(cfg.rng_seed, 4)
+        assert len({one.rng_seed for one in calls}) == 4
 
     def test_import_leaves_the_process_pool_unloaded(self):
         # The pool's modules cost start-up time; only jobs > 1 needs them.
