@@ -9,7 +9,7 @@ from typing import Sequence
 import numpy as np
 
 from .disturbance import HullUnion, support_min_rows
-from .dynamics import RobotGeometry, RobotState, as_poses, output_jacobians, output_points
+from .dynamics import PoseFrame, RobotGeometry, RobotState, pose_frame
 
 
 @dataclass(frozen=True)
@@ -56,16 +56,17 @@ def pair_h_values(p_i: np.ndarray, p_j: np.ndarray, params: BarrierParams) -> np
 
 
 def min_pairwise_h(
-    states: Sequence[RobotState] | np.ndarray, geom: RobotGeometry, params: BarrierParams
+    states: Sequence[RobotState] | np.ndarray | PoseFrame,
+    geom: RobotGeometry,
+    params: BarrierParams,
 ) -> float:
-    """Smallest barrier value over all robot pairs of a RobotState sequence or
-    an (n, 3) pose array; inf for a single robot."""
-    poses = as_poses(states)
-    n = poses.shape[0]
+    """Smallest barrier value over all robot pairs of a RobotState sequence,
+    an (n, 3) pose array or a PoseFrame; inf for a single robot."""
+    outputs = pose_frame(states, geom).outputs
+    n = outputs.shape[0]
     if n < 2:
         return math.inf
     iu, ju = np.triu_indices(n, k=1)
-    outputs = output_points(poses, geom)
     return float(pair_h_values(outputs[iu], outputs[ju], params).min())
 
 
@@ -85,35 +86,48 @@ def class_k_cubic(h, gamma: float):
     return gamma * h**3
 
 
+def pair_slots(pairs: np.ndarray, n: int) -> np.ndarray:
+    """Read-only flat indices of robot i's then robot j's (x, y) block of
+    each row (i, j) of `pairs`, for n robots: row 0 into the (2, n, n)
+    blocks of assemble_constraints, row 1 into the flat (pairs, 2n) rows."""
+    iu, ju = pairs.T
+    rows = 2 * n * np.arange(iu.size)
+    take = np.concatenate([iu * n + ju, ju * n + iu])[:, None] + [0, n * n]
+    put = np.concatenate([rows + 2 * iu, rows + 2 * ju])[:, None] + [0, 1]
+    slots = np.stack([take.ravel(), put.ravel()])
+    slots.setflags(write=False)
+    return slots
+
+
 def assemble_constraints(
-    states: Sequence[RobotState] | np.ndarray,
+    states: Sequence[RobotState] | np.ndarray | PoseFrame,
     geom: RobotGeometry,
     params: BarrierParams,
     hulls: HullUnion,
     u_max: float,
     pairs=None,
+    slots=None,
 ) -> ConstraintSet:
     """Build the ensemble constraint A u >= b for all pairs.
 
-    states is a sequence of RobotState or an (n, 3) pose array.  One row per
-    ordered pair (i, j), i < j, whatever the number of hulls; each row
+    states is a sequence of RobotState, an (n, 3) pose array or a PoseFrame.
+    One row per pair (i, j), i < j, whatever the number of hulls; each row
     touches only the 2-column blocks of robots i and j.
     b = -gamma h^3 - robust margin, where the margin of a hull union is the
     elementwise least of the per-hull support minima.  That equals the
     support minimum over the pooled vertices bit for bit, so the row is the
     tightest of the per-hull rows.  pairs takes the (pairs, 2) array of all
-    (i, j) in that order when the caller already holds it; the returned set
-    shares it.
+    (i, j) in that order when the caller already holds it, and slots its
+    pair_slots; the returned set shares pairs.
     """
-    poses = as_poses(states)
-    n = poses.shape[0]
+    frame = pose_frame(states, geom)
+    n = frame.poses.shape[0]
     if n < 1:
         raise ValueError("need at least one robot")
 
     if pairs is None:
         pairs = np.stack(np.triu_indices(n, k=1), axis=1)
-    iu, ju = pairs.T
-    n_pairs = iu.size
+    n_pairs = pairs.shape[0]
     if n_pairs == 0:
         return ConstraintSet(
             A=np.zeros((0, 2 * n)),
@@ -122,30 +136,26 @@ def assemble_constraints(
             pairs=pairs,
             h_pairs=np.zeros(0),
         )
+    take, put = pair_slots(pairs, n) if slots is None else slots
 
-    outputs = output_points(poses, geom)
-    jacobians = output_jacobians(poses, geom)
-    p_i, p_j = outputs[iu], outputs[ju]
-    grads_i, grads_j = pairwise_h_grad(p_i, p_j)
-    h_vals = pair_h_values(p_i, p_j, params)
-    jac_i = jacobians[iu]
-    jac_j = jacobians[ju]
-    z_i = grads_i[:, 0:1] * jac_i[:, 0, :] + grads_i[:, 1:2] * jac_i[:, 1, :]
-    z_j = grads_j[:, 0:1] * jac_j[:, 0, :] + grads_j[:, 1:2] * jac_j[:, 1, :]
-    z_rows = z_i + z_j
-
-    # Robot r's two columns are entry r of a (pairs, n, 2) view of the rows.
-    block = np.zeros((n_pairs, n, 2))
-    rows = np.arange(n_pairs)
-    block[rows, iu] = z_i
-    block[rows, ju] = z_j
+    # One pass over every ordered pair: entry (c, i, j) is robot i's block
+    # 2 (p_i - p_j) @ J_i of row (i, j).  For i > j it is robot i's block of
+    # row (j, i) as well, since 2 (p_i - p_j) = -2 (p_j - p_i) exactly.
+    x, y = frame.outputs.T
+    dx, dy = x[:, None] - x, y[:, None] - y
+    jac = frame.jacobians.transpose(1, 2, 0)[..., None]
+    blocks = (2.0 * dx * jac[0] + 2.0 * dy * jac[1]).reshape(-1)[take]
+    h_vals = (dx * dx + dy * dy - params.delta**2).reshape(-1)[take[: 2 * n_pairs : 2]]
+    z_rows = (blocks[: 2 * n_pairs] + blocks[2 * n_pairs :]).reshape(n_pairs, 2)
+    A = np.zeros(2 * n * n_pairs)
+    A[put] = blocks
 
     margin = support_min_rows(z_rows, hulls.hulls[0])
     for hull in hulls.hulls[1:]:
         margin = np.minimum(margin, support_min_rows(z_rows, hull))
 
     return ConstraintSet(
-        A=block.reshape(n_pairs, 2 * n),
+        A=A.reshape(n_pairs, 2 * n),
         b=-class_k_cubic(h_vals, params.gamma) - margin,
         u_max=float(u_max),
         pairs=pairs,

@@ -1,6 +1,7 @@
 """Differential-drive kinematics, wheel-to-body mapping, and the look-ahead output,
-batched over (n, 3) pose and (n, 2) wheel-command arrays; the per-robot
-RobotState, WheelCommand and functions wrap the batched kernels."""
+batched over (n, 3) pose and (n, 2) wheel-command arrays; a PoseFrame holds
+what a step reads of the poses, and the per-robot RobotState, WheelCommand
+and functions wrap the batched kernels."""
 
 from __future__ import annotations
 
@@ -134,24 +135,47 @@ def body_output_matrix(geom: RobotGeometry) -> np.ndarray:
     return geom._body_output
 
 
-def output_points(poses: np.ndarray, geom: RobotGeometry) -> np.ndarray:
-    """Look-ahead points of an (n, 3) pose array, as an (n, 2) array."""
+@dataclass(frozen=True, eq=False)
+class PoseFrame:
+    """What one control step reads of n poses, built once by pose_frame:
+    the (n, 3) poses, cos and sin of the headings, the (n, 2) output points
+    and (n, 2, 2) output Jacobians for `geometry`; all read-only."""
+
+    geometry: RobotGeometry
+    poses: np.ndarray
+    cos: np.ndarray
+    sin: np.ndarray
+    outputs: np.ndarray
+    jacobians: np.ndarray
+
+
+def pose_frame(states, geom: RobotGeometry) -> PoseFrame:
+    """The PoseFrame of a RobotState sequence or an (n, 3) pose array; a
+    PoseFrame passes through.  The one entry check of every function that
+    takes poses: ValueError on another shape, a non-finite entry, or a
+    frame built for another geometry."""
+    if isinstance(states, PoseFrame):
+        if states.geometry is not geom and states.geometry != geom:
+            raise ValueError("the pose frame was built for another RobotGeometry")
+        return states
+    poses = as_poses(states)
     heading = np.empty((poses.shape[0], 2))
     np.cos(poses[:, 2], out=heading[:, 0])
     np.sin(poses[:, 2], out=heading[:, 1])
-    return poses[:, :2] + geom.look_ahead * heading
-
-
-def output_jacobians(poses: np.ndarray, geom: RobotGeometry) -> np.ndarray:
-    """(n, 2, 2) Jacobians R(theta) @ body_output_matrix of an (n, 3) pose array."""
-    cos_t, sin_t = np.cos(poses[:, 2]), np.sin(poses[:, 2])
-    rot = np.column_stack([cos_t, -sin_t, sin_t, cos_t]).reshape(-1, 2, 2)
-    return rot @ body_output_matrix(geom)
+    # R(theta) has rows (cos, -sin) and (sin, cos); * -1.0 negates exactly.
+    rot = np.empty((poses.shape[0], 2, 2))
+    np.multiply(heading, (1.0, -1.0), out=rot[:, 0])
+    rot[:, 1] = heading[:, ::-1]
+    outputs = poses[:, :2] + geom.look_ahead * heading
+    jacobians = rot @ body_output_matrix(geom)
+    for arr in (poses, heading, outputs, jacobians):
+        arr.setflags(write=False)
+    return PoseFrame(geom, poses, *heading.T, outputs, jacobians)
 
 
 def output_point(state: RobotState, geom: RobotGeometry) -> np.ndarray:
     """Point at distance look_ahead ahead of the wheel axle."""
-    return output_points(as_poses([state]), geom)[0]
+    return pose_frame([state], geom).outputs[0].copy()
 
 
 def _pose_rates(cos_t, sin_t, gearing: np.ndarray, wheels: np.ndarray) -> np.ndarray:
@@ -166,20 +190,23 @@ def _pose_rates(cos_t, sin_t, gearing: np.ndarray, wheels: np.ndarray) -> np.nda
 
 
 def step_ensemble(
-    poses: np.ndarray,
+    poses: np.ndarray | PoseFrame,
     commands: np.ndarray,
     disturbances: np.ndarray,
     dt: float,
     geom: RobotGeometry,
     method: str = "euler",
 ) -> np.ndarray:
-    """Advance (n, 3) poses one step under (n, 2) wheel commands and (n, 2)
-    wheel-speed offsets, a point of the disturbance set per robot.
+    """Advance n poses (as pose_frame takes them) one step under (n, 2)
+    wheel commands and (n, 2) wheel-speed offsets, a point of the
+    disturbance set per robot.
 
     Returns a new array, headings wrapped to (-pi, pi].  Forward Euler, the
     default, keeps the step exactly affine in (u + d); "rk4" is available
     when integration accuracy matters more than that structure.
     """
+    frame = pose_frame(poses, geom)
+    poses = frame.poses
     n = poses.shape[0]
     for name, wheels in (("commands", commands), ("disturbance", disturbances)):
         if wheels.shape != (n, 2) or not np.isfinite(wheels).all():
@@ -188,7 +215,7 @@ def step_ensemble(
         raise ValueError(f"dt must be finite and > 0, got {dt!r}")
     gearing = wheel_matrix(geom)
     if method == "euler":
-        cos_t, sin_t = np.cos(poses[:, 2]), np.sin(poses[:, 2])
+        cos_t, sin_t = frame.cos, frame.sin
         # Keep the u and d contributions as separate terms: the step is then
         # exactly (undisturbed step) + dt * B(theta) @ gearing @ d in floating point.
         stepped = (poses + dt * _pose_rates(cos_t, sin_t, gearing, commands)) + dt * (
@@ -200,7 +227,7 @@ def step_ensemble(
         def rate(x: np.ndarray) -> np.ndarray:
             return _pose_rates(np.cos(x[:, 2]), np.sin(x[:, 2]), gearing, wheels)
 
-        k1 = rate(poses)
+        k1 = _pose_rates(frame.cos, frame.sin, gearing, wheels)
         k2 = rate(poses + 0.5 * dt * k1)
         k3 = rate(poses + 0.5 * dt * k2)
         k4 = rate(poses + dt * k3)
@@ -220,5 +247,5 @@ def step_dynamics(
 ) -> RobotState:
     """step_ensemble for one robot; d is its 2-vector wheel-speed offset."""
     d = np.asarray(d, dtype=float).reshape(1, 2)
-    stepped = step_ensemble(as_poses([state]), as_commands([u]), d, dt, geom, method)
+    stepped = step_ensemble([state], as_commands([u]), d, dt, geom, method)
     return RobotState(*stepped[0])

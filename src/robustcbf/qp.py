@@ -37,7 +37,8 @@ _CONDITION_WARN = 1e8
 
 @dataclass(frozen=True, eq=False)
 class PreparedWeight:
-    """A validated QP weight with its Hessian 2 W^T W and inverse Hessian.
+    """A validated QP weight with its Hessian 2 W^T W, inverse Hessian and
+    the box rows [I; -I] of its variables.
 
     Build it once with prepare_weight and hand it to every QpProblem that
     shares the weight; the arrays are read-only.
@@ -46,6 +47,7 @@ class PreparedWeight:
     matrix: np.ndarray
     hessian: np.ndarray
     inv_hessian: np.ndarray
+    box: np.ndarray
 
 
 def prepare_weight(weight) -> PreparedWeight:
@@ -69,9 +71,10 @@ def prepare_weight(weight) -> PreparedWeight:
         )
     hessian = 2.0 * matrix.T @ matrix
     inv_hessian = _invert_spd(hessian)
-    for arr in (matrix, hessian, inv_hessian):
+    box = np.vstack([np.eye(matrix.shape[0]), -np.eye(matrix.shape[0])])
+    for arr in (matrix, hessian, inv_hessian, box):
         arr.setflags(write=False)
-    return PreparedWeight(matrix, hessian, inv_hessian)
+    return PreparedWeight(matrix, hessian, inv_hessian, box)
 
 
 @dataclass(frozen=True, eq=False)
@@ -124,8 +127,7 @@ class QpProblem:
             raise ValueError(f"u_max must be finite and > 0, got {self.u_max!r}")
 
         u_max = float(self.u_max)
-        eye = np.eye(m)
-        C = np.vstack([matrix, eye, -eye])
+        C = np.concatenate([matrix, prepared.box])
         d = np.concatenate([rhs, np.full(2 * m, -u_max)])
         u_nom = u_nom.copy()
         linear = -prepared.hessian @ u_nom
@@ -283,11 +285,17 @@ class _WorkingSet:
 def _blocking_ratio(lam_w: np.ndarray, r_dir: np.ndarray):
     """Position and step length of the first active multiplier that a step
     along -r_dir drives to zero; (-1, inf) when no entry of r_dir is positive.
-    Ties go to the lowest position."""
+    Ties go to the lowest position.  The errstate that keeps an overflow
+    quiet costs more than the divide, so only a tiny r_dir pays for it."""
     positive = (r_dir > 0.0).nonzero()[0]
     if not positive.size:
         return -1, math.inf
-    ratios = lam_w[positive] / r_dir[positive]
+    r_pos = r_dir[positive]
+    if r_pos.min() >= 1e-200:
+        ratios = lam_w[positive] / r_pos
+    else:  # a denormal r_dir can overflow a ratio to inf, which is kept
+        with np.errstate(over="ignore"):
+            ratios = lam_w[positive] / r_pos
     block = int(ratios.argmin())
     return int(positive[block]), ratios[block]
 
@@ -302,7 +310,8 @@ def _solve_raw(inv_hessian, linear, C, d, max_iter=None, warm=()):
     solved with the kept inverse on a cold start, else by LU; the final
     equality re-solve always runs LU on B.
 
-    Returns (u, full multipliers, status, iterations, active indices).
+    Returns (u, full multipliers, status, iterations, active indices,
+    residual C u - d at that u).
     """
     n_rows = C.shape[0]
     if max_iter is None:
@@ -395,23 +404,27 @@ def _solve_raw(inv_hessian, linear, C, d, max_iter=None, warm=()):
         # prune above has just solved this very system.
         ws.eq_multipliers(linear, d)
         u = ws.primal(linear)
+    if status != OPTIMAL or ws.size and iterations:
+        residual = C @ u - d  # u has moved since the loop's last residual
 
     lam_full = np.zeros(n_rows)
     if ws.size:
         lam_full[ws.indices] = ws.lam
-    return u, lam_full, status, iterations, tuple(ws.indices)
+    return u, lam_full, status, iterations, tuple(ws.indices), residual
 
 
-def _kkt_residuals(hessian, linear, C, d, u, lam):
+def _kkt_residuals(hessian, linear, C, u, lam, residual, active):
+    """(stationarity, feasibility, complementarity) at u.  Only the active
+    rows carry multipliers, so only they enter C^T lam and lam * residual."""
     gradient = hessian @ u + linear
-    stationarity = float(np.abs(gradient - C.T @ lam).max()) if lam.size else float(
-        np.abs(gradient).max()
-    )
-    residual = C @ u - d
-    feasibility = float(max(0.0, (-residual).max())) if residual.size else 0.0
-    complementarity = float(np.abs(lam * residual).max()) if lam.size else 0.0
-    dual_negativity = float(max(0.0, -lam.min())) if lam.size else 0.0
-    return stationarity, feasibility, max(complementarity, dual_negativity)
+    feasibility = float(max(0.0, -residual.min())) if residual.size else 0.0
+    if not active:
+        return float(np.abs(gradient).max()), feasibility, 0.0
+    rows = np.array(active)
+    lam_a = lam[rows]
+    stationarity = float(np.abs(gradient - C[rows].T @ lam_a).max())
+    complementarity = float(np.abs(lam_a * residual[rows]).max())
+    return stationarity, feasibility, max(complementarity, -float(lam_a.min()))
 
 
 def solve(problem: QpProblem, max_iterations: int | None = None, warm_start=None) -> QpSolution:
@@ -436,7 +449,7 @@ def solve(problem: QpProblem, max_iterations: int | None = None, warm_start=None
     C, d, linear = problem.C, problem.d, problem.linear
     for seed_rows in (warm, ()) if warm else ((),):
         try:
-            u, lam, status, iterations, active = _solve_raw(
+            u, lam, status, iterations, active, residual = _solve_raw(
                 problem.prepared.inv_hessian, linear, C, d, max_iterations, seed_rows
             )
         except np.linalg.LinAlgError:
@@ -444,7 +457,7 @@ def solve(problem: QpProblem, max_iterations: int | None = None, warm_start=None
                 raise
             continue
         stationarity, feasibility, complementarity = _kkt_residuals(
-            problem.prepared.hessian, linear, C, d, u, lam
+            problem.prepared.hessian, linear, C, u, lam, residual, active
         )
         kkt_residual = max(stationarity, complementarity)
         if status == OPTIMAL and (
@@ -488,8 +501,12 @@ def solve_with_slack(problem: QpProblem, slack_weight: float) -> QpSolution:
     C[stacked:, m:] = np.eye(n_rows)
     d = np.concatenate([problem.d, np.zeros(n_rows)])
 
-    v, lam, status, iterations, _ = _solve_raw(_invert_spd(hessian), linear, C, d)
-    stationarity, _, complementarity = _kkt_residuals(hessian, linear, C, d, v, lam)
+    v, lam, status, iterations, active, residual = _solve_raw(
+        _invert_spd(hessian), linear, C, d
+    )
+    stationarity, _, complementarity = _kkt_residuals(
+        hessian, linear, C, v, lam, residual, active
+    )
     return QpSolution(
         u_star=v[:m],
         status=status,

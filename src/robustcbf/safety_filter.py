@@ -11,9 +11,10 @@ from typing import Sequence
 import numpy as np
 
 from . import qp
-from .barrier import BarrierParams, ConstraintSet, assemble_constraints
+from .barrier import BarrierParams, ConstraintSet, assemble_constraints, pair_slots
 from .disturbance import DisturbanceHull, HullUnion, boundary_hull, pooled_vertices
-from .dynamics import RobotGeometry, RobotState, WheelCommand, as_commands, body_output_matrix
+from .dynamics import PoseFrame, RobotGeometry, RobotState, WheelCommand, as_commands
+from .dynamics import body_output_matrix, pose_frame
 
 _FALLBACKS = ("error", "zero-input", "slack")
 
@@ -25,12 +26,13 @@ class FilterInfeasibleError(RuntimeError):
 @dataclass(frozen=True, eq=False)
 class FilterPlan:
     """What the filter reuses at every step for one robot count: the
-    read-only (pairs, 2) array of np.triu_indices(n, 1), the prepared QP
-    weight, and margin_union, one hull of the boundary_hull points of the
-    pooled disturbance vertices, which the margin pass reads in one call in
-    place of the declared hulls for the same bits."""
+    read-only (pairs, 2) array of np.triu_indices(n, 1) and its pair_slots,
+    the prepared QP weight, and margin_union, one hull of the boundary_hull
+    points of the pooled disturbance vertices, which the margin pass reads
+    in one call in place of the declared hulls for the same bits."""
 
     pairs: np.ndarray
+    slots: np.ndarray
     weight: qp.PreparedWeight
     margin_union: HullUnion
 
@@ -71,6 +73,7 @@ class FilterConfig:
             pairs.setflags(write=False)
             plan = FilterPlan(
                 pairs=pairs,
+                slots=pair_slots(pairs, n),
                 weight=qp.prepare_weight(ensemble_weight(n, self.geometry)),
                 margin_union=HullUnion(
                     (boundary_hull(DisturbanceHull(pooled_vertices(self.disturbance))),)
@@ -85,9 +88,9 @@ class FilterResult:
     """Filtered commands plus diagnostics for one control step.
 
     solver.u_star holds the filtered commands as (omega_r, omega_l) per
-    robot.  wall_clock covers constraint assembly and the QP solve only;
-    min_h is the smallest pairwise barrier value at the input state (inf for
-    a single robot).
+    robot.  wall_clock covers constraint assembly and the QP solve only,
+    plus the pose frame when filter_step builds it; min_h is the smallest
+    pairwise barrier value at the input state (inf for a single robot).
     """
 
     altered: np.ndarray
@@ -110,34 +113,35 @@ def ensemble_weight(n: int, geom: RobotGeometry) -> np.ndarray:
 
 
 def filter_step(
-    states: Sequence[RobotState] | np.ndarray,
+    states: Sequence[RobotState] | np.ndarray | PoseFrame,
     u_nom: Sequence[WheelCommand] | np.ndarray,
     cfg: FilterConfig,
     warm_start=None,
 ) -> FilterResult:
     """Render one step's nominal commands safe.
 
-    states is a sequence of RobotState or an (n, 3) pose array, u_nom a
-    sequence of WheelCommand or an (n, 2) command array.  Solves
+    states is a sequence of RobotState, an (n, 3) pose array or a PoseFrame,
+    u_nom a sequence of WheelCommand or an (n, 2) command array.  Solves
     min ||W (u_nom - u)||^2 over the stacked barrier rows and the box bound;
     when the commands are already safe the answer is u_nom itself.
     warm_start accepts a previous step's QpSolution to seed the active set.
     """
     nominal = as_commands(u_nom).reshape(-1)
-    n = len(states)
+    start = time.perf_counter()
+    frame = pose_frame(states, cfg.geometry)
+    n = frame.poses.shape[0]
     if n < 1 or nominal.size != 2 * n:
         raise ValueError("states and u_nom must have equal length >= 1")
 
-    start = time.perf_counter()
     plan = cfg.plan(n)
-    # assemble_constraints is where the poses are checked and copied, once.
     constraints = assemble_constraints(
-        states,
+        frame,
         cfg.geometry,
         cfg.barrier,
         plan.margin_union,
         cfg.u_max,
         plan.pairs,
+        plan.slots,
     )
     problem = qp.QpProblem(plan.weight, nominal, constraints.A, constraints.b, cfg.u_max)
     solution = qp.solve(problem, warm_start=warm_start)
@@ -170,7 +174,7 @@ def filter_step(
 
 
 def certificate_holds(
-    states: Sequence[RobotState] | np.ndarray,
+    states: Sequence[RobotState] | np.ndarray | PoseFrame,
     u: Sequence[WheelCommand] | np.ndarray,
     cfg: FilterConfig,
     tol: float = 1e-9,

@@ -21,12 +21,13 @@ from .disturbance import (
     symmetric_box,
 )
 from .dynamics import (
+    PoseFrame,
     RobotGeometry,
     RobotState,
     WheelCommand,
     as_poses,
     body_output_matrix,
-    output_points,
+    pose_frame,
     step_dynamics,  # noqa: F401 - perfbench hooks sim.step_dynamics by name
     step_ensemble,
 )
@@ -158,7 +159,7 @@ def circle_init(
         for angle in (2.0 * math.pi * k / n for k in range(n))
     ]
     iu, ju = np.triu_indices(n, k=1)
-    outputs = output_points(as_poses(states), geom)
+    outputs = pose_frame(states, geom).outputs
     h = pair_h_values(outputs[iu], outputs[ju], params)
     contact = np.flatnonzero(h <= 0.0)
     if contact.size:
@@ -170,17 +171,18 @@ def circle_init(
 
 
 def nominal_commands(
-    poses: np.ndarray, goals: np.ndarray, gain: float, geom: RobotGeometry, u_max: float
+    poses: np.ndarray | PoseFrame, goals: np.ndarray, gain: float, geom: RobotGeometry, u_max: float
 ) -> np.ndarray:
     """Proportional drive of each output point toward its goal.
 
-    poses is (n, 3) and goals (n, 2); returns (n, 2) wheel commands.  Maps
-    the desired output velocity through the inverse output Jacobian and
-    saturates each robot's wheel speeds uniformly, preserving direction.
+    poses are n poses as pose_frame takes them, goals (n, 2); returns (n, 2)
+    wheel commands.  Maps the desired output velocity through the inverse
+    output Jacobian and saturates each robot's wheel speeds uniformly,
+    preserving direction.
     """
-    cos_t = np.cos(poses[:, 2])
-    sin_t = np.sin(poses[:, 2])
-    desired = gain * (goals - output_points(poses, geom))
+    frame = pose_frame(poses, geom)
+    cos_t, sin_t = frame.cos, frame.sin
+    desired = gain * (goals - frame.outputs)
     block = body_output_matrix(geom)
     g00 = cos_t * block[0, 0] - sin_t * block[1, 0]
     g01 = cos_t * block[0, 1] - sin_t * block[1, 1]
@@ -201,7 +203,7 @@ def nominal_controller(
 ) -> WheelCommand:
     """nominal_commands for one robot and its 2-vector goal."""
     goals = np.asarray(goal, dtype=float).reshape(1, 2)
-    return WheelCommand(*nominal_commands(as_poses([state]), goals, gain, geom, u_max)[0])
+    return WheelCommand(*nominal_commands([state], goals, gain, geom, u_max)[0])
 
 
 def _worst_case_disturbance(result: FilterResult, pooled: DisturbanceHull) -> np.ndarray:
@@ -250,7 +252,7 @@ def run_scenario(cfg: ScenarioConfig) -> RunMetrics:
     """Run one closed-loop experiment and record its metrics.
 
     Goals are the antipodal circle points of the initial formation.  The
-    loop per step, on (n, 3) poses and (n, 2) commands: nominal controller,
+    loop per step, on one PoseFrame and (n, 2) commands: nominal controller,
     safety filter, plant disturbance, integration.  It starts from
     cfg.start_poses and filters with cfg.filter_cfg; the vertex and
     worst-case plants and the debug_checks bounds read cfg.pooled.  Fully
@@ -258,9 +260,9 @@ def run_scenario(cfg: ScenarioConfig) -> RunMetrics:
     """
     n = cfg.robot_count
     geom = cfg.geometry
-    poses = cfg.start_poses
+    frame = pose_frame(cfg.start_poses, geom)
     # Antipodal targets: mirror the initial output points through the center.
-    goals = -output_points(poses, geom)
+    goals = -frame.outputs
     bounds = support_min_rows(_DEBUG_DIRECTIONS, cfg.pooled) - 1e-12 if cfg.debug_checks else None
     rng = np.random.default_rng(cfg.rng_seed)
     steps = cfg.steps()
@@ -273,15 +275,15 @@ def run_scenario(cfg: ScenarioConfig) -> RunMetrics:
 
     warm = None
     for k in range(steps):
-        commands = nominal_commands(poses, goals, cfg.controller_gain, geom, cfg.u_max)
-        result = filter_step(poses, commands, cfg.filter_cfg, warm_start=warm)
+        commands = nominal_commands(frame, goals, cfg.controller_gain, geom, cfg.u_max)
+        result = filter_step(frame, commands, cfg.filter_cfg, warm_start=warm)
         warm = None if result.fallback_applied else result.solver
 
         min_h[k] = result.min_h
         wall_clock[k] = result.wall_clock
         max_alter[k] = float(result.altered.max())
         if trace is not None:
-            trace[k] = poses
+            trace[k] = frame.poses
 
         draws = _realize_disturbances(cfg, result, rng)
         if cfg.debug_checks:
@@ -292,10 +294,11 @@ def run_scenario(cfg: ScenarioConfig) -> RunMetrics:
                     f"escapes the declared hull along {_DEBUG_DIRECTIONS[side[0]]}"
                 )
         poses = step_ensemble(
-            poses, result.solver.u_star.reshape(n, 2), draws, cfg.dt, geom, cfg.integrator
+            frame, result.solver.u_star.reshape(n, 2), draws, cfg.dt, geom, cfg.integrator
         )
+        frame = pose_frame(poses, geom)
 
-    distance = np.linalg.norm(output_points(poses, geom) - goals, axis=1)
+    distance = np.linalg.norm(frame.outputs - goals, axis=1)
     return RunMetrics(
         times=times,
         min_h=min_h,

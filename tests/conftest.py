@@ -10,7 +10,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 from robustcbf import (  # noqa: E402
     BarrierParams, DisturbanceHull, RobotGeometry, symmetric_box
 )
-from robustcbf.dynamics import output_points  # noqa: E402
+from robustcbf.dynamics import pose_frame  # noqa: E402
 
 # GRITSbot-class testbed constants used across the suite.
 WHEEL_RADIUS = 0.016
@@ -45,7 +45,7 @@ def congested_poses(rng, geom, n=22, radius=0.6, spacing=1.03 * DIAMETER):
     while poses.shape[0] < n:
         r, phi = radius * math.sqrt(rng.uniform()), rng.uniform(-math.pi, math.pi)
         pose = np.array([[r * math.cos(phi), r * math.sin(phi), rng.uniform(-math.pi, math.pi)]])
-        gaps = output_points(poses, geom) - output_points(pose, geom)
+        gaps = pose_frame(poses, geom).outputs - pose_frame(pose, geom).outputs
         if np.all(np.hypot(gaps[:, 0], gaps[:, 1]) >= spacing):
             poses = np.vstack([poses, pose])
     return poses

@@ -8,7 +8,9 @@ active-set reference is a frozen copy of the solver loop before its working
 set moved into preallocated buffers and kept B^-1, which solves B by LU on
 every step.  With the solver's scaled entering rule it pins the solver's
 steps and active sets; with the raw rule it pins the answers of the solver
-before that rule changed.
+before that rule changed.  The assembly reference is the gather-based
+assembly from before the one pass over all ordered pairs, and the full-row
+KKT report the one from before the report read only the active rows.
 """
 
 from __future__ import annotations
@@ -24,8 +26,10 @@ from robustcbf import (
     body_output_matrix,
     filter_step,
     pooled_vertices,
+    support_min_rows,
     wheel_matrix,
 )
+from robustcbf.dynamics import as_poses
 from robustcbf.qp import INFEASIBLE, MAX_ITERATIONS, OPTIMAL
 
 
@@ -332,6 +336,65 @@ def reference_dual_active_set(
         if feasibility > 1e-8 or max(stationarity, complementarity) > 1e-8:
             status = MAX_ITERATIONS
     return ReferenceSolve(u, lam, status, iterations, tuple(ws.indices), dependent_steps)
+
+
+def full_row_kkt(hessian, linear, C, d, u, lam):
+    """(stationarity, feasibility, complementarity) of min 0.5 u'Hu +
+    linear'u s.t. C u >= d at (u, lam), over every stacked row: C^T lam and
+    lam * (C u - d) in full, with the dual negativity in complementarity."""
+    gradient = hessian @ u + linear
+    stationarity = float(np.abs(gradient - C.T @ lam).max())
+    residual = C @ u - d
+    feasibility = float(max(0.0, (-residual).max()))
+    complementarity = float(np.abs(lam * residual).max())
+    return stationarity, feasibility, max(complementarity, float(max(0.0, -lam.min())))
+
+
+def slack_system(problem, slack_weight):
+    """(hessian, linear, C, d) of the slack re-solve of a QpProblem over
+    (u, s): one slack per row of A, weighted 2 * slack_weight, s >= 0."""
+    m, rows = problem.variables, problem.rows
+    hessian = np.zeros((m + rows, m + rows))
+    hessian[:m, :m] = problem.prepared.hessian
+    hessian[m:, m:] = 2.0 * slack_weight * np.eye(rows)
+    stacked = problem.C.shape[0]
+    C = np.zeros((stacked + rows, m + rows))
+    C[:stacked, :m] = problem.C
+    C[:rows, m:] = np.eye(rows)
+    C[stacked:, m:] = np.eye(rows)
+    linear = np.concatenate([problem.linear, np.zeros(rows)])
+    return hessian, linear, C, np.concatenate([problem.d, np.zeros(rows)])
+
+
+def reference_assembly(states, geom, params, hulls):
+    """(A, b, h_pairs, pairs) of every pair (i, j), i < j: output points,
+    Jacobians, gradients and barrier values gathered per pair, each row's
+    two blocks scattered through a (pairs, n, 2) view."""
+    poses = as_poses(states)
+    n = poses.shape[0]
+    pairs = np.stack(np.triu_indices(n, k=1), axis=1)
+    iu, ju = pairs.T
+    cos_t, sin_t = np.cos(poses[:, 2]), np.sin(poses[:, 2])
+    outputs = poses[:, :2] + geom.look_ahead * np.column_stack([cos_t, sin_t])
+    rot = np.column_stack([cos_t, -sin_t, sin_t, cos_t]).reshape(-1, 2, 2)
+    jacobians = rot @ body_output_matrix(geom)
+    diffs = outputs[iu] - outputs[ju]
+    grads_i = 2.0 * diffs
+    grads_j = -grads_i
+    h_vals = diffs[:, 0] * diffs[:, 0] + diffs[:, 1] * diffs[:, 1] - params.delta**2
+    jac_i, jac_j = jacobians[iu], jacobians[ju]
+    z_i = grads_i[:, 0:1] * jac_i[:, 0, :] + grads_i[:, 1:2] * jac_i[:, 1, :]
+    z_j = grads_j[:, 0:1] * jac_j[:, 0, :] + grads_j[:, 1:2] * jac_j[:, 1, :]
+    z_rows = z_i + z_j
+    block = np.zeros((iu.size, n, 2))
+    rows = np.arange(iu.size)
+    block[rows, iu] = z_i
+    block[rows, ju] = z_j
+    margin = support_min_rows(z_rows, hulls.hulls[0])
+    for hull in hulls.hulls[1:]:
+        margin = np.minimum(margin, support_min_rows(z_rows, hull))
+    b = -(params.gamma * h_vals**3) - margin
+    return block.reshape(iu.size, 2 * n), b, h_vals, pairs
 
 
 def _reference_output(state, geom) -> np.ndarray:

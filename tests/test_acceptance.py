@@ -39,7 +39,7 @@ from robustcbf import (
     zero_union,
 )
 from robustcbf.barrier import assemble_constraints, pair_h_values
-from robustcbf.dynamics import as_poses, output_jacobians
+from robustcbf.dynamics import as_poses, pose_frame
 from robustcbf.cli import load_config
 from robustcbf.qp import OPTIMAL
 
@@ -191,7 +191,7 @@ def test_criterion_6_gradient_correctness(geom, params):
             return output_point(nxt, geom)
 
         fd = fd_jacobian(through_step, np.zeros(2), eps=1.0) / dt
-        (jac,) = output_jacobians(as_poses([state]), geom)
+        (jac,) = pose_frame(as_poses([state]), geom).jacobians
         worst = max(worst, float(np.abs(fd - jac).max() / np.abs(jac).max()))
     report(
         "criterion 6 (gradient correctness)",

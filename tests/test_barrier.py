@@ -19,10 +19,10 @@ from robustcbf import (
     symmetric_box,
 )
 from robustcbf.barrier import pair_h_values
-from robustcbf.dynamics import as_poses, output_jacobians, output_points
+from robustcbf.dynamics import as_poses, pose_frame
 
-from .conftest import U_MAX
-from .oracles import fd_jacobian, support_min_enum
+from .conftest import U_MAX, congested_poses, ring_hulls
+from .oracles import fd_jacobian, reference_assembly, support_min_enum
 
 coord = st.floats(min_value=-10.0, max_value=10.0, allow_nan=False)
 
@@ -159,8 +159,8 @@ class TestAssembleConstraints:
         union = HullUnion((box5,))
         states = random_states(rng, 5)
         cs = assemble_constraints(states, geom, params, union, U_MAX)
-        outputs = output_points(as_poses(states), geom)
-        jacobians = output_jacobians(as_poses(states), geom)
+        outputs = pose_frame(as_poses(states), geom).outputs
+        jacobians = pose_frame(as_poses(states), geom).jacobians
         row = 0
         for i in range(4):
             for j in range(i + 1, 5):
@@ -236,7 +236,7 @@ class TestAssembleConstraints:
         from robustcbf import min_pairwise_h
 
         states = random_states(rng, 5)
-        outputs = output_points(as_poses(states), geom)
+        outputs = pose_frame(as_poses(states), geom).outputs
         expected = min(
             pair_h_values(outputs[i : i + 1], outputs[j : j + 1], params)[0]
             for i in range(4)
@@ -257,3 +257,54 @@ class TestAssembleConstraints:
             assert cs.b[row] == pytest.approx(
                 -params.gamma * h**3 - margin, rel=1e-12, abs=1e-15
             )
+
+
+def bits(values) -> np.ndarray:
+    return np.asarray(values, dtype=float).view(np.int64)
+
+
+class TestAssemblyOracle:
+    """The one pass over every ordered pair against the frozen gather-based
+    assembly: the same int64 bits of A, b, h_pairs and pairs."""
+
+    def assert_same_bits(self, poses, geom, params, union):
+        cs = assemble_constraints(poses, geom, params, union, U_MAX)
+        A, b, h, pairs = reference_assembly(poses, geom, params, union)
+        np.testing.assert_array_equal(bits(cs.A), bits(A))
+        np.testing.assert_array_equal(bits(cs.b), bits(b))
+        np.testing.assert_array_equal(bits(cs.h_pairs), bits(h))
+        np.testing.assert_array_equal(cs.pairs, pairs)
+        assert cs.A.shape == A.shape
+
+    def test_congested_snapshots(self, geom, params, box5, rng):
+        for _ in range(5):
+            self.assert_same_bits(congested_poses(rng, geom), geom, params, HullUnion((box5,)))
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 22])
+    def test_robot_counts(self, geom, params, box5, rng, n):
+        poses = as_poses(random_states(rng, n, spread=0.5))
+        self.assert_same_bits(poses, geom, params, HullUnion((box5,)))
+
+    def test_headings_that_cross_pi(self, geom, params, box5, rng):
+        eps = np.array([0.0, 1e-12, 1e-6, 1e-3])
+        theta = np.concatenate([math.pi - eps, -math.pi + eps, [math.pi, -math.pi]])
+        poses = np.column_stack([rng.uniform(-0.3, 0.3, size=(theta.size, 2)), theta])
+        self.assert_same_bits(poses, geom, params, HullUnion((box5,)))
+
+    def test_three_ring_union(self, geom, params, rng):
+        union = HullUnion(ring_hulls(7))
+        self.assert_same_bits(congested_poses(rng, geom), geom, params, union)
+
+    def test_coincident_output_points(self, geom, params, box5):
+        # Robots 0 and 2 share an output point, so p_0 - p_2 = +0.  The
+        # reference negates robot 0's gradient into robot 2's, -0; the pass
+        # computes 2 (p_2 - p_0) = +0.  Only the sign of a zero may differ,
+        # so A is compared with ==, which takes -0 == +0.
+        poses = np.array([[0.0, 0.0, 0.3], [0.5, 0.1, -2.0], [0.0, 0.0, 0.3], [-0.4, 0.2, 3.0]])
+        cs = assemble_constraints(poses, geom, params, HullUnion((box5,)), U_MAX)
+        A, b, h, pairs = reference_assembly(poses, geom, params, HullUnion((box5,)))
+        assert np.all(cs.A == A)
+        np.testing.assert_array_equal(bits(cs.b), bits(b))
+        np.testing.assert_array_equal(bits(cs.h_pairs), bits(h))
+        np.testing.assert_array_equal(cs.pairs, pairs)
+        assert cs.h_pairs[1] == -params.delta**2

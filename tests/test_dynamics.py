@@ -6,16 +6,22 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from robustcbf import (
+    FilterConfig,
+    HullUnion,
     RobotGeometry,
     RobotState,
     WheelCommand,
+    assemble_constraints,
     body_output_matrix,
+    filter_step,
     output_point,
     step_dynamics,
     wheel_matrix,
 )
-from robustcbf.dynamics import as_poses, output_jacobians, step_ensemble, wrap_angle
+from robustcbf.dynamics import as_poses, pose_frame, step_ensemble, wrap_angle
+from robustcbf.sim import nominal_commands
 
+from .conftest import congested_poses
 from .oracles import fd_jacobian
 
 
@@ -95,23 +101,23 @@ def random_poses(rng, n):
 
 class TestOutputJacobian:
     def test_heading_zero_matches_table_constants(self, geom):
-        (jac,) = output_jacobians(np.zeros((1, 3)), geom)
+        (jac,) = pose_frame(np.zeros((1, 3)), geom).jacobians
         expected = np.array([[0.008, 0.008], [-0.03 * 0.016 / 0.105, 0.03 * 0.016 / 0.105]])
         np.testing.assert_allclose(jac, expected, rtol=1e-12)
 
     def test_determinant_is_rotation_free(self, geom, rng):
         expected = geom.look_ahead * geom.wheel_radius**2 / geom.base_length
-        for jac in output_jacobians(random_poses(rng, 20), geom):
+        for jac in pose_frame(random_poses(rng, 20), geom).jacobians:
             assert np.linalg.det(jac) == pytest.approx(expected)
 
     def test_periodic_in_heading(self, geom):
         theta = 0.4321
         poses = np.array([[0.0, 0.0, theta], [0.0, 0.0, theta + 2.0 * math.pi]])
-        a, b = output_jacobians(poses, geom)
+        a, b = pose_frame(poses, geom).jacobians
         np.testing.assert_allclose(a, b, atol=1e-12)
 
     def test_inverse_times_itself_is_identity(self, geom, rng):
-        for jac in output_jacobians(random_poses(rng, 50), geom):
+        for jac in pose_frame(random_poses(rng, 50), geom).jacobians:
             np.testing.assert_allclose(
                 np.linalg.inv(jac) @ jac, np.eye(2), atol=1e-10
             )
@@ -121,7 +127,7 @@ class TestOutputJacobian:
         # to leading order; divide the central difference by dt to compare.
         dt = 1e-3
         poses = random_poses(rng, 100)
-        for pose, jac in zip(poses, output_jacobians(poses, geom)):
+        for pose, jac in zip(poses, pose_frame(poses, geom).jacobians):
             state = RobotState(*pose)
 
             def through_step(u):
@@ -267,11 +273,82 @@ class TestAsPoses:
             as_poses(np.array([[0.0, math.nan, 0.0]]))
 
 
+class TestPoseFrame:
+    """One PoseFrame per step serves the controller, the filter and the
+    plant: each gives the bits it gives for the pose array or the
+    RobotState list, and refuses a frame of another geometry."""
+
+    def inputs(self, rng, geom, n=12):
+        poses = congested_poses(rng, geom, n=n, radius=0.4)
+        poses[:3, 2] = [math.pi, -math.pi + 1e-9, math.pi - 1e-9]
+        return poses, [RobotState(*p) for p in poses], pose_frame(poses, geom)
+
+    def test_every_form_gives_the_same_bits(self, geom, params, box5, rng):
+        cfg = FilterConfig(geom, params, HullUnion((box5,)), 25.0)
+        goals = rng.uniform(-0.5, 0.5, size=(12, 2))
+        for _ in range(3):
+            poses, states, frame = self.inputs(rng, geom)
+            commands = [nominal_commands(x, goals, 1.0, geom, 25.0) for x in (poses, states, frame)]
+            assert commands[0].tobytes() == commands[1].tobytes() == commands[2].tobytes()
+            results = [filter_step(x, commands[0], cfg) for x in (poses, states, frame)]
+            for result in results[1:]:
+                assert result.solver.u_star.tobytes() == results[0].solver.u_star.tobytes()
+                assert result.constraints.A.tobytes() == results[0].constraints.A.tobytes()
+                assert result.constraints.b.tobytes() == results[0].constraints.b.tobytes()
+                assert result.min_h == results[0].min_h
+            stacks = [
+                assemble_constraints(x, geom, params, cfg.disturbance, 25.0)
+                for x in (poses, states, frame)
+            ]
+            for stack in stacks[1:]:
+                assert stack.A.tobytes() == stacks[0].A.tobytes()
+                assert stack.b.tobytes() == stacks[0].b.tobytes()
+                assert stack.h_pairs.tobytes() == stacks[0].h_pairs.tobytes()
+            wheels = results[0].solver.u_star.reshape(-1, 2)
+            draws = rng.uniform(-5.0, 5.0, size=wheels.shape)
+            for method in ("euler", "rk4"):
+                stepped = [
+                    step_ensemble(x, wheels, draws, 0.05, geom, method)
+                    for x in (poses, states, frame)
+                ]
+                assert stepped[0].tobytes() == stepped[1].tobytes() == stepped[2].tobytes()
+
+    def test_frame_matches_its_parts(self, geom, rng):
+        poses, _, frame = self.inputs(rng, geom)
+        assert frame.poses.tobytes() == poses.tobytes()
+        assert frame.cos.tobytes() == np.cos(poses[:, 2]).tobytes()
+        assert frame.sin.tobytes() == np.sin(poses[:, 2]).tobytes()
+        for k, pose in enumerate(poses):
+            assert frame.outputs[k].tolist() == output_point(RobotState(*pose), geom).tolist()
+        assert pose_frame(frame, geom) is frame
+        for arr in (frame.poses, frame.cos, frame.sin, frame.outputs, frame.jacobians):
+            assert not arr.flags.writeable
+
+    def test_another_geometry_is_refused(self, geom, params, box5, rng):
+        other = RobotGeometry(geom.wheel_radius, geom.base_length, 2.0 * geom.look_ahead)
+        cfg = FilterConfig(other, params, HullUnion((box5,)), 25.0)
+        _, _, frame = self.inputs(rng, geom)
+        wheels = np.zeros((12, 2))
+        same = RobotGeometry(geom.wheel_radius, geom.base_length, geom.look_ahead)
+        assert pose_frame(frame, same) is frame
+        calls = (
+            lambda: pose_frame(frame, other),
+            lambda: nominal_commands(frame, np.zeros((12, 2)), 1.0, other, 25.0),
+            lambda: filter_step(frame, wheels, cfg),
+            lambda: assemble_constraints(frame, other, params, cfg.disturbance, 25.0),
+            lambda: step_ensemble(frame, wheels, wheels, 0.05, other),
+            lambda: step_ensemble(frame, wheels, wheels, 0.05, other, "rk4"),
+        )
+        for call in calls:
+            with pytest.raises(ValueError, match="another RobotGeometry"):
+                call()
+
+
 @settings(max_examples=50, deadline=None)
 @given(theta=st.floats(min_value=-3.0, max_value=3.0, allow_nan=False))
 def test_body_output_matrix_is_the_zero_heading_jacobian(theta):
     geom = RobotGeometry(0.016, 0.105, 0.03)
-    (jac,) = output_jacobians(np.array([[0.0, 0.0, theta]]), geom)
+    (jac,) = pose_frame(np.array([[0.0, 0.0, theta]]), geom).jacobians
     c, s = math.cos(theta), math.sin(theta)
     rot = np.array([[c, -s], [s, c]])
     np.testing.assert_allclose(jac, rot @ body_output_matrix(geom), atol=1e-15)

@@ -22,7 +22,7 @@ from robustcbf import (
 )
 from robustcbf.barrier import pair_h_values
 from robustcbf.disturbance import boundary_hull
-from robustcbf.dynamics import as_poses, output_points
+from robustcbf.dynamics import as_poses, pose_frame
 from robustcbf.qp import OPTIMAL, QpProblem
 
 from .conftest import U_MAX, congested_poses, ring_hulls
@@ -197,7 +197,7 @@ class TestFilterStep:
                 RobotState(*rng.uniform(-0.4, 0.4, size=2), rng.uniform(-math.pi, math.pi))
                 for _ in range(4)
             ]
-            outputs = output_points(as_poses(states), geom)
+            outputs = pose_frame(as_poses(states), geom).outputs
             iu, ju = np.triu_indices(4, k=1)
             if pair_h_values(outputs[iu], outputs[ju], params).min() <= 0.0:
                 continue
@@ -211,7 +211,7 @@ class TestFilterStep:
         cfg = make_config(geom, params)
         states = far_apart_states(rng, 3)
         result = filter_step(states, [WheelCommand(0.0, 0.0)] * 3, cfg)
-        outputs = output_points(as_poses(states), geom)
+        outputs = pose_frame(as_poses(states), geom).outputs
         expected = min(
             pair_h_values(outputs[i : i + 1], outputs[j : j + 1], params)[0]
             for i in range(2)

@@ -22,8 +22,10 @@ from .conftest import SCENARIO_DIR, congested_poses
 from .oracles import (
     ReallocatingWorkingSet,
     farthest_violated_row,
+    full_row_kkt,
     projected_gradient_qp,
     reference_dual_active_set,
+    slack_system,
 )
 
 
@@ -317,6 +319,79 @@ class TestBlockingRatio:
     def test_zero_multiplier_blocks_at_once(self):
         block, t = _blocking_ratio(np.array([1.0, 0.0, 0.0]), np.array([1.0, -1.0, 0.25]))
         assert (block, t) == (2, 0.0)
+
+    def test_denormal_direction_overflows_quietly(self):
+        # 0.5 / 5e-318 rounds to inf; the suite turns the overflow warning
+        # numpy would raise into an error.
+        block, t = _blocking_ratio(np.array([0.5, 2.0]), np.array([5e-318, 1.0]))
+        assert (block, t) == (1, 2.0)
+
+
+class TestActiveRowKktReport:
+    """solve and solve_with_slack report KKT residuals from the residual
+    _solve_raw returns and the active rows only.  A recomputation over every
+    stacked row agrees within 1e-12 and gives each solve the same status;
+    the report leaves the answer, multipliers and counts as the loop made
+    them."""
+
+    @staticmethod
+    def recorded(monkeypatch):
+        calls = []
+        real = qp._solve_raw
+
+        def recording(*args):
+            out = real(*args)
+            calls.append((args, out))
+            return out
+
+        monkeypatch.setattr(qp, "_solve_raw", recording)
+        return calls
+
+    @staticmethod
+    def assert_report(sol, hessian, args, out, u_star, downgrade=True):
+        _, linear, C, d = args[:4]
+        u, lam, status, iterations, active, residual = out
+        assert residual.tobytes() == (C @ u - d).tobytes()
+        stationarity, feasibility, complementarity = full_row_kkt(hessian, linear, C, d, u, lam)
+        kkt = max(stationarity, complementarity)
+        assert abs(sol.kkt_residual - kkt) <= 1e-12
+        if downgrade and status == OPTIMAL and (feasibility > 1e-8 or kkt > 1e-8):
+            status = MAX_ITERATIONS
+        assert sol.status == status
+        assert sol.u_star.tobytes() == u_star.tobytes()
+        assert sol.multipliers.tobytes() == lam.tobytes()
+        assert sol.iterations == iterations
+
+    def test_cold_warm_capped_and_infeasible_solves(self, rng, monkeypatch):
+        cases = []
+        for _ in range(10):
+            problem = random_problem(rng, m=6, rows=10)
+            cases += [(problem, {}), (problem, {"warm_start": solve(problem)})]
+            cases += [(problem, {"max_iterations": cap}) for cap in (0, 1, 2)]
+        wide, tight = congested_problem(0.6), congested_problem(0.5)
+        cases += [(wide, {}), (tight, {"warm_start": solve(wide)}), (wide, {"max_iterations": 20})]
+        cases += [(problem, {}) for problem in infeasible_problems()]
+        calls = self.recorded(monkeypatch)
+        seen = set()
+        for problem, kwargs in cases:
+            sol = solve(problem, **kwargs)
+            args, out = calls[-1]
+            self.assert_report(sol, problem.prepared.hessian, args, out, out[0])
+            assert sol.active_set == out[4]
+            seen.add(sol.status)
+        assert seen == {OPTIMAL, MAX_ITERATIONS, INFEASIBLE}
+
+    def test_slack_solve(self, monkeypatch):
+        calls = self.recorded(monkeypatch)
+        for problem in infeasible_problems() + [congested_problem(0.5)]:
+            sol = qp.solve_with_slack(problem, 1e6)
+            args, out = calls[-1]
+            hessian, linear, C, d = slack_system(problem, 1e6)
+            for built, passed in ((linear, args[1]), (C, args[2]), (d, args[3])):
+                assert built.tobytes() == passed.tobytes()
+            # solve_with_slack reports the loop's status as it ends.
+            self.assert_report(sol, hessian, args, out, out[0][: problem.variables], False)
+            assert sol.active_set == ()
 
 
 class TestProblemValidation:

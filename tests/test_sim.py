@@ -26,10 +26,10 @@ from robustcbf import (
 )
 from robustcbf import sim
 from robustcbf.barrier import pair_h_values
-from robustcbf.dynamics import as_poses, output_jacobians, output_points
+from robustcbf.dynamics import as_poses, pose_frame
 from robustcbf.sim import derived_seeds, nominal_commands
 
-from .conftest import U_MAX, ring_hulls
+from .conftest import SCENARIO_DIR, U_MAX, ring_hulls
 from .oracles import reference_closed_loop
 
 
@@ -140,7 +140,7 @@ class TestCircleInit:
         # Output points sit on a circle of radius - look_ahead (headings
         # point inward); the smallest pair gap is the adjacent chord.
         states = circle_init(22, 0.6, geom, params)
-        outputs = output_points(as_poses(states), geom)
+        outputs = pose_frame(as_poses(states), geom).outputs
         iu, ju = np.triu_indices(22, k=1)
         h_min = float(pair_h_values(outputs[iu], outputs[ju], params).min())
         chord = 2.0 * (0.6 - geom.look_ahead) * math.sin(math.pi / 22.0)
@@ -181,7 +181,7 @@ class TestNominalController:
             gain = float(rng.uniform(0.2, 3.0))
             cmd = nominal_controller(state, goal, gain, geom, U_MAX)
             desired = gain * (goal - output_point(state, geom))
-            (jac,) = output_jacobians(as_poses([state]), geom)
+            (jac,) = pose_frame(as_poses([state]), geom).jacobians
             unsaturated = np.linalg.solve(jac, desired)
             peak = np.abs(unsaturated).max()
             expected = unsaturated * min(1.0, U_MAX / peak) if peak > 0 else unsaturated
@@ -571,6 +571,22 @@ class TestRepeatExperiment:
             [sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True
         )
         assert out.stdout.strip() == "False"
+
+    def test_a_closed_loop_leaves_scipy_unloaded(self):
+        # Importing scipy.linalg costs about 0.25 s of start-up and 20 MB of
+        # resident memory; the step path keeps to numpy.
+        code = (
+            "import sys; from dataclasses import replace; import robustcbf, robustcbf.cli; "
+            f"cfg = robustcbf.cli.load_config({str(SCENARIO_DIR / 'circle22.yaml')!r}); "
+            "cfg = replace(cfg, sim_duration=10 * cfg.dt, iterations=1); "
+            "assert robustcbf.run_scenario(cfg).times.size == 10; "
+            "print(sorted(m for m in sys.modules if m.startswith('scipy')))"
+        )
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+        out = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True
+        )
+        assert out.stdout.strip() == "[]"
 
 
 class TestDisturbanceRealization:
