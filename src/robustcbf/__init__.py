@@ -5,14 +5,7 @@ minimally invasive quadratic program per control step, with the disturbance
 modeled as the convex hull of finitely many wheel-speed offsets.
 """
 
-from .barrier import (
-    BarrierParams,
-    ConstraintSet,
-    assemble_constraints,
-    class_k_cubic,
-    min_pairwise_h,
-    pairwise_h_grad,
-)
+from .barrier import BarrierParams, ConstraintSet, assemble_constraints, class_k_cubic
 from .disturbance import (
     DisturbanceHull,
     HullUnion,
@@ -27,12 +20,10 @@ from .dynamics import (
     RobotGeometry,
     RobotState,
     WheelCommand,
-    body_output_matrix,
     output_point,
     step_dynamics,
-    wheel_matrix,
 )
-from .qp import QpProblem, QpSolution, kkt_check, objective_value, solve
+from .qp import QpProblem, QpSolution, kkt_check, solve
 from .safety_filter import (
     FilterConfig,
     FilterInfeasibleError,
@@ -68,18 +59,14 @@ __all__ = [
     "WheelCommand",
     "aggregate_metrics",
     "assemble_constraints",
-    "body_output_matrix",
     "certificate_holds",
     "circle_init",
     "class_k_cubic",
     "ensemble_weight",
     "filter_step",
     "kkt_check",
-    "min_pairwise_h",
     "nominal_controller",
-    "objective_value",
     "output_point",
-    "pairwise_h_grad",
     "pooled_vertices",
     "repeat_experiment",
     "run_scenario",
@@ -89,7 +76,6 @@ __all__ = [
     "support_min",
     "support_min_rows",
     "symmetric_box",
-    "wheel_matrix",
     "zero_union",
 ]
 

@@ -55,32 +55,6 @@ def pair_h_values(p_i: np.ndarray, p_j: np.ndarray, params: BarrierParams) -> np
     return diffs[:, 0] * diffs[:, 0] + diffs[:, 1] * diffs[:, 1] - params.delta**2
 
 
-def min_pairwise_h(
-    states: Sequence[RobotState] | np.ndarray | PoseFrame,
-    geom: RobotGeometry,
-    params: BarrierParams,
-) -> float:
-    """Smallest barrier value over all robot pairs of a RobotState sequence,
-    an (n, 3) pose array or a PoseFrame; inf for a single robot."""
-    outputs = pose_frame(states, geom).outputs
-    n = outputs.shape[0]
-    if n < 2:
-        return math.inf
-    iu, ju = np.triu_indices(n, k=1)
-    return float(pair_h_values(outputs[iu], outputs[ju], params).min())
-
-
-def pairwise_h_grad(p_i, p_j):
-    """Exact gradients of h = |p_i - p_j|^2 - delta^2 in each output point.
-
-    Carries the factor 2 of the derivative of the squared norm; the
-    finite-difference tests pin this.
-    """
-    diff = np.asarray(p_i, dtype=float) - np.asarray(p_j, dtype=float)
-    grad_i = 2.0 * diff
-    return grad_i, -grad_i
-
-
 def class_k_cubic(h, gamma: float):
     """Odd, strictly increasing certificate relaxation gamma * h^3."""
     return gamma * h**3

@@ -197,9 +197,9 @@ def write_csv(path: Path, header: str, columns) -> None:
     path.write_text("\n".join(lines) + "\n")
 
 
-def _write_outputs(out_dir: Path, runs, dt: float, created: list) -> dict:
-    # dt is unused; the four-argument call shape stays because
-    # perfbench/workloads.py reads `created` as the fourth positional argument.
+def _write_outputs(out_dir: Path, runs, created: list) -> dict:
+    """Write each run's metrics CSV and summary.json to out_dir, appending
+    every path to created; returns the summary."""
     out_dir.mkdir(parents=True, exist_ok=True)
     if len(runs) == 1:
         targets = [out_dir / "metrics.csv"]
@@ -272,7 +272,7 @@ def run_command(
             run_cfg = replace(cfg, filter_disturbance=zero_union()) if one == "non-robust" else cfg
             runs = repeat_experiment(run_cfg, jobs=jobs)
             target = out_dir if mode != "both" else out_dir / one.replace("-", "_")
-            summary = _write_outputs(target, runs, run_cfg.dt, created)
+            summary = _write_outputs(target, runs, created=created)
             summaries[one] = summary
             if check and _check_breach(one, summary, runs):
                 breach = True

@@ -6,7 +6,7 @@ and functions wrap the batched kernels."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from operator import attrgetter
 
 import numpy as np
@@ -48,9 +48,6 @@ class RobotState:
         object.__setattr__(self, "x2", float(self.x2))
         object.__setattr__(self, "theta", wrap_angle(float(self.theta)))
 
-    def as_array(self) -> np.ndarray:
-        return np.array([self.x1, self.x2, self.theta])
-
 
 @dataclass(frozen=True)
 class WheelCommand:
@@ -63,9 +60,6 @@ class WheelCommand:
         _require_finite(omega_r=self.omega_r, omega_l=self.omega_l)
         object.__setattr__(self, "omega_r", float(self.omega_r))
         object.__setattr__(self, "omega_l", float(self.omega_l))
-
-    def as_array(self) -> np.ndarray:
-        return np.array([self.omega_r, self.omega_l])
 
 
 def _as_rows(values, fields: attrgetter, width: int, what: str) -> np.ndarray:
@@ -94,16 +88,21 @@ def as_commands(commands) -> np.ndarray:
 
 @dataclass(frozen=True)
 class RobotGeometry:
-    """Physical constants of one robot.
+    """Physical constants of one robot, plus two read-only matrices built
+    from them: wheel_matrix maps (omega_r, omega_l) to body velocities
+    (v, omega), and body_output_matrix = diag(1, look_ahead) @ wheel_matrix
+    to the look-ahead point's velocity in the body frame.  Neither is an
+    init argument or compared, so dataclasses.replace rebuilds both.
 
     look_ahead must be strictly positive: the output map is only invertible
-    for a point strictly ahead of the wheel axle.  The wheel and body-output
-    matrices depend on nothing else, so they are built once here, read-only.
+    for a point strictly ahead of the wheel axle.
     """
 
     wheel_radius: float
     base_length: float
     look_ahead: float
+    wheel_matrix: np.ndarray = field(init=False, repr=False, compare=False)
+    body_output_matrix: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         for name in ("wheel_radius", "base_length", "look_ahead"):
@@ -117,22 +116,8 @@ class RobotGeometry:
         body_output = np.array([[1.0, 0.0], [0.0, self.look_ahead]]) @ wheel
         for matrix in (wheel, body_output):
             matrix.setflags(write=False)
-        object.__setattr__(self, "_wheel", wheel)
-        object.__setattr__(self, "_body_output", body_output)
-
-
-def wheel_matrix(geom: RobotGeometry) -> np.ndarray:
-    """2x2 map from (omega_r, omega_l) to body velocities (v, omega); read-only."""
-    return geom._wheel
-
-
-def body_output_matrix(geom: RobotGeometry) -> np.ndarray:
-    """Map wheel velocities to the look-ahead point's velocity in the body frame.
-
-    Equals diag(1, look_ahead) @ wheel_matrix; invertible because
-    look_ahead > 0.  Read-only.
-    """
-    return geom._body_output
+        object.__setattr__(self, "wheel_matrix", wheel)
+        object.__setattr__(self, "body_output_matrix", body_output)
 
 
 @dataclass(frozen=True, eq=False)
@@ -167,7 +152,7 @@ def pose_frame(states, geom: RobotGeometry) -> PoseFrame:
     np.multiply(heading, (1.0, -1.0), out=rot[:, 0])
     rot[:, 1] = heading[:, ::-1]
     outputs = poses[:, :2] + geom.look_ahead * heading
-    jacobians = rot @ body_output_matrix(geom)
+    jacobians = rot @ geom.body_output_matrix
     for arr in (poses, heading, outputs, jacobians):
         arr.setflags(write=False)
     return PoseFrame(geom, poses, *heading.T, outputs, jacobians)
@@ -213,7 +198,7 @@ def step_ensemble(
             raise ValueError(f"{name} must be a finite ({n}, 2) array")
     if not (math.isfinite(dt) and dt > 0.0):
         raise ValueError(f"dt must be finite and > 0, got {dt!r}")
-    gearing = wheel_matrix(geom)
+    gearing = geom.wheel_matrix
     if method == "euler":
         cos_t, sin_t = frame.cos, frame.sin
         # Keep the u and d contributions as separate terms: the step is then

@@ -26,9 +26,11 @@ OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
 MAX_ITERATIONS = "max-iterations"
 
-# A row is violated, and an optimal answer is accepted, within these.
+# A row is violated, and an optimal answer is accepted, within these;
+# kkt_check counts a row as active within KKT_ACTIVE_TOL * (1 + |d|).
 FEASIBILITY_TOL = 1e-8
 STATIONARITY_TOL = 1e-8
+KKT_ACTIVE_TOL = 1e-6
 
 _DEPENDENCE_RTOL = 1e-12
 _TIE_RTOL = 1e-12
@@ -518,11 +520,12 @@ def solve_with_slack(problem: QpProblem, slack_weight: float) -> QpSolution:
     )
 
 
-def kkt_check(problem: QpProblem, u, active_tol: float = 1e-6):
+def kkt_check(problem: QpProblem, u):
     """Independent first-order optimality certificate at a candidate point.
 
     Multipliers are recovered by nonnegative least squares on the rows active
-    at u; returns (stationarity, feasibility, complementarity) residuals.
+    at u within KKT_ACTIVE_TOL; returns (stationarity, feasibility,
+    complementarity) residuals.
     """
     from scipy.optimize import nnls
 
@@ -533,17 +536,10 @@ def kkt_check(problem: QpProblem, u, active_tol: float = 1e-6):
     gradient = problem.prepared.hessian @ u + problem.linear
     residual = C @ u - d
     feasibility = float(max(0.0, (-residual).max())) if residual.size else 0.0
-    active = np.flatnonzero(np.abs(residual) <= active_tol * (1.0 + np.abs(d)))
+    active = np.flatnonzero(np.abs(residual) <= KKT_ACTIVE_TOL * (1.0 + np.abs(d)))
     if active.size == 0:
         return float(np.abs(gradient).max()), feasibility, 0.0
     lam_active, _ = nnls(C[active].T, gradient)
     stationarity = float(np.abs(C[active].T @ lam_active - gradient).max())
     complementarity = float(np.abs(lam_active * residual[active]).max())
     return stationarity, feasibility, complementarity
-
-
-def objective_value(problem: QpProblem, u) -> float:
-    """||weight @ (u_nom - u)||^2 at a candidate point."""
-    u = np.asarray(u, dtype=float).reshape(-1)
-    r = problem.weight @ (problem.u_nom - u)
-    return float(r @ r)

@@ -13,10 +13,10 @@ import numpy as np
 from . import qp
 from .barrier import BarrierParams, ConstraintSet, assemble_constraints, pair_slots
 from .disturbance import DisturbanceHull, HullUnion, boundary_hull, pooled_vertices
-from .dynamics import PoseFrame, RobotGeometry, RobotState, WheelCommand, as_commands
-from .dynamics import body_output_matrix, pose_frame
+from .dynamics import PoseFrame, RobotGeometry, RobotState, WheelCommand, as_commands, pose_frame
 
 _FALLBACKS = ("error", "zero-input", "slack")
+CERTIFICATE_TOL = 1e-9
 
 
 class FilterInfeasibleError(RuntimeError):
@@ -109,7 +109,7 @@ def ensemble_weight(n: int, geom: RobotGeometry) -> np.ndarray:
     """
     if n < 1:
         raise ValueError("need at least one robot")
-    return np.kron(np.eye(n), body_output_matrix(geom))
+    return np.kron(np.eye(n), geom.body_output_matrix)
 
 
 def filter_step(
@@ -177,13 +177,12 @@ def certificate_holds(
     states: Sequence[RobotState] | np.ndarray | PoseFrame,
     u: Sequence[WheelCommand] | np.ndarray,
     cfg: FilterConfig,
-    tol: float = 1e-9,
 ):
     """Directly evaluate the robust certificate for every pair.
 
     states and u take the same forms as in filter_step.  Returns (holds,
-    worst_margin): the minimum slack of A u - b and whether it clears -tol.
-    A single robot trivially holds with infinite margin.
+    worst_margin): the minimum slack of A u - b and whether it clears
+    -CERTIFICATE_TOL.  A single robot trivially holds with infinite margin.
     """
     constraints = assemble_constraints(
         states, cfg.geometry, cfg.barrier, cfg.disturbance, cfg.u_max
@@ -192,4 +191,4 @@ def certificate_holds(
         return True, math.inf
     slack = constraints.A @ as_commands(u).reshape(-1) - constraints.b
     worst = float(slack.min())
-    return worst >= -tol, worst
+    return worst >= -CERTIFICATE_TOL, worst

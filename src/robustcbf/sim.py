@@ -26,7 +26,6 @@ from .dynamics import (
     RobotState,
     WheelCommand,
     as_poses,
-    body_output_matrix,
     pose_frame,
     step_dynamics,  # noqa: F401 - perfbench hooks sim.step_dynamics by name
     step_ensemble,
@@ -183,7 +182,7 @@ def nominal_commands(
     frame = pose_frame(poses, geom)
     cos_t, sin_t = frame.cos, frame.sin
     desired = gain * (goals - frame.outputs)
-    block = body_output_matrix(geom)
+    block = geom.body_output_matrix
     g00 = cos_t * block[0, 0] - sin_t * block[1, 0]
     g01 = cos_t * block[0, 1] - sin_t * block[1, 1]
     g10 = sin_t * block[0, 0] + cos_t * block[1, 0]

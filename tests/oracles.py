@@ -1,9 +1,10 @@
 """Independent reference computations that pin expected test values.
 
 Nothing here imports solver internals: support minima are brute-force vertex
-enumerations, Jacobians come from central differences, the QP reference
-is a projected-gradient ascent on the dual run to convergence, and the
-closed-loop reference steps one robot object at a time.  The dual
+enumerations, Jacobians come from central differences, the barrier gradient
+and the QP objective are written out for one pair and one point, the QP
+reference is a projected-gradient ascent on the dual run to convergence, and
+the closed-loop reference steps one robot object at a time.  The dual
 active-set reference is a frozen copy of the solver loop before its working
 set moved into preallocated buffers and kept B^-1, which solves B by LU on
 every step.  With the solver's scaled entering rule it pins the solver's
@@ -20,15 +21,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from robustcbf import (
-    RobotState,
-    WheelCommand,
-    body_output_matrix,
-    filter_step,
-    pooled_vertices,
-    support_min_rows,
-    wheel_matrix,
-)
+from robustcbf import RobotState, WheelCommand, filter_step, pooled_vertices, support_min_rows
 from robustcbf.dynamics import as_poses
 from robustcbf.qp import INFEASIBLE, MAX_ITERATIONS, OPTIMAL
 
@@ -56,6 +49,22 @@ def support_min_enum(z, vertices) -> float:
         if best is None or value < best:
             best = value
     return best
+
+
+def pair_h_gradient(p_i, p_j):
+    """Exact gradients of h = |p_i - p_j|^2 - delta^2 in each output point,
+    2 (p_i - p_j) and its negation; the finite-difference tests pin the
+    factor 2."""
+    diff = np.asarray(p_i, dtype=float) - np.asarray(p_j, dtype=float)
+    grad_i = 2.0 * diff
+    return grad_i, -grad_i
+
+
+def qp_objective(problem, u) -> float:
+    """||weight @ (u_nom - u)||^2 of a QpProblem at a candidate point."""
+    u = np.asarray(u, dtype=float).reshape(-1)
+    r = problem.weight @ (problem.u_nom - u)
+    return float(r @ r)
 
 
 def convex_combination(vertices, rng) -> np.ndarray:
@@ -377,7 +386,7 @@ def reference_assembly(states, geom, params, hulls):
     cos_t, sin_t = np.cos(poses[:, 2]), np.sin(poses[:, 2])
     outputs = poses[:, :2] + geom.look_ahead * np.column_stack([cos_t, sin_t])
     rot = np.column_stack([cos_t, -sin_t, sin_t, cos_t]).reshape(-1, 2, 2)
-    jacobians = rot @ body_output_matrix(geom)
+    jacobians = rot @ geom.body_output_matrix
     diffs = outputs[iu] - outputs[ju]
     grads_i = 2.0 * diffs
     grads_j = -grads_i
@@ -413,7 +422,7 @@ def _reference_controller(state, goal, gain, geom, u_max):
     lp = geom.look_ahead
     desired_x = gain * (float(goal[0]) - (state.x1 + lp * cos_t))
     desired_y = gain * (float(goal[1]) - (state.x2 + lp * sin_t))
-    block = body_output_matrix(geom)
+    block = geom.body_output_matrix
     g00 = cos_t * block[0, 0] - sin_t * block[1, 0]
     g01 = cos_t * block[0, 1] - sin_t * block[1, 1]
     g10 = sin_t * block[0, 0] + cos_t * block[1, 0]
@@ -432,7 +441,7 @@ def _reference_controller(state, goal, gain, geom, u_max):
 def _reference_step(state, u, d, dt, geom, method):
     """One robot's pose step with its own 3x2 body matrix and the 2x2
     gearing matvec; RobotState wraps the heading."""
-    gearing = wheel_matrix(geom)
+    gearing = geom.wheel_matrix
     x = np.array([state.x1, state.x2, state.theta])
     if method == "euler":
         body = np.zeros((3, 2))

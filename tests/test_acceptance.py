@@ -27,9 +27,7 @@ from robustcbf import (
     filter_step,
     kkt_check,
     nominal_controller,
-    objective_value,
     output_point,
-    pairwise_h_grad,
     pooled_vertices,
     repeat_experiment,
     step_dynamics,
@@ -39,12 +37,18 @@ from robustcbf import (
     zero_union,
 )
 from robustcbf.barrier import assemble_constraints, pair_h_values
-from robustcbf.dynamics import as_poses, pose_frame
+from robustcbf.dynamics import as_commands, as_poses, pose_frame
 from robustcbf.cli import load_config
 from robustcbf.qp import OPTIMAL
 
 from .conftest import SCENARIO_DIR, U_MAX
-from .oracles import convex_combination, fd_jacobian, projected_gradient_qp
+from .oracles import (
+    convex_combination,
+    fd_jacobian,
+    pair_h_gradient,
+    projected_gradient_qp,
+    qp_objective,
+)
 from .test_qp import random_problem
 
 
@@ -118,7 +122,7 @@ def test_criterion_3_qp_oracle_equivalence():
         _, oracle_obj = projected_gradient_qp(
             problem.weight, problem.u_nom, problem.A, problem.b, problem.u_max
         )
-        worst_obj = max(worst_obj, abs(objective_value(problem, sol.u_star) - oracle_obj))
+        worst_obj = max(worst_obj, abs(qp_objective(problem, sol.u_star) - oracle_obj))
         worst_kkt = max(worst_kkt, max(kkt_check(problem, sol.u_star)))
     report(
         "criterion 3 (QP oracle equivalence)",
@@ -178,7 +182,7 @@ def test_criterion_6_gradient_correctness(geom, params):
     for _ in range(100):
         p_i = rng.uniform(-2.0, 2.0, size=2)
         p_j = rng.uniform(-2.0, 2.0, size=2)
-        grad_i, _ = pairwise_h_grad(p_i, p_j)
+        grad_i, _ = pair_h_gradient(p_i, p_j)
         fd = fd_jacobian(lambda p: pair_h_values(p[None], p_j[None], params), p_i, 1e-5)[0]
         scale = max(float(np.abs(grad_i).max()), 1e-9)
         worst = max(worst, float(np.abs(fd - grad_i).max()) / scale)
@@ -223,7 +227,7 @@ def test_criterion_7_minimal_invasiveness(geom, params):
             continue
         checked += 1
         result = filter_step(states, nominal, cfg)
-        stacked = np.concatenate([c.as_array() for c in nominal])
+        stacked = as_commands(nominal).reshape(-1)
         worst = max(worst, float(np.abs(result.solver.u_star - stacked).max()))
     report(
         "criterion 7 (minimal invasiveness)",

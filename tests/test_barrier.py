@@ -8,11 +8,12 @@ from hypothesis import strategies as st
 from robustcbf import (
     BarrierParams,
     DisturbanceHull,
+    FilterConfig,
     HullUnion,
     RobotState,
     assemble_constraints,
     class_k_cubic,
-    pairwise_h_grad,
+    filter_step,
     pooled_vertices,
     support_min,
     support_min_rows,
@@ -22,7 +23,7 @@ from robustcbf.barrier import pair_h_values
 from robustcbf.dynamics import as_poses, pose_frame
 
 from .conftest import U_MAX, congested_poses, ring_hulls
-from .oracles import fd_jacobian, reference_assembly, support_min_enum
+from .oracles import fd_jacobian, pair_h_gradient, reference_assembly, support_min_enum
 
 coord = st.floats(min_value=-10.0, max_value=10.0, allow_nan=False)
 
@@ -65,27 +66,29 @@ class TestPairwiseH:
 
 
 class TestPairwiseGrad:
+    """The scalar gradient oracle that pins the assembled rows."""
+
     def test_unit_offset(self):
-        grad_i, grad_j = pairwise_h_grad([1.0, 0.0], [0.0, 0.0])
+        grad_i, grad_j = pair_h_gradient([1.0, 0.0], [0.0, 0.0])
         np.testing.assert_array_equal(grad_i, [2.0, 0.0])
         np.testing.assert_array_equal(grad_j, [-2.0, 0.0])
 
     def test_coincident_points_degenerate(self):
-        grad_i, grad_j = pairwise_h_grad([0.3, -0.4], [0.3, -0.4])
+        grad_i, grad_j = pair_h_gradient([0.3, -0.4], [0.3, -0.4])
         np.testing.assert_array_equal(grad_i, [0.0, 0.0])
         np.testing.assert_array_equal(grad_j, [0.0, 0.0])
 
     @settings(max_examples=100, deadline=None)
     @given(ax=coord, ay=coord, bx=coord, by=coord)
     def test_antisymmetry_is_exact(self, ax, ay, bx, by):
-        grad_i, grad_j = pairwise_h_grad([ax, ay], [bx, by])
+        grad_i, grad_j = pair_h_gradient([ax, ay], [bx, by])
         assert np.all(grad_i == -grad_j)
 
     def test_matches_finite_differences(self, params, rng):
         for _ in range(100):
             p_i = rng.uniform(-2.0, 2.0, size=2)
             p_j = rng.uniform(-2.0, 2.0, size=2)
-            grad_i, grad_j = pairwise_h_grad(p_i, p_j)
+            grad_i, grad_j = pair_h_gradient(p_i, p_j)
             fd_i = fd_jacobian(lambda p: pair_h_values(p[None], p_j[None], params), p_i, 1e-5)[0]
             fd_j = fd_jacobian(lambda p: pair_h_values(p_i[None], p[None], params), p_j, 1e-5)[0]
             np.testing.assert_allclose(grad_i, fd_i, atol=1e-7)
@@ -164,7 +167,7 @@ class TestAssembleConstraints:
         row = 0
         for i in range(4):
             for j in range(i + 1, 5):
-                grad_i, grad_j = pairwise_h_grad(outputs[i], outputs[j])
+                grad_i, grad_j = pair_h_gradient(outputs[i], outputs[j])
                 h = pair_h_values(outputs[i : i + 1], outputs[j : j + 1], params)[0]
                 z = grad_i @ jacobians[i] + grad_j @ jacobians[j]
                 margin = support_min_enum(z, box5.vertices)
@@ -232,9 +235,7 @@ class TestAssembleConstraints:
         with pytest.raises(ValueError):
             assemble_constraints([], geom, params, HullUnion((box5,)), U_MAX)
 
-    def test_min_pairwise_h_matches_scalar_minimum(self, geom, params, rng):
-        from robustcbf import min_pairwise_h
-
+    def test_min_h_matches_scalar_minimum(self, geom, params, box5, rng):
         states = random_states(rng, 5)
         outputs = pose_frame(as_poses(states), geom).outputs
         expected = min(
@@ -242,8 +243,13 @@ class TestAssembleConstraints:
             for i in range(4)
             for j in range(i + 1, 5)
         )
-        assert min_pairwise_h(states, geom, params) == pytest.approx(expected, rel=1e-12)
-        assert min_pairwise_h(states[:1], geom, params) == math.inf
+        union = HullUnion((box5,))
+        cfg = FilterConfig(geom, params, union, U_MAX)
+        commands = np.zeros((5, 2))
+        cs = assemble_constraints(states, geom, params, union, U_MAX)
+        assert cs.h_pairs.min() == pytest.approx(expected, rel=1e-12)
+        assert filter_step(states, commands, cfg).min_h == pytest.approx(expected, rel=1e-12)
+        assert filter_step(states[:1], commands[:1], cfg).min_h == math.inf
 
     def test_margin_equals_support_min_of_row_blocks(self, geom, params, box5, rng):
         # The rhs decomposes back into the class-K term plus the row's margin.
@@ -257,6 +263,22 @@ class TestAssembleConstraints:
             assert cs.b[row] == pytest.approx(
                 -params.gamma * h**3 - margin, rel=1e-12, abs=1e-15
             )
+
+    @pytest.mark.xfail(
+        strict=True,
+        reason="the margin takes one offset for both robots of a pair: equal headings "
+        "give z_i + z_j = 0 and a zero margin whatever the hull",
+    )
+    def test_margin_covers_each_robots_own_offset(self, geom, params):
+        # Each robot of the pair may slip by its own point of the hull, so the
+        # row must hold against the worst of each block separately.
+        box = symmetric_box(5.0)
+        states = np.array([[0.0, 0.0, 0.7], [0.5, 0.2, 0.7]])
+        cs = assemble_constraints(states, geom, params, HullUnion((box,)), U_MAX)
+        z_i, z_j = cs.A[:, 0:2], cs.A[:, 2:4]
+        margin = -class_k_cubic(cs.h_pairs[0], params.gamma) - cs.b[0]
+        decoupled = support_min_rows(z_i, box)[0] + support_min_rows(z_j, box)[0]
+        assert margin <= decoupled
 
 
 def bits(values) -> np.ndarray:

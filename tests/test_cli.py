@@ -338,6 +338,28 @@ class TestRunCommand:
         assert set(compare) == {"robust", "non_robust", "delta"}
         assert "violation_time_s" in compare["delta"]
 
+    def test_outputs_take_created_by_keyword_and_list_every_file(self, tmp_path, monkeypatch):
+        # A tracer that wraps _write_outputs reads the written files from the
+        # created keyword, so run_command must pass it by name.
+        calls = []
+        real = cli._write_outputs
+
+        def spy(*args, **kwargs):
+            summary = real(*args, **kwargs)
+            calls.append((args, kwargs))
+            return summary
+
+        monkeypatch.setattr(cli, "_write_outputs", spy)
+        out = tmp_path / "out"
+        assert run_command(write_scenario(tmp_path, SMALL_RUN), out, mode="both") == EXIT_OK
+        assert [len(args) for args, _ in calls] == [2, 2]
+        assert [set(kwargs) for _, kwargs in calls] == [{"created"}, {"created"}]
+        created = calls[0][1]["created"]
+        assert calls[1][1]["created"] is created
+        written = {p for p in out.rglob("*") if p.is_file()}
+        assert len(created) == len(written) == 7
+        assert set(created) == written
+
     def test_both_modes_build_the_start_circle_twice(self, tmp_path, monkeypatch):
         # Once when the scenario loads, once for the non-robust copy; the
         # runs read the start poses their config built.

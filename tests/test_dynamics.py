@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -12,11 +13,9 @@ from robustcbf import (
     RobotState,
     WheelCommand,
     assemble_constraints,
-    body_output_matrix,
     filter_step,
     output_point,
     step_dynamics,
-    wheel_matrix,
 )
 from robustcbf.dynamics import as_poses, pose_frame, step_ensemble, wrap_angle
 from robustcbf.sim import nominal_commands
@@ -66,17 +65,33 @@ class TestTypes:
 
 class TestWheelMatrix:
     def test_equal_wheels_translate(self, geom):
-        v, omega = wheel_matrix(geom) @ np.array([25.0, 25.0])
+        v, omega = geom.wheel_matrix @ np.array([25.0, 25.0])
         assert v == pytest.approx(0.4)
         assert omega == pytest.approx(0.0)
 
     def test_opposite_wheels_rotate(self, geom):
-        v, omega = wheel_matrix(geom) @ np.array([25.0, -25.0])
+        v, omega = geom.wheel_matrix @ np.array([25.0, -25.0])
         assert v == pytest.approx(0.0)
         assert omega == pytest.approx(0.016 * (-50.0) / 0.105)
 
     def test_zero_input(self, geom):
-        assert np.all(wheel_matrix(geom) @ np.zeros(2) == 0.0)
+        assert np.all(geom.wheel_matrix @ np.zeros(2) == 0.0)
+
+    def test_matrices_are_read_only_and_outside_equality(self, geom):
+        for matrix in (geom.wheel_matrix, geom.body_output_matrix):
+            with pytest.raises(ValueError):
+                matrix[0, 0] = 1.0
+        twin = RobotGeometry(0.016, 0.105, 0.03)
+        assert twin == geom and hash(twin) == hash(geom)
+        assert "matrix" not in repr(geom)
+        with pytest.raises(TypeError):
+            RobotGeometry(0.016, 0.105, 0.03, wheel_matrix=np.eye(2))
+
+    def test_replace_rebuilds_both_matrices(self, geom):
+        longer = replace(geom, look_ahead=0.06)
+        assert longer.wheel_matrix.tolist() == geom.wheel_matrix.tolist()
+        expected = np.diag([1.0, 0.06]) @ geom.wheel_matrix
+        assert longer.body_output_matrix.tolist() == expected.tolist()
 
 
 class TestOutputPoint:
@@ -161,7 +176,7 @@ class TestStepDynamics:
 
     def test_step_is_exactly_affine_in_the_disturbance(self, geom, rng):
         # Bit-level: disturbed step == undisturbed step + dt * B(theta) G d.
-        gearing = wheel_matrix(geom)
+        gearing = geom.wheel_matrix
         for _ in range(50):
             state = RobotState(*rng.normal(size=2), rng.uniform(-1.0, 1.0))
             u = WheelCommand(*rng.uniform(-25.0, 25.0, size=2))
@@ -173,8 +188,8 @@ class TestStepDynamics:
 
             undisturbed = step_dynamics(state, u, np.zeros(2), dt, geom)
             disturbed = step_dynamics(state, u, d, dt, geom)
-            expected = undisturbed.as_array() + shift
-            assert disturbed.as_array().tolist() == expected.tolist()
+            expected = as_poses([undisturbed])[0] + shift
+            assert as_poses([disturbed])[0].tolist() == expected.tolist()
 
     def test_rejects_bad_inputs(self, geom):
         state = RobotState(0.0, 0.0, 0.0)
@@ -192,7 +207,7 @@ class TestStepDynamics:
         d = np.array([1.0, -1.0])
         a = step_dynamics(state, u, d, 1e-4, geom, method="euler")
         b = step_dynamics(state, u, d, 1e-4, geom, method="rk4")
-        np.testing.assert_allclose(a.as_array(), b.as_array(), atol=1e-8)
+        np.testing.assert_allclose(as_poses([a])[0], as_poses([b])[0], atol=1e-8)
 
     def test_rk4_converges_faster_on_a_turn(self, geom):
         state = RobotState(0.0, 0.0, 0.0)
@@ -203,7 +218,7 @@ class TestStepDynamics:
             s = state
             for _ in range(steps):
                 s = step_dynamics(s, u, d, dt, geom, method=method)
-            return s.as_array()
+            return as_poses([s])[0]
 
         reference = integrate("rk4", 1e-4, 10_000)
         euler_err = np.abs(integrate("euler", 0.01, 100) - reference).max()
@@ -230,7 +245,7 @@ class TestStepEnsemble:
             single = step_dynamics(
                 RobotState(*poses[k]), WheelCommand(*commands[k]), draws[k], 0.05, geom, method
             )
-            assert single.as_array().tolist() == batched[k].tolist()
+            assert as_poses([single])[0].tolist() == batched[k].tolist()
 
     def test_does_not_modify_its_input(self, geom, rng):
         poses = np.array([[0.0, 0.0, math.pi], [1.0, 1.0, -3.1]])
@@ -351,4 +366,4 @@ def test_body_output_matrix_is_the_zero_heading_jacobian(theta):
     (jac,) = pose_frame(np.array([[0.0, 0.0, theta]]), geom).jacobians
     c, s = math.cos(theta), math.sin(theta)
     rot = np.array([[c, -s], [s, c]])
-    np.testing.assert_allclose(jac, rot @ body_output_matrix(geom), atol=1e-15)
+    np.testing.assert_allclose(jac, rot @ geom.body_output_matrix, atol=1e-15)

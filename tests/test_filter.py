@@ -11,7 +11,6 @@ from robustcbf import (
     RobotState,
     WheelCommand,
     assemble_constraints,
-    body_output_matrix,
     certificate_holds,
     circle_init,
     ensemble_weight,
@@ -22,7 +21,7 @@ from robustcbf import (
 )
 from robustcbf.barrier import pair_h_values
 from robustcbf.disturbance import boundary_hull
-from robustcbf.dynamics import as_poses, pose_frame
+from robustcbf.dynamics import as_commands, as_poses, pose_frame
 from robustcbf.qp import OPTIMAL, QpProblem
 
 from .conftest import U_MAX, congested_poses, ring_hulls
@@ -65,11 +64,11 @@ class TestFilterConfig:
 
 class TestEnsembleWeight:
     def test_single_robot_is_the_output_block(self, geom):
-        np.testing.assert_array_equal(ensemble_weight(1, geom), body_output_matrix(geom))
+        np.testing.assert_array_equal(ensemble_weight(1, geom), geom.body_output_matrix)
 
     def test_three_robots_block_diagonal(self, geom):
         weight = ensemble_weight(3, geom)
-        block = body_output_matrix(geom)
+        block = geom.body_output_matrix
         assert weight.shape == (6, 6)
         for k in range(3):
             np.testing.assert_array_equal(weight[2 * k : 2 * k + 2, 2 * k : 2 * k + 2], block)
@@ -79,7 +78,7 @@ class TestEnsembleWeight:
         assert np.all(off == 0.0)
 
     def test_block_matches_table_constants(self, geom):
-        block = body_output_matrix(geom)
+        block = geom.body_output_matrix
         np.testing.assert_allclose(
             block,
             [[0.008, 0.008], [-0.03 * 0.016 / 0.105, 0.03 * 0.016 / 0.105]],
@@ -154,7 +153,7 @@ class TestFilterStep:
             holds, _ = certificate_holds(states, nominal, cfg)
             assert holds
             result = filter_step(states, nominal, cfg)
-            stacked = np.concatenate([c.as_array() for c in nominal])
+            stacked = as_commands(nominal).reshape(-1)
             assert np.abs(result.solver.u_star - stacked).max() <= 1e-6
 
     def test_robust_answer_satisfies_non_robust_rows(self, geom, params, rng):
@@ -433,7 +432,7 @@ class TestCertificateHolds:
 
         cs = assemble_constraints(states, geom, params, zero_union(), U_MAX)
         direct = float(
-            (cs.A @ np.concatenate([c.as_array() for c in u]) - cs.b).min()
+            (cs.A @ as_commands(u).reshape(-1) - cs.b).min()
         )
         assert worst == pytest.approx(direct, rel=1e-12)
         assert holds == (direct >= -1e-9)

@@ -1,0 +1,75 @@
+"""Source hygiene of the package, checked with the standard library's ast:
+no module imports a name it never reads, and the package's __all__ is
+exactly what __init__ imports."""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+import robustcbf
+
+PACKAGE = Path(robustcbf.__file__).parent
+MODULES = sorted(PACKAGE.glob("*.py"))
+
+# Imported but never read, because perfbench/workloads.py install_hooks
+# patches these module attributes by name to time a layer.
+HOOK_TARGETS = {
+    "sim.py": {
+        "sample_hull": "install_hooks wraps sim.sample_hull as disturbance.plant",
+        "support_min": "install_hooks wraps sim.support_min as disturbance.plant",
+        "step_dynamics": "install_hooks wraps sim.step_dynamics as dynamics.step_dynamics",
+    },
+}
+
+
+def imported_names(tree: ast.Module) -> list:
+    """Every name an import statement binds, in source order, __future__
+    imports left out."""
+    names = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names += [alias.asname or alias.name.split(".")[0] for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            names += [alias.asname or alias.name for alias in node.names]
+    return names
+
+
+def all_names(tree: ast.Module) -> list:
+    """The string entries of a module-level __all__ list, or []."""
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            return [elt.value for elt in node.value.elts]
+    return []
+
+
+def read_names(tree: ast.Module) -> set:
+    """Names the module loads anywhere, plus those it exports in __all__."""
+    loads = {
+        node.id
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+    }
+    return loads | set(all_names(tree))
+
+
+def test_the_package_has_modules():
+    assert {"__init__.py", "barrier.py", "qp.py", "sim.py"} <= {p.name for p in MODULES}
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_every_import_is_read(path):
+    tree = ast.parse(path.read_text(), filename=str(path))
+    unused = set(imported_names(tree)) - read_names(tree)
+    # Equality, not a subset: a hook target that is gone is a stale entry.
+    assert unused == set(HOOK_TARGETS.get(path.name, {}))
+
+
+def test_all_is_exactly_what_init_imports():
+    tree = ast.parse((PACKAGE / "__init__.py").read_text())
+    exported = all_names(tree)
+    assert len(exported) == len(set(exported))
+    assert set(exported) == set(imported_names(tree))
+    assert exported == robustcbf.__all__

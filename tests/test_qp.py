@@ -9,7 +9,6 @@ from robustcbf import (
     circle_init,
     kkt_check,
     nominal_controller,
-    objective_value,
     output_point,
     solve,
 )
@@ -24,6 +23,7 @@ from .oracles import (
     farthest_violated_row,
     full_row_kkt,
     projected_gradient_qp,
+    qp_objective,
     reference_dual_active_set,
     slack_system,
 )
@@ -469,7 +469,7 @@ class TestOracleAgreement:
             _, oracle_obj = projected_gradient_qp(
                 problem.weight, problem.u_nom, problem.A, problem.b, problem.u_max
             )
-            assert objective_value(problem, sol.u_star) == pytest.approx(
+            assert qp_objective(problem, sol.u_star) == pytest.approx(
                 oracle_obj, abs=1e-6
             )
 

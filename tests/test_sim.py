@@ -26,7 +26,7 @@ from robustcbf import (
 )
 from robustcbf import sim
 from robustcbf.barrier import pair_h_values
-from robustcbf.dynamics import as_poses, pose_frame
+from robustcbf.dynamics import as_commands, as_poses, pose_frame
 from robustcbf.sim import derived_seeds, nominal_commands
 
 from .conftest import SCENARIO_DIR, U_MAX, ring_hulls
@@ -185,7 +185,9 @@ class TestNominalController:
             unsaturated = np.linalg.solve(jac, desired)
             peak = np.abs(unsaturated).max()
             expected = unsaturated * min(1.0, U_MAX / peak) if peak > 0 else unsaturated
-            np.testing.assert_allclose(cmd.as_array(), expected, rtol=1e-9, atol=1e-12)
+            np.testing.assert_allclose(
+                as_commands([cmd])[0], expected, rtol=1e-9, atol=1e-12
+            )
 
     def test_batched_matches_per_robot_bit_for_bit(self, geom, rng):
         poses = np.column_stack(
