@@ -35,7 +35,8 @@ class ConstraintSet:
     Pairs enumerate (i, j) with i < j, i ascending then j ascending.  A hull
     union still yields one row per pair: its margin is the least over all
     hulls.  The pairs / h_pairs arrays carry per-row bookkeeping used by the
-    simulator and by diagnostics.
+    simulator and by diagnostics; z_rows (pairs, 2) holds each row's margin
+    direction, the same sum as A[r, 2i:2i+2] + A[r, 2j:2j+2].
     """
 
     A: np.ndarray
@@ -43,6 +44,7 @@ class ConstraintSet:
     u_max: float
     pairs: np.ndarray
     h_pairs: np.ndarray
+    z_rows: np.ndarray
 
     @property
     def rows(self) -> int:
@@ -109,6 +111,7 @@ def assemble_constraints(
             u_max=float(u_max),
             pairs=pairs,
             h_pairs=np.zeros(0),
+            z_rows=np.zeros((0, 2)),
         )
     take, put = pair_slots(pairs, n) if slots is None else slots
 
@@ -134,4 +137,5 @@ def assemble_constraints(
         u_max=float(u_max),
         pairs=pairs,
         h_pairs=h_vals,
+        z_rows=z_rows,
     )

@@ -16,7 +16,7 @@ class DisturbanceHull:
     support minimum, so the hull itself performs no reduction (the safety
     filter's plan feeds its margin pass boundary_hull's points instead).
     Vertex order is semantically irrelevant.  The margin pass reads the
-    coordinate columns from a contiguous (2, p) copy.
+    two coordinate columns, rows of a contiguous (2, p) copy.
     """
 
     vertices: np.ndarray
@@ -32,7 +32,7 @@ class DisturbanceHull:
         for array in (verts, columns):
             array.setflags(write=False)
         object.__setattr__(self, "vertices", verts)
-        object.__setattr__(self, "_columns", columns)
+        object.__setattr__(self, "_columns", tuple(columns))
 
     @property
     def size(self) -> int:
@@ -168,11 +168,15 @@ def support_min_rows(directions: np.ndarray, hull: DisturbanceHull) -> np.ndarra
     rows) and reduced over the short vertex axis up to _VERTEX_MAJOR_POINTS
     points, else (rows, points) in two reused buffers.  Either layout
     computes d0 v0 + d1 v1 and an exact minimum: the same bits, but for the
-    sign of a zero minimum.
+    sign of a zero minimum.  A lone block is reduced without slicing.
     """
     directions = np.atleast_2d(np.asarray(directions, dtype=float))
     k = directions.shape[0]
     v0, v1 = hull._columns
+    if v0.size <= _VERTEX_MAJOR_POINTS and k * v0.size <= 1 << 15:
+        a = v0[:, None] * directions[:, 0]
+        a += v1[:, None] * directions[:, 1]
+        return a.min(axis=0)
     block = max(1, min(k, (1 << 15) // v0.size))
     out = np.empty(k)
     if v0.size <= _VERTEX_MAJOR_POINTS:

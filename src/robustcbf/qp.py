@@ -123,7 +123,7 @@ class QpProblem:
         if rhs.shape[0] != matrix.shape[0]:
             raise ValueError("A and b disagree on the number of rows")
         for name, arr in (("u_nom", u_nom), ("A", matrix), ("b", rhs)):
-            if not np.all(np.isfinite(arr)):
+            if not np.isfinite(arr).all():
                 raise ValueError(f"{name} must be finite")
         if not (math.isfinite(self.u_max) and self.u_max > 0.0):
             raise ValueError(f"u_max must be finite and > 0, got {self.u_max!r}")
@@ -175,23 +175,25 @@ def _invert_spd(hessian: np.ndarray) -> np.ndarray:
 
 
 class _WorkingSet:
-    """Active rows in buffers allocated once per solve: N (cap x m), J N^T
-    (m x cap), B = N J N^T and its inverse Binv (cap x cap each) and the
-    multipliers lam (cap), used through their leading `size` rows and
-    columns; cap doubles when full.  Binv is kept while `inverse` holds: the
-    set grew from empty by adds and drops, not by a bulk load."""
+    """Active rows N (k x m), J N^T (m x k), B = N J N^T, its inverse Binv
+    and multipliers lam, used through the leading k = size rows and columns
+    of buffers for cap rows; cap doubles when full.  A cold set allocates
+    cap = min(rows, variables); a bulk load's arrays are its set's buffers.
+    Binv is kept while `inverse` holds: the set grew from empty."""
 
-    def __init__(self, inv_hessian: np.ndarray, C: np.ndarray):
-        self._J = inv_hessian
-        self._C = C
-        self.indices: list = []
-        self.inverse = True
-        self._allocate(min(C.shape[0], inv_hessian.shape[0]))
+    def __init__(self, inv_hessian: np.ndarray, C: np.ndarray, rows=()):
+        self._J, self._C = inv_hessian, C
+        self.indices, self._rows, self.inverse = [], None, True
+        if len(rows):
+            self.bulk_load(rows)
+        else:
+            self._allocate(min(C.shape[0], inv_hessian.shape[0]))
 
     def _allocate(self, cap: int) -> None:
         """Fresh buffers for cap rows that keep the active rows."""
         k, m = self.size, self._J.shape[0]
-        kept = (self.N, self.JNt, self._B[:k, :k], self._Binv[:k, :k], self.lam) if k else None
+        binv = self._Binv[:k, :k] if k and self.inverse else 0.0  # no Binv after a bulk load
+        kept = (self.N, self.JNt, self._B[:k, :k], binv, self.lam) if k else None
         self._N, self._JNt, self._lam = np.empty((cap, m)), np.empty((m, cap)), np.empty(cap)
         self._B, self._Binv = np.empty((cap, cap)), np.zeros((cap, cap))
         if k:
@@ -201,6 +203,13 @@ class _WorkingSet:
     @property
     def size(self) -> int:
         return len(self.indices)
+
+    @property
+    def rows(self) -> np.ndarray:
+        """The active indices as an np.intp array, built once per change."""
+        if self._rows is None:
+            self._rows = np.array(self.indices, dtype=np.intp)
+        return self._rows
 
     @property
     def N(self) -> np.ndarray:
@@ -234,10 +243,12 @@ class _WorkingSet:
             self._Binv[k, k] = 1.0 / schur
         self._N[k], self._JNt[:, k], self._lam[k] = c, Jc, lam
         self.indices.append(idx)
+        self._rows = None
 
     def drop(self, pos: int) -> None:
         k = self.size
         del self.indices[pos]
+        self._rows = None
         if self.inverse:
             Binv = self._Binv[:k, :k]
             Binv -= Binv[:, pos, None] * (Binv[pos] / Binv[pos, pos])
@@ -260,28 +271,26 @@ class _WorkingSet:
         a strided view, which would change the answer in the last bits."""
         k, lam = self.size, self.lam
         if k:
-            rhs = d[self.indices] + np.ascontiguousarray(self.JNt).T @ linear
+            rhs = d.take(self.rows) + np.ascontiguousarray(self.JNt).T @ linear
             lam[:] = np.linalg.solve(self._B[:k, :k], rhs)
         return lam
 
     def primal(self, linear: np.ndarray) -> np.ndarray:
         return self.JNt @ self.lam - self._J @ linear
 
-    def bulk_load(self, idx: list) -> None:
-        """Load a whole active set at once, B in one product and solved by
-        LU.  Raises np.linalg.LinAlgError unless the rows are safely
+    def bulk_load(self, rows: np.ndarray) -> None:
+        """Load the rows at once, B in one product, and keep N, J N^T and B
+        as they come.  The Cholesky factor only tests the rows (numpy has no
+        triangular solve to reuse it): LinAlgError unless they are safely
         independent, as the dual method keeps them; solve then starts cold."""
-        N = self._C[idx]
+        N = self._C.take(rows, axis=0)
         JNt = self._J @ N.T
         B = N @ JNt
         diag = np.diagonal(np.linalg.cholesky(B))
         if diag.min() ** 2 <= _DEPENDENCE_RTOL * max(float(np.diagonal(B).max()), 1e-300):
             raise np.linalg.LinAlgError("warm-start rows are linearly dependent")
-        k = len(idx)
-        if k > self._lam.size:
-            self._allocate(k)
-        self.indices, self.inverse = idx, False
-        self._N[:k], self._JNt[:, :k], self._B[:k, :k] = N, JNt, B
+        self.indices, self._rows, self.inverse = rows.tolist(), rows, False
+        self._N, self._JNt, self._B, self._lam = N, JNt, B, np.empty(rows.size)
 
 
 def _blocking_ratio(lam_w: np.ndarray, r_dir: np.ndarray):
@@ -305,24 +314,22 @@ def _blocking_ratio(lam_w: np.ndarray, r_dir: np.ndarray):
 def _solve_raw(inv_hessian, linear, C, d, max_iter=None, warm=()):
     """Dual active-set loop on min 0.5 u'Hu + q'u s.t. C u >= d, with
     inv_hessian = H^-1 precomputed by the caller.  max_iter defaults to
-    10 * (variables + stacked rows).  warm is an iterable of row indices;
-    those in [0, rows) are bulk loaded, LinAlgError if dependent.
+    10 * (variables + stacked rows).  warm is an np.intp array of row
+    indices in [0, rows), bulk loaded; LinAlgError if dependent.
 
     The violated row of least residual / |c| enters.  B r = N H^-1 c is
     solved with the kept inverse on a cold start, else by LU; the final
     equality re-solve always runs LU on B.
 
-    Returns (u, full multipliers, status, iterations, active indices,
-    residual C u - d at that u).
+    Returns (u, full multipliers, status, iterations, the final working
+    set, residual C u - d at that u).
     """
     n_rows = C.shape[0]
     if max_iter is None:
         max_iter = 10 * (C.shape[1] + n_rows)
-    ws = _WorkingSet(inv_hessian, C)
+    ws = _WorkingSet(inv_hessian, C, warm)
 
-    warm = [i for i in map(int, warm) if 0 <= i < n_rows]
-    if warm:
-        ws.bulk_load(warm)
+    if ws.size:
         # Equality-solve on the warm active set, pruning negative multipliers.
         while True:
             lam_w = ws.eq_multipliers(linear, d)
@@ -410,23 +417,31 @@ def _solve_raw(inv_hessian, linear, C, d, max_iter=None, warm=()):
         residual = C @ u - d  # u has moved since the loop's last residual
 
     lam_full = np.zeros(n_rows)
-    if ws.size:
-        lam_full[ws.indices] = ws.lam
-    return u, lam_full, status, iterations, tuple(ws.indices), residual
+    lam_full[ws.rows] = ws.lam
+    return u, lam_full, status, iterations, ws, residual
 
 
-def _kkt_residuals(hessian, linear, C, u, lam, residual, active):
+def _kkt_residuals(hessian, linear, u, residual, ws):
     """(stationarity, feasibility, complementarity) at u.  Only the active
-    rows carry multipliers, so only they enter C^T lam and lam * residual."""
+    rows carry multipliers, so only ws.N and ws.lam enter C^T lam."""
     gradient = hessian @ u + linear
     feasibility = float(max(0.0, -residual.min())) if residual.size else 0.0
-    if not active:
+    if not ws.size:
         return float(np.abs(gradient).max()), feasibility, 0.0
-    rows = np.array(active)
-    lam_a = lam[rows]
-    stationarity = float(np.abs(gradient - C[rows].T @ lam_a).max())
-    complementarity = float(np.abs(lam_a * residual[rows]).max())
+    lam_a = ws.lam
+    stationarity = float(np.abs(gradient - ws.N.T @ lam_a).max())
+    complementarity = float(np.abs(lam_a * residual.take(ws.rows)).max())
     return stationarity, feasibility, max(complementarity, -float(lam_a.min()))
+
+
+def _warm_rows(warm_start, n_rows: int) -> np.ndarray:
+    """The warm-start indices inside [0, n_rows) as an np.intp array, in
+    their order; ValueError on an entry that is no integer or integral float."""
+    seed = np.asarray(warm_start if isinstance(warm_start, np.ndarray) else tuple(warm_start))
+    kind = seed.dtype.kind
+    if seed.ndim != 1 or kind not in "iuf" or kind == "f" and not (np.trunc(seed) == seed).all():
+        raise ValueError(f"warm_start must list integral row indices, got {seed!r}")
+    return seed[(seed >= 0) & (seed < n_rows)].astype(np.intp, copy=False)
 
 
 def solve(problem: QpProblem, max_iterations: int | None = None, warm_start=None) -> QpSolution:
@@ -434,8 +449,9 @@ def solve(problem: QpProblem, max_iterations: int | None = None, warm_start=None
 
     max_iterations caps the dual steps; None means 10 * (variables + stacked
     rows).  warm_start may be a previous QpSolution or an iterable of
-    stacked-row indices; it seeds the active set.  A seed whose rows are
-    dependent is rejected and the problem solved cold, with the cold
+    stacked-row indices, integers or integral floats (else ValueError);
+    those inside the stacked rows seed the active set.  A seed whose rows
+    are dependent is rejected and the problem solved cold, with the cold
     solve's bits; so is a warm solve that does not end optimal.  Otherwise
     the answer agrees with a cold solve's to about 1e-9, but can differ in
     the last bits: the bulk load forms B in one product, where a cold solve
@@ -447,19 +463,19 @@ def solve(problem: QpProblem, max_iterations: int | None = None, warm_start=None
     start = time.perf_counter()
     if isinstance(warm_start, QpSolution):
         warm_start = warm_start.active_set
-    warm = () if warm_start is None else tuple(warm_start)
     C, d, linear = problem.C, problem.d, problem.linear
-    for seed_rows in (warm, ()) if warm else ((),):
+    warm = () if warm_start is None else _warm_rows(warm_start, C.shape[0])
+    for seed_rows in (warm, ()) if len(warm) else ((),):
         try:
-            u, lam, status, iterations, active, residual = _solve_raw(
+            u, lam, status, iterations, ws, residual = _solve_raw(
                 problem.prepared.inv_hessian, linear, C, d, max_iterations, seed_rows
             )
         except np.linalg.LinAlgError:
-            if not seed_rows:
+            if not len(seed_rows):
                 raise
             continue
         stationarity, feasibility, complementarity = _kkt_residuals(
-            problem.prepared.hessian, linear, C, u, lam, residual, active
+            problem.prepared.hessian, linear, u, residual, ws
         )
         kkt_residual = max(stationarity, complementarity)
         if status == OPTIMAL and (
@@ -475,7 +491,7 @@ def solve(problem: QpProblem, max_iterations: int | None = None, warm_start=None
         iterations=iterations,
         wall_clock=time.perf_counter() - start,
         multipliers=lam,
-        active_set=active,
+        active_set=tuple(ws.indices),
     )
 
 
@@ -503,12 +519,8 @@ def solve_with_slack(problem: QpProblem, slack_weight: float) -> QpSolution:
     C[stacked:, m:] = np.eye(n_rows)
     d = np.concatenate([problem.d, np.zeros(n_rows)])
 
-    v, lam, status, iterations, active, residual = _solve_raw(
-        _invert_spd(hessian), linear, C, d
-    )
-    stationarity, _, complementarity = _kkt_residuals(
-        hessian, linear, C, v, lam, residual, active
-    )
+    v, lam, status, iterations, ws, residual = _solve_raw(_invert_spd(hessian), linear, C, d)
+    stationarity, _, complementarity = _kkt_residuals(hessian, linear, v, residual, ws)
     return QpSolution(
         u_star=v[:m],
         status=status,

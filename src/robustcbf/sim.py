@@ -208,23 +208,19 @@ def nominal_controller(
 def _worst_case_disturbance(result: FilterResult, pooled: DisturbanceHull) -> np.ndarray:
     """Adversarial vertex against the tightest constraint's direction.
 
-    Picks the pair row with the least slack at the filtered command,
-    recovers its margin direction z (the sum of the two robots' blocks), and
-    returns the vertex of the pooled union minimizing z . v, the first of
-    equal ones: the vertex a search hull by hull finds too.  Every robot
-    receives this vertex, which is exactly the worst disturbance the
-    certificate models.
+    Picks the pair row with the least slack at the filtered command, reads
+    its margin direction z from the constraint set's z_rows (the sum of the
+    two robots' blocks that assembly formed), and returns the vertex of the
+    pooled union minimizing z . v, the first of equal ones: the vertex a
+    search hull by hull finds too.  Every robot receives this vertex, which
+    is exactly the worst disturbance the certificate models.
     """
     constraints = result.constraints
     if constraints.rows == 0:
         return pooled.vertices[0].copy()
     slack = constraints.A @ result.solver.u_star - constraints.b
     row = int(np.argmin(slack))
-    i, j = constraints.pairs[row]
-    direction = (
-        constraints.A[row, 2 * i : 2 * i + 2] + constraints.A[row, 2 * j : 2 * j + 2]
-    )
-    return pooled.vertices[support_argmin(direction, pooled)].copy()
+    return pooled.vertices[support_argmin(constraints.z_rows[row], pooled)].copy()
 
 
 def _realize_disturbances(
@@ -236,9 +232,9 @@ def _realize_disturbances(
     if mode == "off":
         return np.zeros((n, 2))
     if mode == "worst-case":
-        return np.tile(_worst_case_disturbance(result, cfg.pooled), (n, 1))
+        return np.full((n, 2), _worst_case_disturbance(result, cfg.pooled))
     if mode == "vertex":
-        return np.tile(cfg.pooled.vertices[cfg.plant_vertex], (n, 1))
+        return np.full((n, 2), cfg.pooled.vertices[cfg.plant_vertex])
     return flat_dirichlet_points(cfg.disturbance, n, rng)
 
 

@@ -297,6 +297,12 @@ class TestAssemblyOracle:
         np.testing.assert_array_equal(bits(cs.h_pairs), bits(h))
         np.testing.assert_array_equal(cs.pairs, pairs)
         assert cs.A.shape == A.shape
+        # The worst-case plant reads z_rows for the sum of each row's blocks.
+        blocks = cs.A.reshape(cs.rows, cs.A.shape[1] // 2, 2)
+        rows = np.arange(cs.rows)
+        z_rows = blocks[rows, cs.pairs[:, 0]] + blocks[rows, cs.pairs[:, 1]]
+        np.testing.assert_array_equal(bits(cs.z_rows), bits(z_rows))
+        assert cs.z_rows.shape == (cs.rows, 2)
 
     def test_congested_snapshots(self, geom, params, box5, rng):
         for _ in range(5):

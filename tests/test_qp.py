@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -14,7 +15,7 @@ from robustcbf import (
 )
 from robustcbf import qp
 from robustcbf.cli import load_config
-from robustcbf.sim import nominal_commands
+from robustcbf.sim import nominal_commands, run_scenario
 from robustcbf.qp import INFEASIBLE, MAX_ITERATIONS, OPTIMAL, _blocking_ratio, _WorkingSet
 
 from .conftest import SCENARIO_DIR, congested_poses
@@ -139,6 +140,13 @@ class TestReferenceBitIdentity:
         picks = np.array(list(cold.active_set) + [-1, n_rows, n_rows + 3, 2], dtype=np.int64)
         for warm in (picks, picks.tolist(), [float(i) for i in picks]):
             assert_matches_reference(problem, warm_start=warm)
+
+    def test_non_integral_warm_start_is_refused(self, rng):
+        # int(2.5) would seed row 2; an index that is no integer is an error.
+        problem = random_problem(rng, m=5, rows=9)
+        for warm in ([2.5], [0, 1.0, math.nan], np.array([0.0, 3.5]), ["1"], [[0, 1]]):
+            with pytest.raises(ValueError, match="integral row indices"):
+                solve(problem, warm_start=warm)
 
     def test_congested_22_robot_starts_cold(self):
         # The raw rule takes 110 iterations on both starts, the distance
@@ -300,6 +308,85 @@ class TestKeptInverse:
         assert not ws.inverse
         assert warm.iterations == 0
 
+
+@pytest.fixture(scope="class")
+def zero_iteration_warm_step():
+    """(problem, seed) of the first circle22 step whose warm solve keeps
+    the previous step's active set and takes no iteration."""
+    cfg = replace(load_config(SCENARIO_DIR / "circle22.yaml"), sim_duration=0.5, iterations=1)
+    steps, real = [], qp.solve
+
+    def recording(problem, max_iterations=None, warm_start=None):
+        sol = real(problem, max_iterations, warm_start)
+        steps.append((problem, warm_start, sol))
+        return sol
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(qp, "solve", recording)
+        run_scenario(cfg)
+    for problem, warm, sol in steps:
+        if warm is not None and warm.active_set and sol.active_set == warm.active_set:
+            if sol.iterations == 0 and sol.status == OPTIMAL:
+                return problem, warm.active_set
+    raise AssertionError("no zero-iteration warm step in the first 100 steps")
+
+
+class TestZeroIterationWarmStep:
+    """A warm step that needs no iteration loads its active set once: one
+    Cholesky dependence test, one LU multiplier solve and no buffer
+    allocation, whatever form the seed's indices take."""
+
+    @staticmethod
+    def counted(monkeypatch, *targets):
+        calls = {}
+        for owner, name in targets:
+            real = getattr(owner, name)
+
+            def counting(*args, _name=name, _real=real, **kwargs):
+                calls[_name] += 1
+                return _real(*args, **kwargs)
+
+            calls[name] = 0
+            monkeypatch.setattr(owner, name, counting)
+        return calls
+
+    def test_one_factorization_each_and_no_allocation(self, monkeypatch, zero_iteration_warm_step):
+        problem, seed = zero_iteration_warm_step
+        calls = self.counted(
+            monkeypatch,
+            (np.linalg, "cholesky"),
+            (np.linalg, "solve"),
+            (qp._WorkingSet, "_allocate"),
+        )
+        warm = solve(problem, warm_start=seed)
+        assert (warm.status, warm.iterations, warm.active_set) == (OPTIMAL, 0, seed)
+        assert calls == {"cholesky": 1, "solve": 1, "_allocate": 0}
+        # A cold solve allocates its buffers up front and factorizes nothing
+        # in bulk.
+        calls.update(cholesky=0, solve=0)
+        cold = solve(problem)
+        assert calls["_allocate"] >= 1 and calls["cholesky"] == 0
+        np.testing.assert_allclose(warm.u_star, cold.u_star, rtol=0.0, atol=1e-9)
+
+    def test_index_forms_give_the_same_bytes(self, zero_iteration_warm_step):
+        problem, seed = zero_iteration_warm_step
+        forms = (
+            seed,
+            list(seed),
+            np.array(seed, dtype=np.int64),
+            [float(i) for i in seed],
+            list(seed) + [-1, problem.C.shape[0]],
+        )
+        first, *others = [solve(problem, warm_start=form) for form in forms]
+        assert first.iterations == 0 and first.active_set == seed
+        for sol in others:
+            assert sol.u_star.tobytes() == first.u_star.tobytes()
+            assert sol.multipliers.tobytes() == first.multipliers.tobytes()
+            assert sol.active_set == first.active_set
+            assert sol.iterations == first.iterations
+            assert sol.status == first.status
+
+
 class TestBlockingRatio:
     def test_no_positive_entry(self):
         for lam, r_dir in (
@@ -329,10 +416,10 @@ class TestBlockingRatio:
 
 class TestActiveRowKktReport:
     """solve and solve_with_slack report KKT residuals from the residual
-    _solve_raw returns and the active rows only.  A recomputation over every
-    stacked row agrees within 1e-12 and gives each solve the same status;
-    the report leaves the answer, multipliers and counts as the loop made
-    them."""
+    _solve_raw returns and the rows and multipliers of the working set it
+    ends with.  A recomputation over every stacked row agrees within 1e-12
+    and gives each solve the same status; the report leaves the answer,
+    multipliers and counts as the loop made them."""
 
     @staticmethod
     def recorded(monkeypatch):
@@ -350,8 +437,14 @@ class TestActiveRowKktReport:
     @staticmethod
     def assert_report(sol, hessian, args, out, u_star, downgrade=True):
         _, linear, C, d = args[:4]
-        u, lam, status, iterations, active, residual = out
+        u, lam, status, iterations, ws, residual = out
         assert residual.tobytes() == (C @ u - d).tobytes()
+        # The working set's rows and multipliers are the active rows of C
+        # and their entries of the full multipliers.
+        rows = np.array(ws.indices, dtype=np.intp)
+        assert ws.rows.tobytes() == rows.tobytes()
+        assert ws.N.tobytes() == C[rows].tobytes()
+        assert ws.lam.tobytes() == lam[rows].tobytes()
         stationarity, feasibility, complementarity = full_row_kkt(hessian, linear, C, d, u, lam)
         kkt = max(stationarity, complementarity)
         assert abs(sol.kkt_residual - kkt) <= 1e-12
@@ -377,7 +470,7 @@ class TestActiveRowKktReport:
             sol = solve(problem, **kwargs)
             args, out = calls[-1]
             self.assert_report(sol, problem.prepared.hessian, args, out, out[0])
-            assert sol.active_set == out[4]
+            assert sol.active_set == tuple(out[4].indices)
             seen.add(sol.status)
         assert seen == {OPTIMAL, MAX_ITERATIONS, INFEASIBLE}
 
