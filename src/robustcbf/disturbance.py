@@ -168,22 +168,19 @@ def support_min_rows(directions: np.ndarray, hull: DisturbanceHull) -> np.ndarra
     rows) and reduced over the short vertex axis up to _VERTEX_MAJOR_POINTS
     points, else (rows, points) in two reused buffers.  Either layout
     computes d0 v0 + d1 v1 and an exact minimum: the same bits, but for the
-    sign of a zero minimum.  A lone block is reduced without slicing.
+    sign of a zero minimum.
     """
     directions = np.atleast_2d(np.asarray(directions, dtype=float))
     k = directions.shape[0]
     v0, v1 = hull._columns
-    if v0.size <= _VERTEX_MAJOR_POINTS and k * v0.size <= 1 << 15:
-        a = v0[:, None] * directions[:, 0]
-        a += v1[:, None] * directions[:, 1]
-        return a.min(axis=0)
     block = max(1, min(k, (1 << 15) // v0.size))
     out = np.empty(k)
     if v0.size <= _VERTEX_MAJOR_POINTS:
-        d0, d1 = directions.T
+        c0, c1 = v0[:, None], v1[:, None]
         for lo in range(0, k, block):
-            a = np.multiply.outer(v0, d0[lo : lo + block])
-            a += np.multiply.outer(v1, d1[lo : lo + block])
+            d = directions[lo : lo + block]
+            a = c0 * d[:, 0]
+            a += c1 * d[:, 1]
             a.min(axis=0, out=out[lo : lo + block])
         return out
     values, scratch = np.empty((2, block, v0.size))
