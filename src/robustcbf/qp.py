@@ -9,8 +9,8 @@ exact multipliers, and detects primal infeasibility when the dual becomes
 unbounded.  Cold solves keep B^-1 over the active rows by rank-one updates.
 
 A QpProblem builds its stacked rows C u >= d and its linear term once, at
-construction; solve, solve_with_slack and kkt_check only read them.  Both
-solvers share FEASIBILITY_TOL and STATIONARITY_TOL.
+construction; solve, solve_with_slack and kkt_check only read them.  The
+slack re-solve runs the same loop, its slacks eliminated into B's diagonal.
 """
 
 from __future__ import annotations
@@ -72,7 +72,8 @@ def prepare_weight(weight) -> PreparedWeight:
             stacklevel=2,
         )
     hessian = 2.0 * matrix.T @ matrix
-    inv_hessian = _invert_spd(hessian)
+    inverse = np.linalg.inv(hessian)
+    inv_hessian = 0.5 * (inverse + inverse.T)
     box = np.vstack([np.eye(matrix.shape[0]), -np.eye(matrix.shape[0])])
     for arr in (matrix, hessian, inv_hessian, box):
         arr.setflags(write=False)
@@ -167,11 +168,6 @@ class QpSolution:
     wall_clock: float
     multipliers: np.ndarray
     active_set: tuple
-
-
-def _invert_spd(hessian: np.ndarray) -> np.ndarray:
-    inverse = np.linalg.inv(hessian)
-    return 0.5 * (inverse + inverse.T)
 
 
 class _WorkingSet:
@@ -311,40 +307,52 @@ def _blocking_ratio(lam_w: np.ndarray, r_dir: np.ndarray):
     return int(positive[block]), ratios[block]
 
 
-def _solve_raw(inv_hessian, linear, C, d, max_iter=None, warm=()):
+def _prune(ws: _WorkingSet, inv_hessian, linear, d) -> np.ndarray:
+    """LU multipliers of the set, dropping the least while any is negative; the primal point."""
+    while ws.size:
+        lam_w = ws.eq_multipliers(linear, d)
+        if (lam_w >= 0.0).all():
+            return ws.primal(linear)
+        ws.drop(int(np.argmin(lam_w)))
+    return -inv_hessian @ linear
+
+
+def _residual(C, d, u, ws: _WorkingSet, soft) -> np.ndarray:
+    """C u - d, plus soft * lam on the active rows when soft is given."""
+    residual = C @ u - d
+    if soft is not None:
+        residual[ws.rows] += soft.take(ws.rows) * ws.lam
+    return residual
+
+
+def _solve_raw(inv_hessian, linear, C, d, max_iter=None, warm=(), soft=None):
     """Dual active-set loop on min 0.5 u'Hu + q'u s.t. C u >= d, with
     inv_hessian = H^-1 precomputed by the caller.  max_iter defaults to
     10 * (variables + stacked rows).  warm is an np.intp array of row
-    indices in [0, rows), bulk loaded; LinAlgError if dependent.
+    indices in [0, rows), bulk loaded; LinAlgError if dependent.  soft, on
+    a cold start, is a per-row diagonal D >= 0 that lets row r fall short
+    by s_r = D_r lam_r at the cost s_r^2 / (2 D_r); D_r adds to B's diagonal.
 
     The violated row of least residual / |c| enters.  B r = N H^-1 c is
     solved with the kept inverse on a cold start, else by LU; the final
-    equality re-solve always runs LU on B.
+    equality re-solve always runs LU on B.  An active row read violated
+    means the kept inverse drifted: the set is then re-solved and pruned
+    by LU and stays on LU; a set already on LU stops there.
 
     Returns (u, full multipliers, status, iterations, the final working
-    set, residual C u - d at that u).
+    set, residual C u - d + D lam at that u).
     """
     n_rows = C.shape[0]
     if max_iter is None:
         max_iter = 10 * (C.shape[1] + n_rows)
     ws = _WorkingSet(inv_hessian, C, warm)
-
-    if ws.size:
-        # Equality-solve on the warm active set, pruning negative multipliers.
-        while True:
-            lam_w = ws.eq_multipliers(linear, d)
-            if ws.size == 0 or (lam_w >= 0.0).all():
-                break
-            ws.drop(int(np.argmin(lam_w)))
-        u = ws.primal(linear) if ws.size else -inv_hessian @ linear
-    else:
-        u = -inv_hessian @ linear
+    u = _prune(ws, inv_hessian, linear, d)
 
     iterations = 0
     status = OPTIMAL
     norms = None
     while True:
-        residual = C @ u - d
+        residual = _residual(C, d, u, ws, soft)
         violated = (residual < -FEASIBILITY_TOL).nonzero()[0]
         if not violated.size:
             break
@@ -362,13 +370,18 @@ def _solve_raw(inv_hessian, linear, C, d, max_iter=None, warm=()):
                 pick = (dist <= dist.min() * (1.0 - _TIE_RTOL)).argmax()
         worst = int(violated[pick])
         if worst in ws.indices:
-            # Only an ill-conditioned warm set leaves an active row violated.
-            status = MAX_ITERATIONS
-            break
+            # Only an ill-conditioned set leaves an active row violated.
+            if not ws.inverse:
+                status = MAX_ITERATIONS
+                break
+            ws.inverse = False
+            u = _prune(ws, inv_hessian, linear, d)
+            continue
         c = C[worst]
         d_r = d[worst]
+        soft_r = 0.0 if soft is None else soft[worst]
         Jc = inv_hessian @ c
-        cJc = float(c @ Jc)
+        cJc = float(c @ Jc) + soft_r
         lam_new = 0.0
         while True:
             iterations += 1
@@ -393,6 +406,8 @@ def _solve_raw(inv_hessian, linear, C, d, max_iter=None, warm=()):
                 continue
 
             violation = float(c @ u - d_r)
+            if soft_r:
+                violation += soft_r * lam_new
             t_full = -violation / schur
             block, t_block = _blocking_ratio(lam_w, r_dir)
 
@@ -414,7 +429,7 @@ def _solve_raw(inv_hessian, linear, C, d, max_iter=None, warm=()):
         ws.eq_multipliers(linear, d)
         u = ws.primal(linear)
     if status != OPTIMAL or ws.size and iterations:
-        residual = C @ u - d  # u has moved since the loop's last residual
+        residual = _residual(C, d, u, ws, soft)  # u moved since the last one
 
     lam_full = np.zeros(n_rows)
     lam_full[ws.rows] = ws.lam
@@ -498,38 +513,20 @@ def solve(problem: QpProblem, max_iterations: int | None = None, warm_start=None
 def solve_with_slack(problem: QpProblem, slack_weight: float) -> QpSolution:
     """Relaxed re-solve for an infeasible problem: every row of A gets its own
     slack s >= 0, penalized by slack_weight * |s|^2, while the box bound
-    stays hard.  The rows are [C | S; 0 | I] over (u, s), where S puts an
-    identity beside the rows of A.
-
-    u_star holds the original variables only, and active_set is empty.
-    """
+    stays hard.  The loop runs over u alone with s = lam / (2 slack_weight)
+    eliminated; the dual method keeps lam >= 0, so s >= 0 needs no rows.
+    The KKT report covers u, and active_set is empty."""
     start = time.perf_counter()
-    m = problem.variables
-    n_rows = problem.rows
-
-    hessian = np.zeros((m + n_rows, m + n_rows))
-    hessian[:m, :m] = problem.prepared.hessian
-    hessian[m:, m:] = 2.0 * slack_weight * np.eye(n_rows)
-    linear = np.concatenate([problem.linear, np.zeros(n_rows)])
-
-    stacked = problem.C.shape[0]
-    C = np.zeros((stacked + n_rows, m + n_rows))
-    C[:stacked, :m] = problem.C
-    C[:n_rows, m:] = np.eye(n_rows)
-    C[stacked:, m:] = np.eye(n_rows)
-    d = np.concatenate([problem.d, np.zeros(n_rows)])
-
-    v, lam, status, iterations, ws, residual = _solve_raw(_invert_spd(hessian), linear, C, d)
-    stationarity, _, complementarity = _kkt_residuals(hessian, linear, v, residual, ws)
-    return QpSolution(
-        u_star=v[:m],
-        status=status,
-        kkt_residual=max(stationarity, complementarity),
-        iterations=iterations,
-        wall_clock=time.perf_counter() - start,
-        multipliers=lam,
-        active_set=(),
+    soft = np.zeros(problem.C.shape[0])
+    soft[: problem.rows] = 1.0 / (2.0 * slack_weight)
+    prepared, linear = problem.prepared, problem.linear
+    u, lam, status, iterations, ws, residual = _solve_raw(
+        prepared.inv_hessian, linear, problem.C, problem.d, soft=soft
     )
+    stationarity, _, complementarity = _kkt_residuals(prepared.hessian, linear, u, residual, ws)
+    return QpSolution(u_star=u, status=status, kkt_residual=max(stationarity, complementarity),
+                      iterations=iterations, wall_clock=time.perf_counter() - start,
+                      multipliers=lam, active_set=())
 
 
 def kkt_check(problem: QpProblem, u):

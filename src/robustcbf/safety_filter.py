@@ -3,6 +3,7 @@ stacked collision constraints hold under the modeled disturbance."""
 
 from __future__ import annotations
 
+import logging
 import math
 import time
 from dataclasses import dataclass, replace
@@ -16,6 +17,7 @@ from .disturbance import DisturbanceHull, HullUnion, boundary_hull, pooled_verti
 from .dynamics import PoseFrame, RobotGeometry, RobotState, WheelCommand, as_commands, pose_frame
 
 _FALLBACKS = ("error", "zero-input", "slack")
+_LOG = logging.getLogger("robustcbf")
 CERTIFICATE_TOL = 1e-9
 
 
@@ -149,15 +151,16 @@ def filter_step(
     fallback_applied = None
     if solution.status != qp.OPTIMAL:
         if cfg.fallback == "error":
-            raise FilterInfeasibleError(
-                f"safety QP ended with status {solution.status!r}"
-            )
+            raise FilterInfeasibleError(f"safety QP ended with status {solution.status!r}")
         if cfg.fallback == "zero-input":
             solution = replace(solution, u_star=np.zeros(2 * n), active_set=())
             fallback_applied = "zero-input"
         else:
             solution = qp.solve_with_slack(problem, cfg.slack_weight)
             fallback_applied = "slack"
+            if solution.status != qp.OPTIMAL:
+                _LOG.warning("slack re-solve ended %s after %d iterations, kkt_residual %.3e",
+                             solution.status, solution.iterations, solution.kkt_residual)
     wall_clock = time.perf_counter() - start
 
     u_star = solution.u_star

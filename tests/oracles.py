@@ -9,9 +9,11 @@ active-set reference is a frozen copy of the solver loop before its working
 set moved into preallocated buffers and kept B^-1, which solves B by LU on
 every step.  With the solver's scaled entering rule it pins the solver's
 steps and active sets; with the raw rule it pins the answers of the solver
-before that rule changed.  The assembly reference is the gather-based
-assembly from before the one pass over all ordered pairs, and the full-row
-KKT report the one from before the report read only the active rows.
+before that rule changed.  Run on the dense (u, s) embedding of the slack
+re-solve (slack_system), it pins the answers of the eliminated slacks.  The
+assembly reference is the gather-based assembly from before the one pass
+over all ordered pairs, and the full-row KKT report the one from before the
+report read only the active rows.
 """
 
 from __future__ import annotations
@@ -263,6 +265,13 @@ def reference_dual_active_set(
     warm = () if warm_start is None else getattr(warm_start, "active_set", warm_start)
     warm = [i for i in (int(i) for i in warm) if 0 <= i < n_rows]
 
+    return _reference_loop(hessian, inv_hessian, linear, C, d, max_iter, warm, entering)
+
+
+def _reference_loop(hessian, inv_hessian, linear, C, d, max_iter, warm, entering):
+    """The loop of reference_dual_active_set on min 0.5 u'Hu + linear'u
+    s.t. C u >= d, warm a list of row indices."""
+    n_rows = C.shape[0]
     ws = ReallocatingWorkingSet(inv_hessian, C)
     lam_w = np.zeros(0)
     if warm:
@@ -373,6 +382,19 @@ def slack_system(problem, slack_weight):
     C[stacked:, m:] = np.eye(rows)
     linear = np.concatenate([problem.linear, np.zeros(rows)])
     return hessian, linear, C, np.concatenate([problem.d, np.zeros(rows)])
+
+
+def reference_slack_solve(problem, slack_weight):
+    """The dense (u, s) embedding of slack_system solved by the reference
+    loop with the scaled entering rule: the answer solve_with_slack gives
+    without eliminating the slacks.  Returns a ReferenceSolve over (u, s)."""
+    hessian, linear, C, d = slack_system(problem, slack_weight)
+    inv_hessian = np.linalg.inv(hessian)
+    inv_hessian = 0.5 * (inv_hessian + inv_hessian.T)
+    max_iter = 10 * (C.shape[1] + C.shape[0])
+    return _reference_loop(
+        hessian, inv_hessian, linear, C, d, max_iter, [], farthest_violated_row
+    )
 
 
 def reference_assembly(states, geom, params, hulls):

@@ -1,4 +1,6 @@
+import logging
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -22,7 +24,8 @@ from robustcbf import (
 from robustcbf.barrier import pair_h_values
 from robustcbf.disturbance import boundary_hull
 from robustcbf.dynamics import as_commands, as_poses, pose_frame
-from robustcbf.qp import OPTIMAL, QpProblem
+from robustcbf import qp
+from robustcbf.qp import MAX_ITERATIONS, OPTIMAL, QpProblem
 
 from .conftest import U_MAX, congested_poses, ring_hulls
 
@@ -290,6 +293,29 @@ class TestFallbacks:
         assert result.fallback_applied == "slack"
         assert result.solver.status == OPTIMAL
         assert np.abs(result.solver.u_star).max() <= 0.05 + 1e-10
+
+    def test_a_failed_slack_solve_is_logged(self, geom, params, monkeypatch, caplog):
+        states, nominal = overlapping_infeasible_config(geom, params)
+        cfg = FilterConfig(
+            geom, params, HullUnion((symmetric_box(5.0),)), u_max=0.05, fallback="slack"
+        )
+        with caplog.at_level(logging.WARNING, logger="robustcbf"):
+            filter_step(states, nominal, cfg)
+        assert not caplog.records  # an optimal slack answer logs nothing
+        real = qp.solve_with_slack
+        monkeypatch.setattr(
+            qp, "solve_with_slack", lambda *args: replace(real(*args), status=MAX_ITERATIONS)
+        )
+        with caplog.at_level(logging.WARNING, logger="robustcbf"):
+            result = filter_step(states, nominal, cfg)
+        assert result.fallback_applied == "slack"
+        assert result.solver.status == MAX_ITERATIONS
+        [record] = caplog.records
+        assert record.name == "robustcbf" and record.levelno == logging.WARNING
+        message = record.getMessage()
+        assert MAX_ITERATIONS in message
+        assert f"after {result.solver.iterations} iterations" in message
+        assert f"kkt_residual {result.solver.kkt_residual:.3e}" in message
 
     @pytest.mark.parametrize("fallback", ["error", "zero-input", "slack"])
     def test_coincident_robots(self, geom, params, fallback):

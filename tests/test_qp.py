@@ -1,24 +1,33 @@
+import functools
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from robustcbf import (
+    BarrierParams,
+    HullUnion,
     QpProblem,
+    RobotGeometry,
     assemble_constraints,
     circle_init,
+    ensemble_weight,
     kkt_check,
     nominal_controller,
     output_point,
     solve,
+    symmetric_box,
 )
 from robustcbf import qp
 from robustcbf.cli import load_config
 from robustcbf.sim import nominal_commands, run_scenario
 from robustcbf.qp import INFEASIBLE, MAX_ITERATIONS, OPTIMAL, _blocking_ratio, _WorkingSet
 
-from .conftest import SCENARIO_DIR, congested_poses
+from .conftest import (
+    BASE_LENGTH, DIAMETER, GAMMA, LOOK_AHEAD, SCENARIO_DIR, U_MAX, WHEEL_RADIUS, congested_poses
+)
 from .oracles import (
     ReallocatingWorkingSet,
     farthest_violated_row,
@@ -26,6 +35,7 @@ from .oracles import (
     projected_gradient_qp,
     qp_objective,
     reference_dual_active_set,
+    reference_slack_solve,
     slack_system,
 )
 
@@ -405,35 +415,39 @@ class TestBlockingRatio:
 class TestActiveRowKktReport:
     """solve and solve_with_slack report KKT residuals from the residual
     _solve_raw returns and the rows and multipliers of the working set it
-    ends with.  A recomputation over every stacked row agrees within 1e-12
-    and gives each solve the same status; the report leaves the answer,
-    multipliers and counts as the loop made them."""
+    ends with.  A recomputation over every stacked row (for the slack solve,
+    every row of its dense (u, s) embedding) agrees within 1e-12 and gives
+    each solve the same status; the report leaves the answer, multipliers
+    and counts as the loop made them."""
 
     @staticmethod
     def recorded(monkeypatch):
         calls = []
         real = qp._solve_raw
 
-        def recording(*args):
-            out = real(*args)
-            calls.append((args, out))
+        def recording(*args, **kwargs):
+            out = real(*args, **kwargs)
+            calls.append((args, kwargs, out))
             return out
 
         monkeypatch.setattr(qp, "_solve_raw", recording)
         return calls
 
     @staticmethod
-    def assert_report(sol, hessian, args, out, u_star, downgrade=True):
+    def assert_report(sol, full_kkt, args, out, u_star, downgrade=True, soft=None):
         _, linear, C, d = args[:4]
         u, lam, status, iterations, ws, residual = out
-        assert residual.tobytes() == (C @ u - d).tobytes()
         # The working set's rows and multipliers are the active rows of C
         # and their entries of the full multipliers.
         rows = np.array(ws.indices, dtype=np.intp)
+        expected = C @ u - d
+        if soft is not None:  # an active soft row reads its slack soft * lam too
+            expected[rows] += soft[rows] * lam[rows]
+        assert residual.tobytes() == expected.tobytes()
         assert ws.rows.tobytes() == rows.tobytes()
         assert ws.N.tobytes() == C[rows].tobytes()
         assert ws.lam.tobytes() == lam[rows].tobytes()
-        stationarity, feasibility, complementarity = full_row_kkt(hessian, linear, C, d, u, lam)
+        stationarity, feasibility, complementarity = full_kkt
         kkt = max(stationarity, complementarity)
         assert abs(sol.kkt_residual - kkt) <= 1e-12
         if downgrade and status == OPTIMAL and (feasibility > 1e-8 or kkt > 1e-8):
@@ -456,8 +470,9 @@ class TestActiveRowKktReport:
         seen = set()
         for problem, kwargs in cases:
             sol = solve(problem, **kwargs)
-            args, out = calls[-1]
-            self.assert_report(sol, problem.prepared.hessian, args, out, out[0])
+            args, _, out = calls[-1]
+            full_kkt = full_row_kkt(problem.prepared.hessian, *args[1:4], out[0], out[1])
+            self.assert_report(sol, full_kkt, args, out, out[0])
             assert sol.active_set == tuple(out[4].indices)
             seen.add(sol.status)
         assert seen == {OPTIMAL, MAX_ITERATIONS, INFEASIBLE}
@@ -466,12 +481,24 @@ class TestActiveRowKktReport:
         calls = self.recorded(monkeypatch)
         for problem in infeasible_problems() + [congested_problem(0.5)]:
             sol = qp.solve_with_slack(problem, 1e6)
-            args, out = calls[-1]
-            hessian, linear, C, d = slack_system(problem, 1e6)
-            for built, passed in ((linear, args[1]), (C, args[2]), (d, args[3])):
-                assert built.tobytes() == passed.tobytes()
+            args, kwargs, out = calls[-1]
+            # The loop runs on the problem's own rows, with 1 / (2 * 1e6) on
+            # the diagonal of each row of A and 0 on the box rows.
+            assert args[1] is problem.linear and args[2] is problem.C and args[3] is problem.d
+            soft = kwargs["soft"]
+            k = problem.rows
+            assert soft.tobytes() == np.concatenate(
+                [np.full(k, 1.0 / 2e6), np.zeros(2 * problem.variables)]
+            ).tobytes()
+            # The dense embedding's point is (u, s) with s = soft * lam on
+            # the rows of A; the rows s >= 0 carry no multiplier.
+            u, lam = out[0], out[1]
+            point = np.concatenate([u, soft[:k] * lam[:k]])
+            full_kkt = full_row_kkt(
+                *slack_system(problem, 1e6), point, np.concatenate([lam, np.zeros(k)])
+            )
             # solve_with_slack reports the loop's status as it ends.
-            self.assert_report(sol, hessian, args, out, out[0][: problem.variables], False)
+            self.assert_report(sol, full_kkt, args, out, u, False, soft)
             assert sol.active_set == ()
 
 
@@ -750,6 +777,75 @@ class TestInfeasible:
         )
         sol = solve(problem, max_iterations=3)
         assert sol.status in (INFEASIBLE, "max-iterations")
+
+
+@functools.cache
+def slack_snapshots(n=22, count=6):
+    """count seeded congested snapshots of n robots with a psi = 10 box and
+    uniform commands in +-25 whose QP solve does not solve optimal: the
+    problems that take the slack fallback."""
+    geom = RobotGeometry(WHEEL_RADIUS, BASE_LENGTH, LOOK_AHEAD)
+    params = BarrierParams(DIAMETER, GAMMA)
+    weight = qp.prepare_weight(ensemble_weight(n, geom))
+    box = HullUnion((symmetric_box(10.0),))
+    rng = np.random.default_rng(20240817)
+    problems = []
+    while len(problems) < count:
+        cs = assemble_constraints(congested_poses(rng, geom, n=n), geom, params, box, U_MAX)
+        problem = QpProblem(weight, rng.uniform(-U_MAX, U_MAX, size=2 * n), cs.A, cs.b, U_MAX)
+        if solve(problem).status != OPTIMAL:
+            problems.append(problem)
+    return tuple(problems)
+
+
+class TestSlackElimination:
+    """solve_with_slack runs the dual loop over u alone, its slacks
+    eliminated as s = lam / (2 slack_weight), on congested 22-robot
+    snapshots that take the slack fallback; the dense (u, s) embedding of
+    tests/oracles.py::slack_system is the reference."""
+
+    @pytest.mark.parametrize("slack_weight", [1e2, 1e4])
+    def test_matches_the_dense_embedding(self, slack_weight):
+        for problem in slack_snapshots():
+            sol = qp.solve_with_slack(problem, slack_weight)
+            ref = reference_slack_solve(problem, slack_weight)
+            assert sol.status == ref.status == OPTIMAL
+            assert np.abs(sol.u_star - ref.u_star[: problem.variables]).max() <= 1e-9
+
+    def test_default_weight_ends_optimal_inside_the_box(self, monkeypatch):
+        calls, real = [], qp._solve_raw
+
+        def recording(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(qp, "_solve_raw", recording)
+        for problem in slack_snapshots():
+            sol = qp.solve_with_slack(problem, 1e6)
+            # The loop reads the problem's own rows: no (u, s) matrix is built.
+            assert calls[-1][2] is problem.C and calls[-1][3] is problem.d
+            assert sol.status == OPTIMAL
+            assert np.abs(sol.u_star).max() <= problem.u_max + 1e-9
+            # The full (u, s) KKT system of the embedding at s = lam_A / 2e6.
+            k, lam = problem.rows, sol.multipliers
+            point = np.concatenate([sol.u_star, lam[:k] / 2e6])
+            stationarity, feasibility, complementarity = full_row_kkt(
+                *slack_system(problem, 1e6), point, np.concatenate([lam, np.zeros(k)])
+            )
+            assert stationarity <= 1e-8 and feasibility <= 1e-8
+            assert complementarity <= 1e-8 * max(1.0, float(np.abs(lam).max()))
+
+    def test_a_slack_solve_allocates_no_embedding(self):
+        # At n = 44 the embedding's (88 + 946)^2 Hessian alone is 8.6 MB.
+        problem = slack_snapshots(n=44, count=1)[0]
+        tracemalloc.start()
+        try:
+            sol = qp.solve_with_slack(problem, 1e6)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8e6
+        assert sol.status == OPTIMAL
 
 
 class TestTolerances:
