@@ -34,9 +34,11 @@ class ConstraintSet:
 
     Pairs enumerate (i, j) with i < j, i ascending then j ascending.  A hull
     union still yields one row per pair: its margin is the least over all
-    hulls.  The pairs / h_pairs arrays carry per-row bookkeeping used by the
-    simulator and by diagnostics; z_rows (pairs, 2) holds each row's margin
-    direction, the same sum as A[r, 2i:2i+2] + A[r, 2j:2j+2].
+    hulls.  C u >= d are the QP's stacked rows, A u >= b above the box rows
+    [I; -I] u >= -u_max; A and b are views of them, all four read-only.  The
+    pairs / h_pairs arrays carry per-row bookkeeping used by the simulator
+    and by diagnostics; z_rows (pairs, 2) holds each row's margin direction,
+    the same sum as A[r, 2i:2i+2] + A[r, 2j:2j+2].
     """
 
     A: np.ndarray
@@ -45,6 +47,8 @@ class ConstraintSet:
     pairs: np.ndarray
     h_pairs: np.ndarray
     z_rows: np.ndarray
+    C: np.ndarray
+    d: np.ndarray
 
     @property
     def rows(self) -> int:
@@ -92,7 +96,8 @@ def assemble_constraints(
     b = -gamma h^3 - robust margin, where the margin of a hull union is the
     elementwise least of the per-hull support minima.  That equals the
     support minimum over the pooled vertices bit for bit, so the row is the
-    tightest of the per-hull rows.  pairs takes the (pairs, 2) array of all
+    tightest of the per-hull rows.  Each call writes a fresh C and d, which
+    the filter's QpProblem adopts.  pairs takes the (pairs, 2) array of all
     (i, j) in that order when the caller already holds it, and slots its
     pair_slots; the returned set shares pairs.
     """
@@ -103,16 +108,7 @@ def assemble_constraints(
 
     if pairs is None:
         pairs = np.stack(np.triu_indices(n, k=1), axis=1)
-    n_pairs = pairs.shape[0]
-    if n_pairs == 0:
-        return ConstraintSet(
-            A=np.zeros((0, 2 * n)),
-            b=np.zeros(0),
-            u_max=float(u_max),
-            pairs=pairs,
-            h_pairs=np.zeros(0),
-            z_rows=np.zeros((0, 2)),
-        )
+    n_pairs, m = pairs.shape[0], 2 * n
     take, put = pair_slots(pairs, n) if slots is None else slots
 
     # One pass over every ordered pair: entry (c, i, j) is robot i's block
@@ -124,18 +120,32 @@ def assemble_constraints(
     blocks = (2.0 * dx * jac[0] + 2.0 * dy * jac[1]).reshape(-1)[take]
     h_vals = (dx * dx + dy * dy - params.delta**2).reshape(-1)[take[: 2 * n_pairs : 2]]
     z_rows = (blocks[: 2 * n_pairs] + blocks[2 * n_pairs :]).reshape(n_pairs, 2)
-    A = np.zeros(2 * n * n_pairs)
-    A[put] = blocks
 
     margin = support_min_rows(z_rows, hulls.hulls[0])
     for hull in hulls.hulls[1:]:
         margin = np.minimum(margin, support_min_rows(z_rows, hull))
 
+    # C is allocated after the margin pass has freed its temporaries, so it
+    # reuses their memory.  -I is I negated: -0.0 off its diagonal, as in
+    # the public QpProblem's box rows.
+    C = np.zeros((n_pairs + 2 * m, m))
+    d = np.empty(n_pairs + 2 * m)
+    C.reshape(-1)[put] = blocks
+    box = C[n_pairs:].reshape(2, m * m)
+    box[0, :: m + 1] = 1.0
+    np.negative(box[0], out=box[1])
+    np.subtract(-class_k_cubic(h_vals, params.gamma), margin, out=d[:n_pairs])
+    d[n_pairs:] = -float(u_max)
+
+    for arr in (C, d):
+        arr.setflags(write=False)
     return ConstraintSet(
-        A=A.reshape(n_pairs, 2 * n),
-        b=-class_k_cubic(h_vals, params.gamma) - margin,
+        A=C[:n_pairs],
+        b=d[:n_pairs],
         u_max=float(u_max),
         pairs=pairs,
         h_pairs=h_vals,
         z_rows=z_rows,
+        C=C,
+        d=d,
     )

@@ -8,8 +8,8 @@ negative.  For strictly convex problems this terminates finitely, returns
 exact multipliers, and detects primal infeasibility when the dual becomes
 unbounded.  Cold solves keep B^-1 over the active rows by rank-one updates.
 
-A QpProblem builds its stacked rows C u >= d and its linear term once, at
-construction; solve, solve_with_slack and kkt_check only read them.  The
+A QpProblem holds its stacked rows C u >= d and its linear term from
+construction on; solve, solve_with_slack and kkt_check only read them.  The
 slack re-solve runs the same loop, its slacks eliminated into B's diagonal.
 """
 
@@ -18,7 +18,7 @@ from __future__ import annotations
 import math
 import time
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 
 import numpy as np
 
@@ -90,7 +90,10 @@ class QpProblem:
     check reads: the stacked rows C u >= d with C = [A; I; -I] and
     d = [b; -u_max; -u_max], and the linear term -H u_nom of
     0.5 u'Hu + linear'u.  A and b are views of the top rows of C and d; all
-    arrays are read-only.
+    arrays are read-only.  stacked=True takes A and b as C and d themselves,
+    box rows included, with no copy and no check of A: the filter passes
+    the rows of assemble_constraints, where a non-finite block makes its
+    row's margin, and so b, non-finite.
     """
 
     weight: np.ndarray
@@ -102,8 +105,9 @@ class QpProblem:
     C: np.ndarray = field(init=False, repr=False)
     d: np.ndarray = field(init=False, repr=False)
     linear: np.ndarray = field(init=False, repr=False)
+    stacked: InitVar[bool] = field(default=False, kw_only=True)
 
-    def __post_init__(self) -> None:
+    def __post_init__(self, stacked: bool) -> None:
         prepared = self.weight
         if not isinstance(prepared, PreparedWeight):
             prepared = prepare_weight(prepared)
@@ -114,6 +118,7 @@ class QpProblem:
             matrix = matrix.reshape(0, m)
         matrix = np.atleast_2d(matrix)
         rhs = np.asarray(self.b, dtype=float).reshape(-1)
+        k = rhs.size - 2 * m if stacked else rhs.size
 
         if prepared.matrix.shape != (m, m):
             raise ValueError(f"weight must be {m}x{m}, got {prepared.matrix.shape}")
@@ -121,17 +126,19 @@ class QpProblem:
             raise ValueError(
                 f"A has {matrix.shape[1]} columns but the problem has {m} variables"
             )
-        if rhs.shape[0] != matrix.shape[0]:
+        if rhs.shape[0] != matrix.shape[0] or k < 0:
             raise ValueError("A and b disagree on the number of rows")
-        for name, arr in (("u_nom", u_nom), ("A", matrix), ("b", rhs)):
-            if not np.isfinite(arr).all():
+        for name, arr in (("u_nom", u_nom), ("A", None if stacked else matrix), ("b", rhs)):
+            if arr is not None and not np.isfinite(arr).all():
                 raise ValueError(f"{name} must be finite")
         if not (math.isfinite(self.u_max) and self.u_max > 0.0):
             raise ValueError(f"u_max must be finite and > 0, got {self.u_max!r}")
 
         u_max = float(self.u_max)
-        C = np.concatenate([matrix, prepared.box])
-        d = np.concatenate([rhs, np.full(2 * m, -u_max)])
+        C, d = matrix, rhs
+        if not stacked:
+            C = np.concatenate([matrix, prepared.box])
+            d = np.concatenate([rhs, np.full(2 * m, -u_max)])
         u_nom = u_nom.copy()
         linear = -prepared.hessian @ u_nom
         for arr in (u_nom, C, d, linear):
@@ -139,8 +146,8 @@ class QpProblem:
         object.__setattr__(self, "weight", prepared.matrix)
         object.__setattr__(self, "prepared", prepared)
         object.__setattr__(self, "u_nom", u_nom)
-        object.__setattr__(self, "A", C[: rhs.size])
-        object.__setattr__(self, "b", d[: rhs.size])
+        object.__setattr__(self, "A", C[:k])
+        object.__setattr__(self, "b", d[:k])
         object.__setattr__(self, "u_max", u_max)
         object.__setattr__(self, "C", C)
         object.__setattr__(self, "d", d)
@@ -159,7 +166,9 @@ class QpProblem:
 class QpSolution:
     """Solver output; multipliers and active_set index the problem's stacked
     rows C = [A; I; -I] and feed warm starts and KKT checks.  kkt_residual
-    is the larger of the stationarity and complementarity residuals."""
+    is the larger of the stationarity and complementarity residuals.  solve
+    keeps active_set as a read-only np.intp array too, which a warm start
+    reads unchecked; dataclasses.replace drops it."""
 
     u_star: np.ndarray
     status: str
@@ -168,6 +177,7 @@ class QpSolution:
     wall_clock: float
     multipliers: np.ndarray
     active_set: tuple
+    _rows: np.ndarray | None = field(default=None, init=False, repr=False)
 
 
 class _WorkingSet:
@@ -451,7 +461,13 @@ def _kkt_residuals(hessian, linear, u, residual, ws):
 
 def _warm_rows(warm_start, n_rows: int) -> np.ndarray:
     """The warm-start indices inside [0, n_rows) as an np.intp array, in
-    their order; ValueError on an entry that is no integer or integral float."""
+    their order; ValueError on an entry that is no integer or integral float.
+    A QpSolution from solve gives the rows it kept, unchecked; another one
+    gives its active_set."""
+    if isinstance(warm_start, QpSolution):
+        if warm_start._rows is not None:
+            return warm_start._rows[warm_start._rows < n_rows]
+        warm_start = warm_start.active_set
     seed = np.asarray(warm_start if isinstance(warm_start, np.ndarray) else tuple(warm_start))
     kind = seed.dtype.kind
     if seed.ndim != 1 or kind not in "iuf" or kind == "f" and not (np.trunc(seed) == seed).all():
@@ -476,8 +492,6 @@ def solve(problem: QpProblem, max_iterations: int | None = None, warm_start=None
     exception.
     """
     start = time.perf_counter()
-    if isinstance(warm_start, QpSolution):
-        warm_start = warm_start.active_set
     C, d, linear = problem.C, problem.d, problem.linear
     warm = () if warm_start is None else _warm_rows(warm_start, C.shape[0])
     for seed_rows in (warm, ()) if len(warm) else ((),):
@@ -499,7 +513,9 @@ def solve(problem: QpProblem, max_iterations: int | None = None, warm_start=None
             status = MAX_ITERATIONS
         if status == OPTIMAL:
             break
-    return QpSolution(
+    rows = ws.rows
+    rows.setflags(write=False)
+    solution = QpSolution(
         u_star=u,
         status=status,
         kkt_residual=kkt_residual,
@@ -508,6 +524,8 @@ def solve(problem: QpProblem, max_iterations: int | None = None, warm_start=None
         multipliers=lam,
         active_set=tuple(ws.indices),
     )
+    object.__setattr__(solution, "_rows", rows)
+    return solution
 
 
 def solve_with_slack(problem: QpProblem, slack_weight: float) -> QpSolution:

@@ -145,7 +145,9 @@ def filter_step(
         plan.pairs,
         plan.slots,
     )
-    problem = qp.QpProblem(plan.weight, nominal, constraints.A, constraints.b, cfg.u_max)
+    problem = qp.QpProblem(
+        plan.weight, nominal, constraints.C, constraints.d, cfg.u_max, stacked=True
+    )
     solution = qp.solve(problem, warm_start=warm_start)
 
     fallback_applied = None

@@ -523,3 +523,72 @@ class TestBoundaryMarginPass:
         assert not sources[2]
         for hull, source in zip(hulls[:2], sources[:2]):
             assert 0 < len(source) < boundary_hull(hull).size
+
+
+class TestRefusals:
+    """The filter's problem skips the finiteness check of A, whose blocks
+    can only overflow where b does; every other refusal still fires."""
+
+    def test_nan_nominal_is_refused(self, geom, params, rng):
+        poses = congested_poses(rng, geom, n=6)
+        commands = rng.uniform(-U_MAX, U_MAX, size=(6, 2))
+        commands[3, 0] = math.nan
+        with pytest.raises(ValueError, match="finite"):
+            filter_step(poses, commands, make_config(geom, params))
+
+    def test_overflowing_b_is_refused(self, geom, params):
+        poses = np.array([[0.0, 0.0, 0.0], [1e200, 0.0, math.pi], [-1e200, 1.0, 0.5]])
+        cfg = make_config(geom, params)
+        with np.errstate(over="ignore"):
+            cs = assemble_constraints(poses, geom, params, cfg.disturbance, U_MAX)
+            assert np.isfinite(cs.A).all()
+            assert (cs.b == -math.inf).all()
+            with pytest.raises(ValueError, match="b must be finite"):
+                filter_step(poses, np.zeros((3, 2)), cfg)
+
+
+class TestFilterProblem:
+    """filter_step builds its QpProblem on the stacked rows C, d that
+    assemble_constraints wrote; it must equal, byte for byte, the public
+    constructor's problem on the same A and b."""
+
+    @staticmethod
+    def snapshots(geom, rng):
+        poses = [congested_poses(rng, geom) for _ in range(3)]
+        poses += [np.zeros((1, 3)), np.array([[0.1, -0.2, 0.3]] * 2)]
+        return [(p, rng.uniform(-U_MAX, U_MAX, size=(p.shape[0], 2))) for p in poses]
+
+    @pytest.mark.parametrize("union", [False, True])
+    def test_the_filters_problem_is_the_public_one(self, geom, params, rng, monkeypatch, union):
+        hulls = ring_hulls(5) if union else (symmetric_box(5.0),)
+        cfg = FilterConfig(geom, params, HullUnion(hulls), u_max=U_MAX)
+        built = []
+
+        def record(*args, **kwargs):
+            built.append(QpProblem(*args, **kwargs))
+            return built[-1]
+
+        monkeypatch.setattr(qp, "QpProblem", record)
+        results, saved = [], []
+        for poses, commands in self.snapshots(geom, rng):
+            warm = results[-1].solver if results and len(results[-1].altered) == len(poses) else None
+            results.append(filter_step(poses, commands, cfg, warm_start=warm))
+            cs = results[-1].constraints
+            saved.append([arr.copy() for arr in (cs.C, cs.d, cs.A, cs.b)])
+            problem = built[-1]
+            n = poses.shape[0]
+            public = QpProblem(cfg.plan(n).weight, commands.reshape(-1), cs.A, cs.b, U_MAX)
+            assert problem.rows == n * (n - 1) // 2
+            for name in ("C", "d", "linear", "A", "b", "u_nom"):
+                ours, theirs = getattr(problem, name), getattr(public, name)
+                assert ours.shape == theirs.shape and ours.tobytes() == theirs.tobytes(), name
+                assert not ours.flags.writeable, name
+            # The problem's arrays live in assembly's buffers: nothing is copied.
+            for arr, owner in ((cs.A, cs.C), (problem.C, cs.C), (problem.A, cs.C),
+                               (cs.b, cs.d), (problem.d, cs.d), (problem.b, cs.d)):
+                assert not arr.flags.writeable and (arr if arr.base is None else arr.base) is owner
+        assert {r.fallback_applied for r in results} == {None, "slack"}
+        for result, arrays in zip(results, saved):
+            cs = result.constraints
+            for arr, copy in zip((cs.C, cs.d, cs.A, cs.b), arrays):
+                assert arr.tobytes() == copy.tobytes()

@@ -1,6 +1,7 @@
 """Source hygiene of the package, checked with the standard library's ast:
-no module imports a name it never reads, and the package's __all__ is
-exactly what __init__ imports."""
+no module imports a name it never reads, no module reaches into another
+package module's private names, and the package's __all__ is exactly what
+__init__ imports."""
 
 import ast
 from pathlib import Path
@@ -55,6 +56,33 @@ def read_names(tree: ast.Module) -> set:
     return loads | set(all_names(tree))
 
 
+def private(name: str) -> bool:
+    return name.startswith("_") and not name.startswith("__")
+
+
+def private_reads(tree: ast.Module) -> list:
+    """Private names of other package modules that a module imports
+    (from .qp import _x) or reads as a module attribute (qp._x)."""
+    stems = {p.stem for p in MODULES}
+    modules, found = set(), []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            inside = node.level > 0 or (node.module or "").split(".")[0] == "robustcbf"
+            for alias in node.names if inside else ():
+                if node.module in (None, "robustcbf") and alias.name in stems:
+                    modules.add(alias.asname or alias.name)
+                elif private(alias.name):
+                    found.append(f"from {'.' * node.level}{node.module or ''} import {alias.name}")
+        elif isinstance(node, ast.Import):
+            modules.update(alias.asname for alias in node.names
+                           if alias.asname and alias.name.startswith("robustcbf."))
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                and node.value.id in modules and private(node.attr)):
+            found.append(f"{node.value.id}.{node.attr}")
+    return found
+
+
 def test_the_package_has_modules():
     assert {"__init__.py", "barrier.py", "qp.py", "sim.py"} <= {p.name for p in MODULES}
 
@@ -65,6 +93,16 @@ def test_every_import_is_read(path):
     unused = set(imported_names(tree)) - read_names(tree)
     # Equality, not a subset: a hook target that is gone is a stale entry.
     assert unused == set(HOOK_TARGETS.get(path.name, {}))
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_module_reads_another_modules_private_names(path):
+    assert private_reads(ast.parse(path.read_text(), filename=str(path))) == []
+
+
+def test_private_reads_are_found():
+    source = "from . import qp\nfrom .qp import _warm_rows, solve\nqp._prune(qp.solve)\n"
+    assert private_reads(ast.parse(source)) == ["from .qp import _warm_rows", "qp._prune"]
 
 
 def test_all_is_exactly_what_init_imports():

@@ -515,6 +515,12 @@ class TestProblemValidation:
         with pytest.raises(ValueError):
             QpProblem(np.eye(2), np.array([np.nan, 0.0]), np.zeros((0, 2)), np.zeros(0), 1.0)
 
+    def test_non_finite_rows_rejected(self):
+        for A, b, name in ((np.array([[np.inf, 0.0]]), np.zeros(1), "A"),
+                           (np.ones((1, 2)), np.array([np.nan]), "b")):
+            with pytest.raises(ValueError, match=f"{name} must be finite"):
+                QpProblem(np.eye(2), np.zeros(2), A, b, 1.0)
+
     def test_singular_weight_rejected(self):
         with pytest.raises(ValueError):
             QpProblem(np.zeros((2, 2)), np.zeros(2), np.zeros((0, 2)), np.zeros(0), 1.0)
@@ -853,3 +859,27 @@ class TestTolerances:
         problem = random_problem(rng, m=6, rows=10)
         sol = solve(problem, max_iterations=1)
         assert sol.status in (OPTIMAL, "max-iterations")
+
+
+class TestWarmStartRefusals:
+    def test_a_larger_problems_solution_drops_its_rows_past_the_end(self, rng):
+        # u_nom clamps every variable: rows 7 (u2 >= -25), 8 and 9 (u0, u1 <= 25).
+        A, u_nom = rng.normal(size=(5, 3)), np.array([50.0, 50.0, -50.0])
+        seed = solve(QpProblem(np.eye(3), u_nom, A, np.full(5, -1e3), 25.0))
+        assert sorted(seed.active_set) == [7, 8, 9]
+        small = QpProblem(np.eye(3), u_nom, A[:2], np.full(2, -1e3), 25.0)
+        kept = [row for row in seed.active_set if row < small.rows + 2 * small.variables]
+        assert kept == [7]
+        warm = solve(small, warm_start=seed)
+        listed = solve(small, warm_start=kept)
+        assert warm.status == OPTIMAL
+        assert warm.u_star.tobytes() == listed.u_star.tobytes()
+        assert warm.active_set == listed.active_set
+
+    def test_a_rebuilt_solution_is_checked_again(self, rng):
+        problem = random_problem(rng, m=5, rows=9)
+        cold = solve(problem)
+        with pytest.raises(ValueError, match="integral row indices"):
+            solve(problem, warm_start=replace(cold, active_set=(0, 2.5)))
+        again = solve(problem, warm_start=replace(cold, active_set=cold.active_set + (10**6,)))
+        assert again.u_star.tobytes() == solve(problem, warm_start=cold).u_star.tobytes()
