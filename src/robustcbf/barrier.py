@@ -10,6 +10,7 @@ import numpy as np
 
 from .disturbance import HullUnion, support_min_rows
 from .dynamics import PoseFrame, RobotGeometry, RobotState, pose_frame
+from .qp import stacked_rows
 
 
 @dataclass(frozen=True)
@@ -35,7 +36,7 @@ class ConstraintSet:
     Pairs enumerate (i, j) with i < j, i ascending then j ascending.  A hull
     union still yields one row per pair: its margin is the least over all
     hulls.  C u >= d are the QP's stacked rows, A u >= b above the box rows
-    [I; -I] u >= -u_max; A and b are views of them, all four read-only.  The
+    of qp.stacked_rows; A and b are views of them, all four read-only.  The
     pairs / h_pairs arrays carry per-row bookkeeping used by the simulator
     and by diagnostics; z_rows (pairs, 2) holds each row's margin direction,
     the same sum as A[r, 2i:2i+2] + A[r, 2j:2j+2].
@@ -96,10 +97,10 @@ def assemble_constraints(
     b = -gamma h^3 - robust margin, where the margin of a hull union is the
     elementwise least of the per-hull support minima.  That equals the
     support minimum over the pooled vertices bit for bit, so the row is the
-    tightest of the per-hull rows.  Each call writes a fresh C and d, which
-    the filter's QpProblem adopts.  pairs takes the (pairs, 2) array of all
-    (i, j) in that order when the caller already holds it, and slots its
-    pair_slots; the returned set shares pairs.
+    tightest of the per-hull rows.  Each call fills a fresh qp.stacked_rows
+    pair C, d, which the filter's QpProblem adopts.  pairs takes the
+    (pairs, 2) array of all (i, j) in that order when the caller already
+    holds it, and slots its pair_slots; the returned set shares pairs.
     """
     frame = pose_frame(states, geom)
     n = frame.poses.shape[0]
@@ -126,16 +127,10 @@ def assemble_constraints(
         margin = np.minimum(margin, support_min_rows(z_rows, hull))
 
     # C is allocated after the margin pass has freed its temporaries, so it
-    # reuses their memory.  -I is I negated: -0.0 off its diagonal, as in
-    # the public QpProblem's box rows.
-    C = np.zeros((n_pairs + 2 * m, m))
-    d = np.empty(n_pairs + 2 * m)
+    # reuses their memory.
+    C, d = stacked_rows(n_pairs, m, u_max)
     C.reshape(-1)[put] = blocks
-    box = C[n_pairs:].reshape(2, m * m)
-    box[0, :: m + 1] = 1.0
-    np.negative(box[0], out=box[1])
     np.subtract(-class_k_cubic(h_vals, params.gamma), margin, out=d[:n_pairs])
-    d[n_pairs:] = -float(u_max)
 
     for arr in (C, d):
         arr.setflags(write=False)

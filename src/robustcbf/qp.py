@@ -39,8 +39,7 @@ _CONDITION_WARN = 1e8
 
 @dataclass(frozen=True, eq=False)
 class PreparedWeight:
-    """A validated QP weight with its Hessian 2 W^T W, inverse Hessian and
-    the box rows [I; -I] of its variables.
+    """A validated QP weight with its Hessian 2 W^T W and inverse Hessian.
 
     Build it once with prepare_weight and hand it to every QpProblem that
     shares the weight; the arrays are read-only.
@@ -49,7 +48,6 @@ class PreparedWeight:
     matrix: np.ndarray
     hessian: np.ndarray
     inv_hessian: np.ndarray
-    box: np.ndarray
 
 
 def prepare_weight(weight) -> PreparedWeight:
@@ -74,10 +72,22 @@ def prepare_weight(weight) -> PreparedWeight:
     hessian = 2.0 * matrix.T @ matrix
     inverse = np.linalg.inv(hessian)
     inv_hessian = 0.5 * (inverse + inverse.T)
-    box = np.vstack([np.eye(matrix.shape[0]), -np.eye(matrix.shape[0])])
-    for arr in (matrix, hessian, inv_hessian, box):
+    for arr in (matrix, hessian, inv_hessian):
         arr.setflags(write=False)
-    return PreparedWeight(matrix, hessian, inv_hessian, box)
+    return PreparedWeight(matrix, hessian, inv_hessian)
+
+
+def stacked_rows(k: int, m: int, u_max: float):
+    """A fresh writable pair C, d for k rows over m variables, with the box
+    rows [I; -I] u >= -u_max below k rows left for the caller: C is zero
+    above them, d unset.  -I is I negated, so -0.0 sits off its diagonal."""
+    C = np.zeros((k + 2 * m, m))
+    d = np.empty(k + 2 * m)
+    box = C[k:].reshape(2, m * m)
+    box[0, :: m + 1] = 1.0
+    np.negative(box[0], out=box[1])
+    d[k:] = -float(u_max)
+    return C, d
 
 
 @dataclass(frozen=True, eq=False)
@@ -87,13 +97,13 @@ class QpProblem:
     weight is a PreparedWeight or a plain matrix, which is prepared on the
     spot; the problem's weight attribute is always the matrix and prepared
     holds its Hessian terms.  Construction also builds what every solve and
-    check reads: the stacked rows C u >= d with C = [A; I; -I] and
-    d = [b; -u_max; -u_max], and the linear term -H u_nom of
-    0.5 u'Hu + linear'u.  A and b are views of the top rows of C and d; all
-    arrays are read-only.  stacked=True takes A and b as C and d themselves,
-    box rows included, with no copy and no check of A: the filter passes
-    the rows of assemble_constraints, where a non-finite block makes its
-    row's margin, and so b, non-finite.
+    check reads: the stacked rows C u >= d of stacked_rows with A and b on
+    top, and the linear term -H u_nom of 0.5 u'Hu + linear'u.  A and b are
+    views of the top rows of C and d; all arrays are read-only.
+    stacked=True takes A and b as C and d themselves, as stacked_rows wrote
+    their box rows, with no copy and no check of A: the filter passes the
+    rows of assemble_constraints, where a non-finite block makes its row's
+    margin, and so b, non-finite.
     """
 
     weight: np.ndarray
@@ -137,8 +147,8 @@ class QpProblem:
         u_max = float(self.u_max)
         C, d = matrix, rhs
         if not stacked:
-            C = np.concatenate([matrix, prepared.box])
-            d = np.concatenate([rhs, np.full(2 * m, -u_max)])
+            C, d = stacked_rows(k, m, u_max)
+            C[:k], d[:k] = matrix, rhs
         u_nom = u_nom.copy()
         linear = -prepared.hessian @ u_nom
         for arr in (u_nom, C, d, linear):
@@ -166,9 +176,11 @@ class QpProblem:
 class QpSolution:
     """Solver output; multipliers and active_set index the problem's stacked
     rows C = [A; I; -I] and feed warm starts and KKT checks.  kkt_residual
-    is the larger of the stationarity and complementarity residuals.  solve
-    keeps active_set as a read-only np.intp array too, which a warm start
-    reads unchecked; dataclasses.replace drops it."""
+    is the larger of the stationarity and complementarity residuals.
+    active_set is a read-only np.intp array, checked at construction and so
+    by dataclasses.replace: a tuple, list or 1-D array of integers or
+    integral floats >= 0, else ValueError; a read-only np.intp array is
+    kept, anything else copied."""
 
     u_star: np.ndarray
     status: str
@@ -176,8 +188,20 @@ class QpSolution:
     iterations: int
     wall_clock: float
     multipliers: np.ndarray
-    active_set: tuple
-    _rows: np.ndarray | None = field(default=None, init=False, repr=False)
+    active_set: np.ndarray
+
+    def __post_init__(self) -> None:
+        rows = np.asarray(self.active_set)
+        kind = rows.dtype.kind
+        valid = rows.ndim == 1 and kind in "iuf"
+        if valid and kind == "f":
+            valid = (np.isfinite(rows) & (np.trunc(rows) == rows)).all()
+        if valid and (rows.dtype != np.intp or rows.flags.writeable):
+            rows = rows.astype(np.intp)
+            rows.setflags(write=False)
+        if not valid or rows.size and rows.min() < 0:
+            raise ValueError(f"active_set must list integral row indices >= 0, got {rows!r}")
+        object.__setattr__(self, "active_set", rows)
 
 
 class _WorkingSet:
@@ -459,41 +483,27 @@ def _kkt_residuals(hessian, linear, u, residual, ws):
     return stationarity, feasibility, max(complementarity, -float(lam_a.min()))
 
 
-def _warm_rows(warm_start, n_rows: int) -> np.ndarray:
-    """The warm-start indices inside [0, n_rows) as an np.intp array, in
-    their order; ValueError on an entry that is no integer or integral float.
-    A QpSolution from solve gives the rows it kept, unchecked; another one
-    gives its active_set."""
-    if isinstance(warm_start, QpSolution):
-        if warm_start._rows is not None:
-            return warm_start._rows[warm_start._rows < n_rows]
-        warm_start = warm_start.active_set
-    seed = np.asarray(warm_start if isinstance(warm_start, np.ndarray) else tuple(warm_start))
-    kind = seed.dtype.kind
-    if seed.ndim != 1 or kind not in "iuf" or kind == "f" and not (np.trunc(seed) == seed).all():
-        raise ValueError(f"warm_start must list integral row indices, got {seed!r}")
-    return seed[(seed >= 0) & (seed < n_rows)].astype(np.intp, copy=False)
-
-
 def solve(problem: QpProblem, max_iterations: int | None = None, warm_start=None) -> QpSolution:
     """Solve the box-and-rows QP.
 
     max_iterations caps the dual steps; None means 10 * (variables + stacked
-    rows).  warm_start may be a previous QpSolution or an iterable of
-    stacked-row indices, integers or integral floats (else ValueError);
-    those inside the stacked rows seed the active set.  A seed whose rows
-    are dependent is rejected and the problem solved cold, with the cold
-    solve's bits; so is a warm solve that does not end optimal.  Otherwise
-    the answer agrees with a cold solve's to about 1e-9, but can differ in
-    the last bits: the bulk load forms B in one product, where a cold solve
-    grows it row by row.  An answer whose feasibility or KKT residual
-    exceeds FEASIBILITY_TOL or STATIONARITY_TOL is reported as
-    max-iterations.  Infeasibility is reported through the status, not an
-    exception.
+    rows).  warm_start is None or a previous QpSolution (else TypeError):
+    the rows of its active_set inside this problem's stacked rows seed the
+    active set, in their order.  A seed whose rows are dependent is rejected
+    and the problem solved cold, with the cold solve's bits; so is a warm
+    solve that does not end optimal.  Otherwise the answer agrees with a
+    cold solve's to about 1e-9, but can differ in the last bits: the bulk
+    load forms B in one product, where a cold solve grows it row by row.  An
+    answer whose feasibility or KKT residual exceeds FEASIBILITY_TOL or
+    STATIONARITY_TOL is reported as max-iterations.  Infeasibility is
+    reported through the status, not an exception.
     """
     start = time.perf_counter()
     C, d, linear = problem.C, problem.d, problem.linear
-    warm = () if warm_start is None else _warm_rows(warm_start, C.shape[0])
+    if not (warm_start is None or isinstance(warm_start, QpSolution)):
+        raise TypeError(f"warm_start must be a QpSolution or None, got {warm_start!r}")
+    seed = () if warm_start is None else warm_start.active_set
+    warm = seed[seed < C.shape[0]] if len(seed) else ()
     for seed_rows in (warm, ()) if len(warm) else ((),):
         try:
             u, lam, status, iterations, ws, residual = _solve_raw(
@@ -515,17 +525,8 @@ def solve(problem: QpProblem, max_iterations: int | None = None, warm_start=None
             break
     rows = ws.rows
     rows.setflags(write=False)
-    solution = QpSolution(
-        u_star=u,
-        status=status,
-        kkt_residual=kkt_residual,
-        iterations=iterations,
-        wall_clock=time.perf_counter() - start,
-        multipliers=lam,
-        active_set=tuple(ws.indices),
-    )
-    object.__setattr__(solution, "_rows", rows)
-    return solution
+    return QpSolution(u_star=u, status=status, kkt_residual=kkt_residual, iterations=iterations,
+                      wall_clock=time.perf_counter() - start, multipliers=lam, active_set=rows)
 
 
 def solve_with_slack(problem: QpProblem, slack_weight: float) -> QpSolution:

@@ -126,7 +126,7 @@ def filter_step(
     u_nom a sequence of WheelCommand or an (n, 2) command array.  Solves
     min ||W (u_nom - u)||^2 over the stacked barrier rows and the box bound;
     when the commands are already safe the answer is u_nom itself.
-    warm_start accepts a previous step's QpSolution to seed the active set.
+    warm_start is None or a previous step's QpSolution, which seeds the active set.
     """
     nominal = as_commands(u_nom).reshape(-1)
     start = time.perf_counter()

@@ -1,6 +1,7 @@
 """Source hygiene of the package, checked with the standard library's ast:
 no module imports a name it never reads, no module reaches into another
-package module's private names, and the package's __all__ is exactly what
+package module's private names, no module writes the frozen fields of an
+object from outside its class, and the package's __all__ is exactly what
 __init__ imports."""
 
 import ast
@@ -83,6 +84,20 @@ def private_reads(tree: ast.Module) -> list:
     return found
 
 
+def foreign_setattrs(tree: ast.Module) -> list:
+    """object.__setattr__ calls on anything other than self: writes to the
+    frozen fields of an object from outside its class."""
+    found = []
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                and node.func.attr == "__setattr__"
+                and isinstance(node.func.value, ast.Name) and node.func.value.id == "object"):
+            target = node.args[0] if node.args else None
+            if not (isinstance(target, ast.Name) and target.id == "self"):
+                found.append(ast.unparse(node))
+    return found
+
+
 def test_the_package_has_modules():
     assert {"__init__.py", "barrier.py", "qp.py", "sim.py"} <= {p.name for p in MODULES}
 
@@ -103,6 +118,27 @@ def test_no_module_reads_another_modules_private_names(path):
 def test_private_reads_are_found():
     source = "from . import qp\nfrom .qp import _warm_rows, solve\nqp._prune(qp.solve)\n"
     assert private_reads(ast.parse(source)) == ["from .qp import _warm_rows", "qp._prune"]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_module_sets_the_fields_of_another_object(path):
+    assert foreign_setattrs(ast.parse(path.read_text(), filename=str(path))) == []
+
+
+def test_foreign_setattrs_are_found():
+    source = (
+        "class A:\n"
+        "    def __post_init__(self):\n"
+        "        object.__setattr__(self, 'x', 1)\n"
+        "def solve(args):\n"
+        "    sol = A()\n"
+        "    object.__setattr__(sol, '_rows', 2)\n"
+        "    object.__setattr__(*args)\n"
+        "    setattr(sol, 'y', 3)\n"
+    )
+    assert foreign_setattrs(ast.parse(source)) == [
+        "object.__setattr__(sol, '_rows', 2)", "object.__setattr__(*args)"
+    ]
 
 
 def test_all_is_exactly_what_init_imports():

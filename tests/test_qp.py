@@ -10,6 +10,7 @@ from robustcbf import (
     BarrierParams,
     HullUnion,
     QpProblem,
+    QpSolution,
     RobotGeometry,
     assemble_constraints,
     circle_init,
@@ -116,7 +117,7 @@ def assert_matches_reference(problem, max_iterations=None, warm_start=None):
     sol = solve(problem, max_iterations=max_iterations, warm_start=warm_start)
     ref = reference_dual_active_set(problem, max_iterations, warm_start, farthest_violated_row)
     assert sol.status == ref.status
-    assert sol.active_set == ref.active_set
+    assert sol.active_set.tolist() == list(ref.active_set)
     assert sol.iterations == ref.iterations
     np.testing.assert_allclose(sol.u_star, ref.u_star, rtol=0.0, atol=1e-9)
     np.testing.assert_allclose(sol.multipliers, ref.multipliers, rtol=0.0, atol=1e-9)
@@ -143,26 +144,24 @@ class TestReferenceBitIdentity:
             assert_matches_reference(problem, warm_start=solve(nudged))
             assert_matches_reference(nudged, warm_start=cold)
 
-    def test_warm_start_indices_of_any_form(self, rng):
+    def test_active_sets_of_any_form_warm_start_alike(self, rng):
         problem = random_problem(rng, m=5, rows=9)
         n_rows = problem.rows + 2 * problem.variables
         cold = solve(problem)
-        picks = np.array(list(cold.active_set) + [-1, n_rows, n_rows + 3, 2], dtype=np.int64)
-        forms = (picks, picks.tolist(), tuple(picks.tolist()), [float(i) for i in picks])
-        first, *others = [assert_matches_reference(problem, warm_start=warm)[0] for warm in forms]
+        picks = np.array(list(cold.active_set) + [n_rows, n_rows + 3, 2], dtype=np.int64)
+        forms = (picks, picks.astype(np.int32), picks.tolist(), tuple(picks.tolist()),
+                 [float(i) for i in picks])
+        seeds = [replace(cold, active_set=form) for form in forms]
+        for seed in seeds:
+            assert seed.active_set.dtype == np.intp and not seed.active_set.flags.writeable
+            assert seed.active_set.tolist() == picks.tolist()
+        first, *others = [assert_matches_reference(problem, warm_start=seed)[0] for seed in seeds]
         for sol in others:
             assert sol.u_star.tobytes() == first.u_star.tobytes()
             assert sol.multipliers.tobytes() == first.multipliers.tobytes()
-            assert sol.active_set == first.active_set
+            assert sol.active_set.tolist() == first.active_set.tolist()
             assert sol.iterations == first.iterations
             assert sol.status == first.status
-
-    def test_non_integral_warm_start_is_refused(self, rng):
-        # int(2.5) would seed row 2; an index that is no integer is an error.
-        problem = random_problem(rng, m=5, rows=9)
-        for warm in ([2.5], [0, 1.0, math.nan], np.array([0.0, 3.5]), ["1"], [[0, 1]]):
-            with pytest.raises(ValueError, match="integral row indices"):
-                solve(problem, warm_start=warm)
 
     def test_congested_22_robot_starts_cold(self):
         # The raw rule takes 110 iterations on both starts, the distance
@@ -200,7 +199,7 @@ class TestReferenceBitIdentity:
         )
         sol, ref = assert_matches_reference(problem)
         assert ref.dependent_steps == 1
-        assert sol.active_set == (0, 2)
+        assert sol.active_set.tolist() == [0, 2]
         np.testing.assert_allclose(sol.u_star, [3.0, 1.1], rtol=0.0, atol=1e-12)
 
     def test_dependent_warm_set_solves_cold(self, rng):
@@ -209,10 +208,10 @@ class TestReferenceBitIdentity:
         problem = parallel_row_problem(rng)
         cold, _ = assert_matches_reference(problem)
         for warm in ([0, 0], [0, problem.rows // 2], [1, 1, 2, problem.rows // 2 + 1]):
-            sol = solve(problem, warm_start=warm)
+            sol = solve(problem, warm_start=replace(cold, active_set=warm))
             assert sol.u_star.tobytes() == cold.u_star.tobytes()
             assert sol.multipliers.tobytes() == cold.multipliers.tobytes()
-            assert sol.active_set == cold.active_set
+            assert sol.active_set.tolist() == cold.active_set.tolist()
             assert sol.iterations == cold.iterations
             assert sol.status == cold.status
 
@@ -341,9 +340,11 @@ def zero_iteration_warm_step():
         patch.setattr(qp, "solve", recording)
         run_scenario(cfg)
     for problem, warm, sol in steps:
-        if warm is not None and warm.active_set and sol.active_set == warm.active_set:
+        if warm is not None and warm.active_set.size and np.array_equal(
+            sol.active_set, warm.active_set
+        ):
             if sol.iterations == 0 and sol.status == OPTIMAL:
-                return problem, warm.active_set
+                return problem, warm
     raise AssertionError("no zero-iteration warm step in the first 100 steps")
 
 
@@ -375,7 +376,8 @@ class TestZeroIterationWarmStep:
             (qp._WorkingSet, "_allocate"),
         )
         warm = solve(problem, warm_start=seed)
-        assert (warm.status, warm.iterations, warm.active_set) == (OPTIMAL, 0, seed)
+        assert (warm.status, warm.iterations) == (OPTIMAL, 0)
+        assert warm.active_set.tolist() == seed.active_set.tolist()
         assert calls == {"cholesky": 1, "solve": 1, "_allocate": 0}
         # A cold solve allocates its buffers up front and factorizes nothing
         # in bulk.
@@ -473,7 +475,9 @@ class TestActiveRowKktReport:
             args, _, out = calls[-1]
             full_kkt = full_row_kkt(problem.prepared.hessian, *args[1:4], out[0], out[1])
             self.assert_report(sol, full_kkt, args, out, out[0])
-            assert sol.active_set == tuple(out[4].indices)
+            # solve hands over the working set's own read-only rows.
+            assert sol.active_set is out[4].rows and not sol.active_set.flags.writeable
+            assert sol.active_set.tolist() == out[4].indices
             seen.add(sol.status)
         assert seen == {OPTIMAL, MAX_ITERATIONS, INFEASIBLE}
 
@@ -499,7 +503,7 @@ class TestActiveRowKktReport:
             )
             # solve_with_slack reports the loop's status as it ends.
             self.assert_report(sol, full_kkt, args, out, u, False, soft)
-            assert sol.active_set == ()
+            assert sol.active_set.dtype == np.intp and sol.active_set.tolist() == []
 
 
 class TestProblemValidation:
@@ -738,7 +742,7 @@ class TestWarmStartFromViolatedRows:
                 violated = np.flatnonzero(cs.A @ problem.u_nom < cs.b)
                 seeded.append(violated.size)
                 retried = len(fallbacks)
-                warm = solve(problem, warm_start=violated)
+                warm = solve(problem, warm_start=replace(cold, active_set=violated))
                 assert warm.status == OPTIMAL
                 if len(fallbacks) > retried:
                     # A rejected seed is solved cold: the cold solve's bits.
@@ -862,24 +866,104 @@ class TestTolerances:
 
 
 class TestWarmStartRefusals:
-    def test_a_larger_problems_solution_drops_its_rows_past_the_end(self, rng):
+    def test_a_larger_problems_solution_drops_its_rows_past_the_end(self, rng, monkeypatch):
         # u_nom clamps every variable: rows 7 (u2 >= -25), 8 and 9 (u0, u1 <= 25).
         A, u_nom = rng.normal(size=(5, 3)), np.array([50.0, 50.0, -50.0])
         seed = solve(QpProblem(np.eye(3), u_nom, A, np.full(5, -1e3), 25.0))
-        assert sorted(seed.active_set) == [7, 8, 9]
+        assert sorted(seed.active_set.tolist()) == [7, 8, 9]
         small = QpProblem(np.eye(3), u_nom, A[:2], np.full(2, -1e3), 25.0)
-        kept = [row for row in seed.active_set if row < small.rows + 2 * small.variables]
+        kept = [row for row in seed.active_set.tolist() if row < small.rows + 2 * small.variables]
         assert kept == [7]
+        loaded, real = [], qp._WorkingSet.bulk_load
+
+        def recording(ws, rows):
+            loaded.append(rows.tolist())
+            real(ws, rows)
+
+        monkeypatch.setattr(qp._WorkingSet, "bulk_load", recording)
         warm = solve(small, warm_start=seed)
-        listed = solve(small, warm_start=kept)
+        listed = solve(small, warm_start=replace(seed, active_set=kept))
+        assert loaded == [kept, kept]
         assert warm.status == OPTIMAL
         assert warm.u_star.tobytes() == listed.u_star.tobytes()
-        assert warm.active_set == listed.active_set
+        assert warm.active_set.tolist() == listed.active_set.tolist()
 
     def test_a_rebuilt_solution_is_checked_again(self, rng):
         problem = random_problem(rng, m=5, rows=9)
         cold = solve(problem)
         with pytest.raises(ValueError, match="integral row indices"):
-            solve(problem, warm_start=replace(cold, active_set=(0, 2.5)))
-        again = solve(problem, warm_start=replace(cold, active_set=cold.active_set + (10**6,)))
+            replace(cold, active_set=(0, 2.5))
+        again = solve(problem, warm_start=replace(cold, active_set=[*cold.active_set, 10**6]))
         assert again.u_star.tobytes() == solve(problem, warm_start=cold).u_star.tobytes()
+
+    def test_only_a_solution_warm_starts(self, rng):
+        problem = random_problem(rng, m=5, rows=9)
+        for warm in ([0, 1], (0, 1), np.array([0, 1]), solve(problem).active_set):
+            with pytest.raises(TypeError, match="QpSolution or None"):
+                solve(problem, warm_start=warm)
+
+
+class TestStackedRows:
+    """qp.stacked_rows is the one writer of the box rows [I; -I] u >= -u_max."""
+
+    @pytest.mark.parametrize("k, m", [(0, 1), (0, 4), (3, 1), (5, 4)])
+    def test_zero_rows_above_the_box_rows(self, k, m):
+        C, d = qp.stacked_rows(k, m, 25)
+        assert C.shape == (k + 2 * m, m) and d.shape == (k + 2 * m,)
+        assert C.dtype == d.dtype == np.float64
+        # int64 views tell -0.0 from 0.0: -I is I negated, -0.0 off its diagonal.
+        assert (C[:k].view(np.int64) == 0).all()
+        box = np.vstack([np.eye(m), -np.eye(m)])
+        assert C[k:].view(np.int64).tolist() == box.view(np.int64).tolist()
+        assert d[k:].tolist() == [-25.0] * (2 * m)
+        assert C.flags.writeable and d.flags.writeable
+
+    def test_every_call_is_fresh(self):
+        first, second = qp.stacked_rows(3, 4, 1.0), qp.stacked_rows(3, 4, 1.0)
+        for a in first:
+            for b in second:
+                assert not np.shares_memory(a, b)
+
+    def test_the_public_problem_stacks_a_and_b_over_them(self, rng):
+        problem = random_problem(rng, m=4, rows=6)
+        C, d = qp.stacked_rows(6, 4, problem.u_max)
+        box = np.vstack([np.eye(4), -np.eye(4)])
+        assert problem.C.tobytes() == np.concatenate([problem.A, box]).tobytes()
+        assert problem.C[6:].tobytes() == C[6:].tobytes()
+        assert problem.d.tobytes() == np.concatenate([problem.b, d[6:]]).tobytes()
+
+
+def solution_with(active_set) -> QpSolution:
+    return QpSolution(u_star=np.zeros(2), status=OPTIMAL, kkt_residual=0.0, iterations=0,
+                      wall_clock=0.0, multipliers=np.zeros(6), active_set=active_set)
+
+
+class TestSolutionActiveSet:
+    """QpSolution checks its active set once, at construction and so
+    through dataclasses.replace, and keeps it as a read-only np.intp array."""
+
+    @pytest.mark.parametrize("form", [(4, 0, 2), [4, 0, 2], np.array([4, 0, 2], dtype=np.int32),
+                                      [4.0, 0.0, 2.0], np.array([4, 0, 2], dtype=np.uint8)])
+    def test_integral_forms_become_read_only_intp_arrays(self, form):
+        for sol in (solution_with(form), replace(solution_with(()), active_set=form)):
+            rows = sol.active_set
+            assert rows.dtype == np.intp and rows.ndim == 1 and not rows.flags.writeable
+            assert rows.tolist() == [4, 0, 2]
+        writable = np.array([4, 0, 2], dtype=np.intp)
+        kept = solution_with(writable).active_set
+        writable[0] = 9  # the caller's array is copied, never frozen
+        assert writable.flags.writeable and kept.tolist() == [4, 0, 2]
+
+    def test_an_empty_set_is_an_empty_intp_array(self):
+        for form in ((), [], np.zeros(0)):
+            rows = solution_with(form).active_set
+            assert rows.dtype == np.intp and rows.shape == (0,)
+
+    @pytest.mark.parametrize("bad", [[2.5], [0, 1.0, math.nan], [0, math.inf], ["1"], "1",
+                                     np.array([[0, 1]]), [0, -1], np.array([3, -2]), [True]],
+                             ids=repr)
+    def test_bad_entries_are_refused_at_construction_and_through_replace(self, bad):
+        with pytest.raises(ValueError, match="row indices"):
+            solution_with(bad)
+        with pytest.raises(ValueError, match="row indices"):
+            replace(solution_with((0, 1)), active_set=bad)

@@ -1,10 +1,14 @@
-"""Closed-loop trajectories pinned bit for bit.
+"""Closed-loop trajectories and cold filter solves pinned bit for bit.
 
 Two short circle swaps are hashed: circle22 against its worst-case plant,
 and 22 robots under a seeded 3-ring hull union with a uniform-convex plant.
 A change that moves any bit of the poses, min_h or max_alter series fails
-here.  A change that moves them on purpose updates the digests and records
-the old and new values in CHANGES.md.
+here.  Seeded congested snapshots are filtered cold, one at a time: under a
+psi = 5 box every QP is feasible, under a psi = 10 box every one takes the
+slack fallback, a path no closed loop here reaches.  Their u_star,
+multipliers and active sets are hashed.  A change that moves any of these
+bits on purpose updates the digests and records the old and new values in
+CHANGES.md.
 """
 
 import hashlib
@@ -13,10 +17,16 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from robustcbf import HullUnion, ScenarioConfig, run_scenario
+from robustcbf import (
+    BarrierParams, FilterConfig, HullUnion, RobotGeometry, ScenarioConfig, filter_step,
+    run_scenario, symmetric_box
+)
 from robustcbf.cli import load_config
 
-from .conftest import SCENARIO_DIR, ring_hulls
+from .conftest import (
+    BASE_LENGTH, DIAMETER, GAMMA, LOOK_AHEAD, SCENARIO_DIR, U_MAX, WHEEL_RADIUS,
+    congested_poses, ring_hulls
+)
 
 STEPS = 200
 
@@ -70,4 +80,42 @@ def test_trajectory_bits_are_pinned(name):
     assert (run.max_alter > 0.0).all()  # the filter alters every step
     got = {"states": sha256(run.states), "min_h": sha256(run.min_h),
            "max_alter": sha256(run.max_alter)}
+    assert got == expected
+
+
+# psi: (snapshots, the fallback every one takes, digests).
+COLD = {
+    5.0: (20, None, {
+        "u_star": "763816aa3fd5319b02af24e37a6a265fbfabd13abb2e74e8929e38a543df4a84",
+        "multipliers": "13532671a460fb8d1a6fd6730474687598ee61390fe7539142f0544a34f503b1",
+        "active_set": "d0dd5fc8d67a6002f723deae09708ace516ac69095ec8428759e5772bba64150",
+    }),
+    10.0: (10, "slack", {
+        "u_star": "f8523a01a840023790afa19e40c6552e4dbcdbc6cd6d69877925bd3dd80ef981",
+        "multipliers": "853f5878721c8988422c430ebdcc08450f458e1ce70faef61ccaf5416ff486b2",
+        "active_set": "5b6fb58e61fa475939767d68a446f97f1bff02c0e5935a3ea8bb51e6515783d8",
+    }),
+}
+
+
+@pytest.mark.parametrize("psi", sorted(COLD))
+def test_cold_filter_solves_are_pinned(psi):
+    count, fallback, expected = COLD[psi]
+    geom = RobotGeometry(wheel_radius=WHEEL_RADIUS, base_length=BASE_LENGTH, look_ahead=LOOK_AHEAD)
+    cfg = FilterConfig(geom, BarrierParams(delta=DIAMETER, gamma=GAMMA),
+                       HullUnion((symmetric_box(psi),)), u_max=U_MAX)
+    rng = np.random.default_rng(int(psi))
+    solutions = []
+    for _ in range(count):
+        poses = congested_poses(rng, geom)
+        result = filter_step(poses, rng.uniform(-U_MAX, U_MAX, size=(22, 2)), cfg)
+        assert result.fallback_applied == fallback
+        solutions.append(result.solver)
+    # Each active set is hashed after its length, as np.intp widened to 8 bytes.
+    rows = [np.asarray([len(s.active_set), *s.active_set], dtype=np.intp) for s in solutions]
+    got = {
+        "u_star": sha256(np.concatenate([s.u_star for s in solutions])),
+        "multipliers": sha256(np.concatenate([s.multipliers for s in solutions])),
+        "active_set": hashlib.sha256(np.concatenate(rows).astype("<i8").tobytes()).hexdigest(),
+    }
     assert got == expected
