@@ -13,7 +13,8 @@ before that rule changed.  Run on the dense (u, s) embedding of the slack
 re-solve (slack_system), it pins the answers of the eliminated slacks.  The
 assembly reference is the gather-based assembly from before the one pass
 over all ordered pairs, and the full-row KKT report the one from before the
-report read only the active rows.
+report read only the active rows.  The KKT certificate reference is
+qp.kkt_check as it was on scipy.optimize.nnls, before its own numpy solver.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ import numpy as np
 
 from robustcbf import RobotState, WheelCommand, filter_step, pooled_vertices, support_min_rows
 from robustcbf.dynamics import as_poses
-from robustcbf.qp import INFEASIBLE, MAX_ITERATIONS, OPTIMAL
+from robustcbf.qp import INFEASIBLE, KKT_ACTIVE_TOL, MAX_ITERATIONS, OPTIMAL
 
 
 def fd_jacobian(func, x, eps):
@@ -366,6 +367,26 @@ def full_row_kkt(hessian, linear, C, d, u, lam):
     feasibility = float(max(0.0, (-residual).max()))
     complementarity = float(np.abs(lam * residual).max())
     return stationarity, feasibility, max(complementarity, float(max(0.0, -lam.min())))
+
+
+def reference_kkt_check(problem, u):
+    """qp.kkt_check on scipy.optimize.nnls: (stationarity, feasibility,
+    complementarity) at u, multipliers by scipy's NNLS on the rows active
+    within KKT_ACTIVE_TOL."""
+    from scipy.optimize import nnls
+
+    u = np.asarray(u, dtype=float).reshape(-1)
+    C, d = problem.C, problem.d
+    gradient = problem.prepared.hessian @ u + problem.linear
+    residual = C @ u - d
+    feasibility = float(max(0.0, (-residual).max())) if residual.size else 0.0
+    active = np.flatnonzero(np.abs(residual) <= KKT_ACTIVE_TOL * (1.0 + np.abs(d)))
+    if active.size == 0:
+        return float(np.abs(gradient).max()), feasibility, 0.0
+    lam_active, _ = nnls(C[active].T, gradient)
+    stationarity = float(np.abs(C[active].T @ lam_active - gradient).max())
+    complementarity = float(np.abs(lam_active * residual[active]).max())
+    return stationarity, feasibility, complementarity
 
 
 def slack_system(problem, slack_weight):

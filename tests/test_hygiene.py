@@ -1,8 +1,8 @@
 """Source hygiene of the package, checked with the standard library's ast:
 no module imports a name it never reads, no module reaches into another
 package module's private names, no module writes the frozen fields of an
-object from outside its class, and the package's __all__ is exactly what
-__init__ imports."""
+object from outside its class, no module imports scipy, and the package's
+__all__ is exactly what __init__ imports."""
 
 import ast
 from pathlib import Path
@@ -98,6 +98,22 @@ def foreign_setattrs(tree: ast.Module) -> list:
     return found
 
 
+def scipy_imports(tree: ast.Module) -> list:
+    """Import statements anywhere in a module, inside functions too, that
+    load scipy or one of its submodules."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            modules = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            modules = [node.module or ""]
+        else:
+            continue
+        if any(name == "scipy" or name.startswith("scipy.") for name in modules):
+            found.append(ast.unparse(node))
+    return found
+
+
 def test_the_package_has_modules():
     assert {"__init__.py", "barrier.py", "qp.py", "sim.py"} <= {p.name for p in MODULES}
 
@@ -138,6 +154,27 @@ def test_foreign_setattrs_are_found():
     )
     assert foreign_setattrs(ast.parse(source)) == [
         "object.__setattr__(sol, '_rows', 2)", "object.__setattr__(*args)"
+    ]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_module_imports_scipy(path):
+    # scipy.optimize alone adds about 47 MB of resident memory to a process.
+    assert scipy_imports(ast.parse(path.read_text(), filename=str(path))) == []
+
+
+def test_scipy_imports_are_found():
+    source = (
+        "import numpy, scipy.linalg as sl\n"
+        "from scipy import optimize\n"
+        "from .scipy import x\n"
+        "import scipyx\n"
+        "def f():\n"
+        "    from scipy.optimize import nnls\n"
+    )
+    assert scipy_imports(ast.parse(source)) == [
+        "import numpy, scipy.linalg as sl", "from scipy import optimize",
+        "from scipy.optimize import nnls",
     ]
 
 

@@ -1,6 +1,7 @@
 import functools
 import math
 import tracemalloc
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -36,6 +37,7 @@ from .oracles import (
     projected_gradient_qp,
     qp_objective,
     reference_dual_active_set,
+    reference_kkt_check,
     reference_slack_solve,
     slack_system,
 )
@@ -457,6 +459,8 @@ class TestActiveRowKktReport:
         assert sol.status == status
         assert sol.u_star.tobytes() == u_star.tobytes()
         assert sol.multipliers.tobytes() == lam.tobytes()
+        # The solution holds the loop's own arrays, frozen, not copies.
+        assert sol.u_star is u_star and sol.multipliers is lam
         assert sol.iterations == iterations
 
     def test_cold_warm_capped_and_infeasible_solves(self, rng, monkeypatch):
@@ -629,6 +633,106 @@ class TestKktCheck:
             assert stationarity <= 1e-6
             assert feasibility <= 1e-8
             assert complementarity <= 1e-6
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_a_non_finite_candidate_is_refused(self, bad):
+        # max(0.0, nan) is 0.0: a NaN point used to read feasible.
+        problem = QpProblem(
+            np.eye(2), np.zeros(2), np.array([[1.0, 0.0]]), np.array([-1.0]), 25.0
+        )
+        with pytest.raises(ValueError, match="finite"):
+            kkt_check(problem, [bad, 0.0])
+
+    def test_matches_the_scipy_reference_on_congested_snapshots(self, geom, params):
+        # A psi = 5 box leaves 27-34 rows active at the optimum, one NNLS
+        # solve; psi = 10 makes most snapshots infeasible, and their slack
+        # answer, far from stationary, takes the Lawson-Hanson loop.
+        weight = qp.prepare_weight(ensemble_weight(22, geom))
+        rng = np.random.default_rng(3)
+        for psi in np.repeat([5.0, 10.0], 6):
+            box = HullUnion((symmetric_box(psi),))
+            cs = assemble_constraints(congested_poses(rng, geom), geom, params, box, U_MAX)
+            problem = QpProblem(weight, rng.uniform(-U_MAX, U_MAX, size=44), cs.A, cs.b, U_MAX)
+            sol = solve(problem)
+            if sol.status != OPTIMAL:
+                sol = qp.solve_with_slack(problem, 1e6)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                got = kkt_check(problem, sol.u_star)
+            ref = reference_kkt_check(problem, sol.u_star)
+            assert abs(got[0] - ref[0]) <= 1e-10 and abs(got[1] - ref[1]) <= 1e-10
+
+
+def nnls_cases():
+    """(A, b) problems for qp._nnls, keyed by what they exercise."""
+    rng = np.random.default_rng(11)
+    A = rng.normal(size=(6, 4))
+    summed, zero = A.copy(), A.copy()
+    summed[:, 3] = summed[:, 0] + summed[:, 1]
+    zero[:, 2] = 0.0
+    return {
+        "full-rank": (A, rng.normal(size=6)),
+        "summed-column": (summed, rng.normal(size=6)),
+        "zero-column": (zero, rng.normal(size=6)),
+        "b-inside-the-cone": (A, A @ np.array([0.5, 1.0, 2.0, 0.25])),
+        "b-zero": (A, np.zeros(6)),
+        # The second column is orthogonal to b: its least-squares
+        # coefficient is exactly 0, and at x = 0 a step ratio x / (x - z)
+        # would read 0/0.
+        "zero-coefficient-at-zero": (np.eye(3)[:, :2], np.array([2.0, 0.0, 1.0])),
+        "more-columns-than-rows": (rng.normal(size=(3, 5)), rng.normal(size=3)),
+        # b lies in the span of the passive columns, so an entering column's
+        # gain is rounding and its coefficient comes out negative: taken in,
+        # it would be dropped at once and picked again until the cap.
+        "column-refused-on-entry": (
+            np.array([[3.0, -2.0, -2.0, -3.0], [1.0, -1.0, -1.0, 1.0], [2.0, -2.0, 1.0, 1.0]]),
+            np.array([1.0, 1.0, -2.0]),
+        ),
+        "summed-column-many-rows": (np.hstack([summed, rng.normal(size=(6, 2))]),
+                                    rng.normal(size=6)),
+    }
+
+
+class TestNnls:
+    """qp._nnls against scipy.optimize.nnls, the solver kkt_check used before."""
+
+    @pytest.mark.parametrize("case", list(nnls_cases()))
+    def test_matches_scipys_residual(self, case):
+        from scipy.optimize import nnls
+
+        A, b = nnls_cases()[case]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            x = qp._nnls(A, b)
+        scipy_x, _ = nnls(A, b)
+        assert x.shape == (A.shape[1],) and (x >= 0.0).all()
+        assert np.linalg.norm(A @ x - b) <= np.linalg.norm(A @ scipy_x - b) + 1e-10
+
+    def test_matches_scipy_on_random_problems(self, rng):
+        from scipy.optimize import nnls
+
+        for trial in range(300):
+            A = rng.normal(size=(int(rng.integers(1, 9)), int(rng.integers(1, 9))))
+            if trial % 3 == 0 and A.shape[1] >= 3:
+                A[:, 0] = A[:, 1] + A[:, 2]
+            b = rng.normal(size=A.shape[0])
+            x = qp._nnls(A, b)
+            assert (x >= 0.0).all()
+            assert np.linalg.norm(A @ x - b) <= np.linalg.norm(A @ nnls(A, b)[0] - b) + 1e-10
+
+    def test_a_positive_minimiser_costs_one_solve(self, monkeypatch):
+        calls, real = [], qp._passive_lstsq
+        monkeypatch.setattr(qp, "_passive_lstsq", lambda *args: calls.append(1) or real(*args))
+        A, b = nnls_cases()["b-inside-the-cone"]
+        np.testing.assert_allclose(qp._nnls(A, b), [0.5, 1.0, 2.0, 0.25], rtol=1e-12)
+        assert len(calls) == 1
+
+    def test_the_iteration_cap_raises(self):
+        # b = (1, -1) needs two solves: the second drops the negative column.
+        A, b = np.eye(2), np.array([1.0, -1.0])
+        assert qp._nnls(A, b).tolist() == [1.0, 0.0]
+        with pytest.raises(RuntimeError, match="iteration cap of 1$"):
+            qp._nnls(A, b, max_iter=1)
 
 
 class TestSolutionInvariants:
@@ -933,9 +1037,45 @@ class TestStackedRows:
         assert problem.d.tobytes() == np.concatenate([problem.b, d[6:]]).tobytes()
 
 
-def solution_with(active_set) -> QpSolution:
-    return QpSolution(u_star=np.zeros(2), status=OPTIMAL, kkt_residual=0.0, iterations=0,
-                      wall_clock=0.0, multipliers=np.zeros(6), active_set=active_set)
+def solution_with(active_set, u_star=(0.0, 0.0), multipliers=(0.0,) * 6) -> QpSolution:
+    return QpSolution(u_star=u_star, status=OPTIMAL, kkt_residual=0.0, iterations=0,
+                      wall_clock=0.0, multipliers=multipliers, active_set=active_set)
+
+
+class TestSolutionArrays:
+    """QpSolution keeps u_star and multipliers as read-only 1-D float64
+    arrays, checked at construction and so through dataclasses.replace."""
+
+    def test_solved_slack_and_replaced_solutions_are_read_only(self, rng):
+        solved = solve(random_problem(rng, m=4, rows=6))
+        slack = qp.solve_with_slack(infeasible_problems()[0], 1e4)
+        # The zero-input fallback of filter_step.
+        replaced = replace(solved, u_star=np.zeros(4), active_set=())
+        for sol in (solved, slack, replaced):
+            for arr in (sol.u_star, sol.multipliers, sol.active_set):
+                with pytest.raises(ValueError, match="read-only"):
+                    arr[...] = 1.0
+        assert replaced.u_star.tolist() == [0.0] * 4
+
+    def test_read_only_float_arrays_are_kept(self, rng):
+        solved = solve(random_problem(rng, m=4, rows=6))
+        again = replace(solved, status=MAX_ITERATIONS)
+        assert again.u_star is solved.u_star and again.multipliers is solved.multipliers
+
+    def test_other_forms_are_copied_and_frozen(self):
+        mine = np.array([1.0, 2.0])
+        sol = solution_with((), u_star=mine, multipliers=[0, 1, 2])
+        mine[0] = 9.0  # the caller's array is copied, never frozen
+        assert mine.flags.writeable and sol.u_star.tolist() == [1.0, 2.0]
+        assert sol.multipliers.dtype == np.float64 and sol.multipliers.tolist() == [0.0, 1.0, 2.0]
+        assert not (sol.u_star.flags.writeable or sol.multipliers.flags.writeable)
+
+    @pytest.mark.parametrize("bad", [np.zeros((2, 2)), 1.0, np.zeros((1, 2))], ids=repr)
+    def test_arrays_that_are_not_1d_are_refused(self, bad):
+        with pytest.raises(ValueError, match="u_star must be a 1-D"):
+            solution_with((), u_star=bad)
+        with pytest.raises(ValueError, match="multipliers must be a 1-D"):
+            replace(solution_with(()), multipliers=bad)
 
 
 class TestSolutionActiveSet:

@@ -575,13 +575,29 @@ class TestRepeatExperiment:
         assert out.stdout.strip() == "False"
 
     def test_a_closed_loop_leaves_scipy_unloaded(self):
-        # Importing scipy.linalg costs about 0.22 s of start-up and 27 MB of
-        # resident memory (30 -> 57 MB); the step path keeps to numpy.
+        # Importing scipy.linalg costs about 0.24 s of start-up and 26 MB of
+        # resident memory (31 -> 57 MB); the step path keeps to numpy.
         code = (
             "import sys; from dataclasses import replace; import robustcbf, robustcbf.cli; "
             f"cfg = robustcbf.cli.load_config({str(SCENARIO_DIR / 'circle22.yaml')!r}); "
             "cfg = replace(cfg, sim_duration=10 * cfg.dt, iterations=1); "
             "assert robustcbf.run_scenario(cfg).times.size == 10; "
+            "print(sorted(m for m in sys.modules if m.startswith('scipy')))"
+        )
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+        out = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True
+        )
+        assert out.stdout.strip() == "[]"
+
+    def test_a_kkt_check_leaves_scipy_unloaded(self):
+        # scipy.optimize would cost about 0.35 s and 47 MB (31 -> 78 MB);
+        # the certificate solves its nonnegative least squares in numpy.
+        code = (
+            "import sys, numpy as np; import robustcbf; "
+            "p = robustcbf.QpProblem(np.eye(2), np.array([3.0, 0.0]), np.array([[-1.0, 0.0]]), "
+            "np.array([-1.0]), 25.0); "
+            "assert max(robustcbf.kkt_check(p, robustcbf.solve(p).u_star)) <= 1e-12; "
             "print(sorted(m for m in sys.modules if m.startswith('scipy')))"
         )
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
