@@ -36,7 +36,6 @@ KKT_ACTIVE_TOL = 1e-6
 _DEPENDENCE_RTOL = 1e-12
 _TIE_RTOL = 1e-12
 _CONDITION_WARN = 1e8
-_NNLS_RANK_RTOL = 1e-8
 
 
 @dataclass(frozen=True, eq=False)
@@ -565,23 +564,14 @@ def solve_with_slack(problem: QpProblem, slack_weight: float) -> QpSolution:
 
 
 def _passive_lstsq(A: np.ndarray, b: np.ndarray, passive: np.ndarray) -> np.ndarray:
-    """Least squares of b on the passive columns of A, zero on the others.
-    Householder QR solves it when R's diagonal shows full column rank within
-    _NNLS_RANK_RTOL: at 44 x 35 it takes 0.07 ms against 0.18 ms for
-    np.linalg.lstsq (2-vCPU Xeon), whose minimum-norm SVD solve takes every
-    other case."""
-    z, cols = np.zeros(A.shape[1]), A[:, passive]
-    if cols.shape[1] <= cols.shape[0]:
-        q, r = np.linalg.qr(cols)
-        diag = np.abs(np.diagonal(r))
-        if diag.min(initial=math.inf) > _NNLS_RANK_RTOL * diag.max(initial=0.0):
-            z[passive] = np.linalg.solve(r, q.T @ b)
-            return z
-    z[passive] = np.linalg.lstsq(cols, b, rcond=None)[0]
+    """Minimum-norm least squares of b on the passive columns of A, zero on
+    the others."""
+    z = np.zeros(A.shape[1])
+    z[passive] = np.linalg.lstsq(A[:, passive], b, rcond=None)[0]
     return z
 
 
-def _nnls(A: np.ndarray, b: np.ndarray, max_iter: int | None = None) -> np.ndarray:
+def _nnls(A: np.ndarray, b: np.ndarray) -> np.ndarray:
     """argmin ||A x - b|| over x >= 0 by Lawson and Hanson's active-set
     method ("Solving Least Squares Problems", 1974), in numpy.
 
@@ -592,11 +582,11 @@ def _nnls(A: np.ndarray, b: np.ndarray, max_iter: int | None = None) -> np.ndarr
     floor, and while a passive coefficient is not positive steps from x
     towards the new solve until the first one reaches zero and drops it.
     A column whose own coefficient is not positive as it enters is left out
-    until x moves.  Each solve counts as an iteration; more than max_iter,
-    3 * columns by default, raise RuntimeError, as scipy.optimize.nnls does.
+    until x moves.  Each solve counts as an iteration; more than 3 * columns
+    raise RuntimeError, as scipy.optimize.nnls does.
     """
     n = A.shape[1]
-    budget = 3 * n if max_iter is None else max_iter
+    budget = 3 * n
     floor = 10.0 * max(A.shape) * np.finfo(float).eps
     floor *= float(np.abs(A).max(initial=0.0)) * float(np.abs(b).max(initial=0.0))
     spent = 0

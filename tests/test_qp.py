@@ -727,12 +727,24 @@ class TestNnls:
         np.testing.assert_allclose(qp._nnls(A, b), [0.5, 1.0, 2.0, 0.25], rtol=1e-12)
         assert len(calls) == 1
 
-    def test_the_iteration_cap_raises(self):
-        # b = (1, -1) needs two solves: the second drops the negative column.
-        A, b = np.eye(2), np.array([1.0, -1.0])
-        assert qp._nnls(A, b).tolist() == [1.0, 0.0]
-        with pytest.raises(RuntimeError, match="iteration cap of 1$"):
-            qp._nnls(A, b, max_iter=1)
+    def test_the_iteration_cap_raises(self, monkeypatch):
+        # A least squares that puts +1 on the entering column and -1 on the
+        # one passive before it swaps the two columns forever; the seventh
+        # solve passes the cap of 3 * 2.
+        previous = [1]
+
+        def cycling(A, b, passive):
+            z = np.zeros(A.shape[1])
+            z[passive] = 1.0
+            if passive.all():
+                z[previous[0]] = -1.0
+            else:
+                previous[0] = int(np.flatnonzero(passive)[0])
+            return z
+
+        monkeypatch.setattr(qp, "_passive_lstsq", cycling)
+        with pytest.raises(RuntimeError, match="iteration cap of 6$"):
+            qp._nnls(np.eye(2), np.ones(2))
 
 
 class TestSolutionInvariants:
