@@ -322,15 +322,15 @@ class _WorkingSet:
 
     def bulk_load(self, rows: np.ndarray) -> None:
         """Load the rows at once, B in one product, and keep N, J N^T and B
-        as they come.  The Cholesky factor only tests the rows (numpy has no
-        triangular solve to reuse it): LinAlgError unless they are safely
-        independent, as the dual method keeps them; solve then starts cold."""
+        as they come.  More rows than variables are dependent: LinAlgError
+        before any product, and solve then starts cold.  Other dependent
+        rows are left to the LU of the first prune, which raises on an
+        exactly singular B, and to solve's final optimality check."""
+        if rows.size > self._J.shape[0]:
+            raise np.linalg.LinAlgError("more warm-start rows than variables")
         N = self._C.take(rows, axis=0)
         JNt = self._J @ N.T
         B = N @ JNt
-        diag = np.diagonal(np.linalg.cholesky(B))
-        if diag.min() ** 2 <= _DEPENDENCE_RTOL * max(float(np.diagonal(B).max()), 1e-300):
-            raise np.linalg.LinAlgError("warm-start rows are linearly dependent")
         self.indices, self._rows, self.inverse = rows.tolist(), rows, False
         self._N, self._JNt, self._B, self._lam = N, JNt, B, np.empty(rows.size)
 
@@ -375,7 +375,8 @@ def _solve_raw(inv_hessian, linear, C, d, max_iter=None, warm=(), soft=None):
     """Dual active-set loop on min 0.5 u'Hu + q'u s.t. C u >= d, with
     inv_hessian = H^-1 precomputed by the caller.  max_iter defaults to
     10 * (variables + stacked rows).  warm is an np.intp array of row
-    indices in [0, rows), bulk loaded; LinAlgError if dependent.  soft, on
+    indices in [0, rows), bulk loaded; LinAlgError if it has more rows than
+    variables or its first prune meets an exactly singular B.  soft, on
     a cold start, is a per-row diagonal D >= 0 that lets row r fall short
     by s_r = D_r lam_r at the cost s_r^2 / (2 D_r); D_r adds to B's diagonal.
 
@@ -383,7 +384,9 @@ def _solve_raw(inv_hessian, linear, C, d, max_iter=None, warm=(), soft=None):
     solved with the kept inverse on a cold start, else by LU; the final
     equality re-solve always runs LU on B.  An active row read violated
     means the kept inverse drifted: the set is then re-solved and pruned
-    by LU and stays on LU; a set already on LU stops there.
+    by LU and stays on LU; a set already on LU stops there.  LU that meets
+    a singular B after the first prune ends max-iterations at the last
+    point reached, so a cold start never raises.
 
     Returns (u, full multipliers, status, iterations, the final working
     set, residual C u - d + D lam at that u).
@@ -397,83 +400,87 @@ def _solve_raw(inv_hessian, linear, C, d, max_iter=None, warm=(), soft=None):
     iterations = 0
     status = OPTIMAL
     norms = None
-    while True:
-        residual = _residual(C, d, u, ws, soft)
-        violated = (residual < -FEASIBILITY_TOL).nonzero()[0]
-        if not violated.size:
-            break
-        # Row norms once per solve, when two rows first compete.  Distances
-        # within a relative _TIE_RTOL go to the lowest row, so rounding cannot
-        # reorder symmetric rows.  A zero row enters first, found dependent.
-        pick = 0
-        if violated.size > 1:
-            if norms is None:
-                norms = np.sqrt(np.einsum("ij,ij->i", C, C))
-            norms_v = norms[violated]
-            pick = norms_v.argmin()
-            if norms_v[pick] > 0.0:
-                dist = residual[violated] / norms_v
-                pick = (dist <= dist.min() * (1.0 - _TIE_RTOL)).argmax()
-        worst = int(violated[pick])
-        if worst in ws.indices:
-            # Only an ill-conditioned set leaves an active row violated.
-            if not ws.inverse:
-                status = MAX_ITERATIONS
-                break
-            ws.inverse = False
-            u = _prune(ws, inv_hessian, linear, d)
-            continue
-        c = C[worst]
-        d_r = d[worst]
-        soft_r = 0.0 if soft is None else soft[worst]
-        Jc = inv_hessian @ c
-        cJc = float(c @ Jc) + soft_r
-        lam_new = 0.0
+    try:
         while True:
-            iterations += 1
-            if iterations > max_iter:
-                status = MAX_ITERATIONS
+            residual = _residual(C, d, u, ws, soft)
+            violated = (residual < -FEASIBILITY_TOL).nonzero()[0]
+            if not violated.size:
                 break
-            lam_w = ws.lam
-            w_vec = ws.N @ Jc
-            r_dir = ws.solve_B(w_vec)
-            step_dir = Jc - ws.JNt @ r_dir
-            schur = cJc - float(w_vec @ r_dir)
-
-            if schur <= _DEPENDENCE_RTOL * max(cJc, 1e-300):
-                # Candidate row is dependent on the active rows: dual-only step.
-                block, t = _blocking_ratio(lam_w, r_dir)
-                if block < 0:
-                    status = INFEASIBLE
+            # Row norms once per solve, when two rows first compete.  Distances
+            # within a relative _TIE_RTOL go to the lowest row, so rounding cannot
+            # reorder symmetric rows.  A zero row enters first, found dependent.
+            pick = 0
+            if violated.size > 1:
+                if norms is None:
+                    norms = np.sqrt(np.einsum("ij,ij->i", C, C))
+                norms_v = norms[violated]
+                pick = norms_v.argmin()
+                if norms_v[pick] > 0.0:
+                    dist = residual[violated] / norms_v
+                    pick = (dist <= dist.min() * (1.0 - _TIE_RTOL)).argmax()
+            worst = int(violated[pick])
+            if worst in ws.indices:
+                # Only an ill-conditioned set leaves an active row violated.
+                if not ws.inverse:
+                    status = MAX_ITERATIONS
                     break
+                ws.inverse = False
+                u = _prune(ws, inv_hessian, linear, d)
+                continue
+            c = C[worst]
+            d_r = d[worst]
+            soft_r = 0.0 if soft is None else soft[worst]
+            Jc = inv_hessian @ c
+            cJc = float(c @ Jc) + soft_r
+            lam_new = 0.0
+            while True:
+                iterations += 1
+                if iterations > max_iter:
+                    status = MAX_ITERATIONS
+                    break
+                lam_w = ws.lam
+                w_vec = ws.N @ Jc
+                r_dir = ws.solve_B(w_vec)
+                step_dir = Jc - ws.JNt @ r_dir
+                schur = cJc - float(w_vec @ r_dir)
+
+                if schur <= _DEPENDENCE_RTOL * max(cJc, 1e-300):
+                    # Candidate row is dependent on the active rows: dual-only step.
+                    block, t = _blocking_ratio(lam_w, r_dir)
+                    if block < 0:
+                        status = INFEASIBLE
+                        break
+                    lam_w -= t * r_dir
+                    lam_new += t
+                    ws.drop(block)
+                    continue
+
+                violation = float(c @ u - d_r)
+                if soft_r:
+                    violation += soft_r * lam_new
+                t_full = -violation / schur
+                block, t_block = _blocking_ratio(lam_w, r_dir)
+
+                t = min(t_full, t_block)
+                u = u + t * step_dir
                 lam_w -= t * r_dir
                 lam_new += t
+                if t_full <= t_block:
+                    ws.add(worst, c, Jc, w_vec, cJc, r_dir, schur, lam_new)
+                    break
                 ws.drop(block)
-                continue
-
-            violation = float(c @ u - d_r)
-            if soft_r:
-                violation += soft_r * lam_new
-            t_full = -violation / schur
-            block, t_block = _blocking_ratio(lam_w, r_dir)
-
-            t = min(t_full, t_block)
-            u = u + t * step_dir
-            lam_w -= t * r_dir
-            lam_new += t
-            if t_full <= t_block:
-                ws.add(worst, c, Jc, w_vec, cJc, r_dir, schur, lam_new)
+            if status != OPTIMAL:
                 break
-            ws.drop(block)
-        if status != OPTIMAL:
-            break
 
-    if status == OPTIMAL and ws.size and iterations:
-        # Re-solve the final equality system: removes drift accumulated by
-        # the incremental primal updates.  With no iterations the warm-start
-        # prune above has just solved this very system.
-        ws.eq_multipliers(linear, d)
-        u = ws.primal(linear)
+        if status == OPTIMAL and ws.size and iterations:
+            # Re-solve the final equality system: removes drift accumulated by
+            # the incremental primal updates.  With no iterations the warm-start
+            # prune above has just solved this very system.
+            ws.eq_multipliers(linear, d)
+            u = ws.primal(linear)
+    except np.linalg.LinAlgError:
+        # LU met a singular B: stop at the last point the loop reached.
+        status = MAX_ITERATIONS
     if status != OPTIMAL or ws.size and iterations:
         residual = _residual(C, d, u, ws, soft)  # u moved since the last one
 
@@ -501,14 +508,17 @@ def solve(problem: QpProblem, max_iterations: int | None = None, warm_start=None
     max_iterations caps the dual steps; None means 10 * (variables + stacked
     rows).  warm_start is None or a previous QpSolution (else TypeError):
     the rows of its active_set inside this problem's stacked rows seed the
-    active set, in their order.  A seed whose rows are dependent is rejected
-    and the problem solved cold, with the cold solve's bits; so is a warm
-    solve that does not end optimal.  Otherwise the answer agrees with a
-    cold solve's to about 1e-9, but can differ in the last bits: the bulk
-    load forms B in one product, where a cold solve grows it row by row.  An
-    answer whose feasibility or KKT residual exceeds FEASIBILITY_TOL or
-    STATIONARITY_TOL is reported as max-iterations.  Infeasibility is
-    reported through the status, not an exception.
+    active set, in their order.  A seed of more rows than variables, or
+    whose B is exactly singular, is rejected and the problem solved cold,
+    with the cold solve's bits; so is a warm solve that does not end
+    optimal, which also catches a nearly dependent seed.  Otherwise the
+    answer agrees with a cold solve's to about 1e-9, but can differ in the
+    last bits: the bulk load forms B in one product, where a cold solve
+    grows it row by row.  An answer is optimal only when u is finite and its
+    feasibility and KKT residuals are within FEASIBILITY_TOL and
+    STATIONARITY_TOL; any other is reported as max-iterations.  A finite
+    problem never raises: infeasibility, the iteration cap and a singular B
+    are reported through the status.
     """
     start = time.perf_counter()
     C, d, linear = problem.C, problem.d, problem.linear
@@ -529,8 +539,11 @@ def solve(problem: QpProblem, max_iterations: int | None = None, warm_start=None
             problem.prepared.hessian, linear, u, residual, ws
         )
         kkt_residual = max(stationarity, complementarity)
-        if status == OPTIMAL and (
-            feasibility > FEASIBILITY_TOL or kkt_residual > STATIONARITY_TOL
+        # Written to accept, as NaN fails every comparison; a finite u has
+        # finite multipliers and residuals.
+        if status == OPTIMAL and not (
+            np.isfinite(u).all() and feasibility <= FEASIBILITY_TOL
+            and kkt_residual <= STATIONARITY_TOL
         ):
             status = MAX_ITERATIONS
         if status == OPTIMAL:

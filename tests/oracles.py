@@ -15,6 +15,8 @@ assembly reference is the gather-based assembly from before the one pass
 over all ordered pairs, and the full-row KKT report the one from before the
 report read only the active rows.  The KKT certificate reference is
 qp.kkt_check as it was on scipy.optimize.nnls, before its own numpy solver.
+The decoupled margin gives each robot of a pair its own disturbance offset;
+it yields the congested QPs on which the solver once raised LinAlgError.
 """
 
 from __future__ import annotations
@@ -24,7 +26,10 @@ from typing import NamedTuple
 
 import numpy as np
 
-from robustcbf import RobotState, WheelCommand, filter_step, pooled_vertices, support_min_rows
+from robustcbf import (
+    ConstraintSet, RobotState, WheelCommand, assemble_constraints, class_k_cubic, filter_step,
+    pooled_vertices, support_min_rows
+)
 from robustcbf.dynamics import as_poses
 from robustcbf.qp import INFEASIBLE, KKT_ACTIVE_TOL, MAX_ITERATIONS, OPTIMAL
 
@@ -189,16 +194,14 @@ class ReallocatingWorkingSet:
         return self.JNt @ lam - self._J @ linear
 
     def bulk_load(self, idx):
-        """Load the rows idx at once; np.linalg.LinAlgError unless they are
-        safely independent."""
+        """Load the rows idx at once; np.linalg.LinAlgError when there are
+        more of them than variables.  Other dependent rows surface in the
+        first multiplier solve."""
+        if len(idx) > self._J.shape[0]:
+            raise np.linalg.LinAlgError("more warm-start rows than variables")
         N = self._C[idx]
         JNt = self._J @ N.T
         B = N @ JNt
-        chol = np.linalg.cholesky(B)
-        if np.diagonal(chol).min() ** 2 <= _DEPENDENCE_RTOL * max(
-            float(np.diagonal(B).max()), 1e-300
-        ):
-            raise np.linalg.LinAlgError("warm-start rows are linearly dependent")
         self.indices = list(idx)
         self.N, self.JNt, self._B = N, JNt, B
 
@@ -447,6 +450,30 @@ def reference_assembly(states, geom, params, hulls):
         margin = np.minimum(margin, support_min_rows(z_rows, hull))
     b = -(params.gamma * h_vals**3) - margin
     return block.reshape(iu.size, 2 * n), b, h_vals, pairs
+
+
+def decoupled_margin_constraints(states, geom, params, hulls, u_max, *plan):
+    """assemble_constraints with the margin of robots that slip each by its
+    own offset in the hulls: row (i, j)'s margin is the least support
+    minimum over the hulls of robot i's block plus that of robot j's,
+    where the shipped margin takes one offset for both.  plan is passed on,
+    so this stands in for assemble_constraints inside filter_step; A is
+    the shipped one, only b changes."""
+    cs = assemble_constraints(states, geom, params, hulls, u_max, *plan)
+    k = cs.rows
+    blocks = cs.A.reshape(k, -1, 2)
+    margin = np.zeros(k)
+    for robot in cs.pairs.T:
+        z = blocks[np.arange(k), robot]
+        least = support_min_rows(z, hulls.hulls[0])
+        for hull in hulls.hulls[1:]:
+            least = np.minimum(least, support_min_rows(z, hull))
+        margin += least
+    d = cs.d.copy()
+    d[:k] = -class_k_cubic(cs.h_pairs, params.gamma) - margin
+    d.setflags(write=False)
+    return ConstraintSet(A=cs.A, b=d[:k], u_max=cs.u_max, pairs=cs.pairs, h_pairs=cs.h_pairs,
+                         z_rows=cs.z_rows, C=cs.C, d=d)
 
 
 def _reference_output(state, geom) -> np.ndarray:

@@ -16,13 +16,14 @@ from robustcbf import (
     assemble_constraints,
     circle_init,
     ensemble_weight,
+    filter_step,
     kkt_check,
     nominal_controller,
     output_point,
     solve,
     symmetric_box,
 )
-from robustcbf import qp
+from robustcbf import qp, safety_filter
 from robustcbf.cli import load_config
 from robustcbf.sim import nominal_commands, run_scenario
 from robustcbf.qp import INFEASIBLE, MAX_ITERATIONS, OPTIMAL, _blocking_ratio, _WorkingSet
@@ -32,6 +33,7 @@ from .conftest import (
 )
 from .oracles import (
     ReallocatingWorkingSet,
+    decoupled_margin_constraints,
     farthest_violated_row,
     full_row_kkt,
     projected_gradient_qp,
@@ -205,8 +207,9 @@ class TestReferenceBitIdentity:
         np.testing.assert_allclose(sol.u_star, [3.0, 1.1], rtol=0.0, atol=1e-12)
 
     def test_dependent_warm_set_solves_cold(self, rng):
-        # A repeated row, and a row with its half-scale copy: the bulk load
-        # rejects these seeds, and the answer is the cold solve's bit for bit.
+        # A repeated row, and a row with its half-scale copy: B is exactly
+        # singular, the first prune's LU rejects these seeds, and the answer
+        # is the cold solve's bit for bit.
         problem = parallel_row_problem(rng)
         cold, _ = assert_matches_reference(problem)
         for warm in ([0, 0], [0, problem.rows // 2], [1, 1, 2, problem.rows // 2 + 1]):
@@ -351,9 +354,9 @@ def zero_iteration_warm_step():
 
 
 class TestZeroIterationWarmStep:
-    """A warm step that needs no iteration loads its active set once: one
-    Cholesky dependence test, one LU multiplier solve and no buffer
-    allocation."""
+    """A warm step that needs no iteration loads its active set once and
+    factorizes it once: one LU multiplier solve, no Cholesky dependence
+    test and no buffer allocation."""
 
     @staticmethod
     def counted(monkeypatch, *targets):
@@ -380,10 +383,10 @@ class TestZeroIterationWarmStep:
         warm = solve(problem, warm_start=seed)
         assert (warm.status, warm.iterations) == (OPTIMAL, 0)
         assert warm.active_set.tolist() == seed.active_set.tolist()
-        assert calls == {"cholesky": 1, "solve": 1, "_allocate": 0}
+        assert calls == {"cholesky": 0, "solve": 1, "_allocate": 0}
         # A cold solve allocates its buffers up front and factorizes nothing
         # in bulk.
-        calls.update(cholesky=0, solve=0)
+        calls.update(solve=0)
         cold = solve(problem)
         assert calls["_allocate"] >= 1 and calls["cholesky"] == 0
         np.testing.assert_allclose(warm.u_star, cold.u_star, rtol=0.0, atol=1e-9)
@@ -814,19 +817,32 @@ class TestSolutionInvariants:
             assert 0 <= idx < 14
 
 
+def crossing_snapshots(seed, cfg):
+    """Endless seeded (poses, commands) of 22 robots packed in a disc of
+    radius 0.5, each driving toward its antipodal goal on the circle22
+    start circle."""
+    geom = cfg.geometry
+    angles = 2.0 * math.pi * np.arange(22) / 22
+    goals = -(0.6 - geom.look_ahead) * np.stack([np.cos(angles), np.sin(angles)], axis=1)
+    rng = np.random.default_rng(seed)
+    while True:
+        poses = congested_poses(rng, geom, radius=0.5)
+        yield poses, nominal_commands(poses, goals, 1.0, geom, cfg.u_max)
+
+
 class TestWarmStartFromViolatedRows:
     """Seeding the active set with every row violated at u_nom gives about
-    45 rows for 44 variables: a dependent set, which bulk_load rejects, so
-    the problem is solved cold, bit for bit.  An independent seed loads and
-    agrees with the cold answer to 1e-9.  Such a warm solve used to end
+    45 rows for 44 variables: more rows than variables, which bulk_load
+    refuses before forming B, so the problem is solved cold, bit for bit.
+    A seed of at most 44 rows loads and agrees with the cold answer to
+    1e-9; if its rows are dependent, the first prune's LU or the final
+    optimality check sends it cold.  Such a warm solve used to end
     infeasible or at the iteration cap where the cold solve is optimal, and
     once raised LinAlgError after entering an active row a second time."""
 
-    def test_congested_snapshots_end_optimal_at_the_cold_answer(self, monkeypatch, geom):
+    def test_congested_snapshots_end_optimal_at_the_cold_answer(self, monkeypatch):
         cfg = load_config(SCENARIO_DIR / "circle22.yaml").filter_config()
-        plan = cfg.plan(22)
-        angles = 2.0 * math.pi * np.arange(22) / 22
-        goals = -(0.6 - geom.look_ahead) * np.stack([np.cos(angles), np.sin(angles)], axis=1)
+        geom, plan = cfg.geometry, cfg.plan(22)
         real, fallbacks = qp._solve_raw, []
 
         def recording(*args):
@@ -842,11 +858,10 @@ class TestWarmStartFromViolatedRows:
         monkeypatch.setattr(qp, "_solve_raw", recording)
         worst, seeded = 0.0, []
         for seed in (1, 2):
-            rng = np.random.default_rng(seed)
+            snapshots = crossing_snapshots(seed, cfg)
             solved = 0
             while solved < 300:
-                poses = congested_poses(rng, geom, radius=0.5)
-                commands = nominal_commands(poses, goals, 1.0, geom, cfg.u_max)
+                poses, commands = next(snapshots)
                 cs = assemble_constraints(
                     poses, geom, cfg.barrier, plan.margin_union, cfg.u_max, plan.pairs
                 )
@@ -868,6 +883,81 @@ class TestWarmStartFromViolatedRows:
         assert worst <= 1e-9
         assert max(seeded) > problem.variables
         assert len(fallbacks) >= 10
+
+
+class TestDecoupledMarginSnapshots:
+    """With the decoupled margin of tests/oracles.py, most congested
+    crossing snapshots are infeasible, and a few cold solves drift until an
+    active row reads violated.  The LU re-solve of that set then meets a
+    singular B (condition about 1e18): seed 1's snapshot 189 and seed 2's
+    18 and 50 once raised LinAlgError out of solve and filter_step, so the
+    slack fallback never ran."""
+
+    def test_every_filter_step_returns_and_falls_back(self, monkeypatch):
+        cfg = load_config(SCENARIO_DIR / "circle22.yaml").filter_config()
+        monkeypatch.setattr(safety_filter, "assemble_constraints", decoupled_margin_constraints)
+        real, statuses = qp.solve, []
+
+        def recording(problem, max_iterations=None, warm_start=None):
+            sol = real(problem, max_iterations, warm_start)
+            statuses.append(sol.status)
+            return sol
+
+        monkeypatch.setattr(qp, "solve", recording)
+        for seed in (1, 2):
+            snapshots = crossing_snapshots(seed, cfg)
+            for _ in range(200):
+                result = filter_step(*next(snapshots), cfg)
+                assert result.fallback_applied == (None if statuses[-1] == OPTIMAL else "slack")
+                assert result.solver.status == OPTIMAL
+                assert np.isfinite(result.solver.u_star).all()
+        assert len(statuses) == 400
+        assert statuses.count(MAX_ITERATIONS) >= 3 and OPTIMAL in statuses
+
+
+class TestSeedDependence:
+    """bulk_load refuses only a seed of more rows than variables; any other
+    seed is loaded, and its dependence shows in the first prune's LU or in
+    solve's final optimality check."""
+
+    def test_more_rows_than_variables_are_refused_before_any_product(self, rng):
+        problem = random_problem(rng, m=4, rows=8)
+        cold = solve(problem)
+        rows = np.arange(problem.variables + 1, dtype=np.intp)
+        # With no rows to gather, any take or product would fail first.
+        with pytest.raises(np.linalg.LinAlgError, match="more warm-start rows than variables"):
+            _WorkingSet(problem.prepared.inv_hessian, np.empty((0, 0)), rows)
+        sol = solve(problem, warm_start=replace(cold, active_set=rows))
+        assert sol.u_star.tobytes() == cold.u_star.tobytes()
+        assert sol.multipliers.tobytes() == cold.multipliers.tobytes()
+        assert sol.active_set.tolist() == cold.active_set.tolist()
+        assert (sol.status, sol.iterations) == (cold.status, cold.iterations)
+
+    @pytest.mark.parametrize("radius", [0.6, 0.5])
+    def test_a_nearly_repeated_row_ends_at_the_cold_answer(self, radius):
+        # The cold optimum's active rows and a copy of one of them perturbed
+        # at 1e-9 relative: B has condition about 1e16, which no pivot of
+        # its LU reveals, so the seed loads and the warm solve takes fewer
+        # iterations than the cold one.  The copy is 1e-6 slack at the
+        # optimum: were it active too, u would be fixed only to about 1e-7
+        # along the perturbation, by warm and cold solves alike.
+        base = congested_problem(radius)
+        optimum = solve(base)
+        active = optimum.active_set
+        row = base.A[active[0]]
+        noise = np.random.default_rng(5).normal(size=row.size)
+        copy = row + 1e-9 * np.abs(row).max() * noise
+        problem = QpProblem(base.weight, base.u_nom, np.vstack([base.A, copy]),
+                            np.append(base.b, copy @ optimum.u_star - 1e-6), base.u_max)
+        k = base.rows
+        seed = [i + (i >= k) for i in active.tolist()] + [k]
+        assert len(seed) <= problem.variables
+        cold = solve(problem)
+        warm = solve(problem, warm_start=replace(cold, active_set=seed))
+        assert warm.status == OPTIMAL
+        assert warm.iterations < cold.iterations
+        assert max(kkt_check(problem, warm.u_star)) <= 1e-8
+        np.testing.assert_allclose(warm.u_star, cold.u_star, rtol=0.0, atol=1e-9)
 
 
 class TestInfeasible:
@@ -979,6 +1069,22 @@ class TestTolerances:
         problem = random_problem(rng, m=6, rows=10)
         sol = solve(problem, max_iterations=1)
         assert sol.status in (OPTIMAL, "max-iterations")
+
+    def test_a_nan_point_is_not_optimal(self, rng, monkeypatch):
+        # NaN compares False against every tolerance: the check must accept,
+        # not reject, on comparison.
+        real = qp._solve_raw
+
+        def nan_point(inv_hessian, linear, C, d, *args, **kwargs):
+            u, lam, status, iterations, ws, _ = real(inv_hessian, linear, C, d, *args, **kwargs)
+            u = np.full_like(u, np.nan)
+            return u, lam, status, iterations, ws, C @ u - d
+
+        problem = random_problem(rng, m=4, rows=6)
+        seed = solve(problem)
+        monkeypatch.setattr(qp, "_solve_raw", nan_point)
+        for warm_start in (None, seed):
+            assert solve(problem, warm_start=warm_start).status == MAX_ITERATIONS
 
 
 class TestWarmStartRefusals:

@@ -6,9 +6,9 @@ A change that moves any bit of the poses, min_h or max_alter series fails
 here.  Seeded congested snapshots are filtered cold, one at a time: under a
 psi = 5 box every QP is feasible, under a psi = 10 box every one takes the
 slack fallback, a path no closed loop here reaches.  Their u_star,
-multipliers and active sets are hashed.  A change that moves any of these
-bits on purpose updates the digests and records the old and new values in
-CHANGES.md.
+multipliers and active sets are hashed, and every u_star is checked
+against the box.  A change that moves any of these bits on purpose
+updates the digests and records the old and new values in CHANGES.md.
 """
 
 import hashlib
@@ -22,6 +22,7 @@ from robustcbf import (
     run_scenario, symmetric_box
 )
 from robustcbf.cli import load_config
+from robustcbf.qp import FEASIBILITY_TOL
 
 from .conftest import (
     BASE_LENGTH, DIAMETER, GAMMA, LOOK_AHEAD, SCENARIO_DIR, U_MAX, WHEEL_RADIUS,
@@ -110,6 +111,9 @@ def test_cold_filter_solves_are_pinned(psi):
         poses = congested_poses(rng, geom)
         result = filter_step(poses, rng.uniform(-U_MAX, U_MAX, size=(22, 2)), cfg)
         assert result.fallback_applied == fallback
+        # The box is never relaxed, but holds, like every row, only within
+        # FEASIBILITY_TOL: slack answers here exceed it by up to 3.6e-10.
+        assert np.abs(result.solver.u_star).max() <= U_MAX + FEASIBILITY_TOL
         solutions.append(result.solver)
     # Each active set is hashed after its length, as np.intp widened to 8 bytes.
     rows = [np.asarray([len(s.active_set), *s.active_set], dtype=np.intp) for s in solutions]
