@@ -322,17 +322,14 @@ class _WorkingSet:
 
     def bulk_load(self, rows: np.ndarray) -> None:
         """Load the rows at once, B in one product, and keep N, J N^T and B
-        as they come.  More rows than variables are dependent: LinAlgError
-        before any product, and solve then starts cold.  Other dependent
-        rows are left to the LU of the first prune, which raises on an
-        exactly singular B, and to solve's final optimality check."""
-        if rows.size > self._J.shape[0]:
-            raise np.linalg.LinAlgError("more warm-start rows than variables")
+        as they come; lam starts at zero.  Nothing is checked: solve loads
+        at most as many rows as variables, and dependent rows are left to
+        the LU of the first prune and to solve's final optimality check."""
         N = self._C.take(rows, axis=0)
         JNt = self._J @ N.T
         B = N @ JNt
         self.indices, self._rows, self.inverse = rows.tolist(), rows, False
-        self._N, self._JNt, self._B, self._lam = N, JNt, B, np.empty(rows.size)
+        self._N, self._JNt, self._B, self._lam = N, JNt, B, np.zeros(rows.size)
 
 
 def _blocking_ratio(lam_w: np.ndarray, r_dir: np.ndarray):
@@ -374,33 +371,29 @@ def _residual(C, d, u, ws: _WorkingSet, soft) -> np.ndarray:
 def _solve_raw(inv_hessian, linear, C, d, max_iter=None, warm=(), soft=None):
     """Dual active-set loop on min 0.5 u'Hu + q'u s.t. C u >= d, with
     inv_hessian = H^-1 precomputed by the caller.  max_iter defaults to
-    10 * (variables + stacked rows).  warm is an np.intp array of row
-    indices in [0, rows), bulk loaded; LinAlgError if it has more rows than
-    variables or its first prune meets an exactly singular B.  soft, on
-    a cold start, is a per-row diagonal D >= 0 that lets row r fall short
-    by s_r = D_r lam_r at the cost s_r^2 / (2 D_r); D_r adds to B's diagonal.
+    10 * (variables + stacked rows).  warm is an np.intp array of at most
+    variables row indices in [0, rows), bulk loaded.  soft, on a cold
+    start, is a per-row diagonal D >= 0 that lets row r fall short by
+    s_r = D_r lam_r at the cost s_r^2 / (2 D_r); D_r adds to B's diagonal.
 
     The violated row of least residual / |c| enters.  B r = N H^-1 c is
     solved with the kept inverse on a cold start, else by LU; the final
     equality re-solve always runs LU on B.  An active row read violated
     means the kept inverse drifted: the set is then re-solved and pruned
-    by LU and stays on LU; a set already on LU stops there.  LU that meets
-    a singular B after the first prune ends max-iterations at the last
-    point reached, so a cold start never raises.
+    by LU and stays on LU; a set already on LU stops there.  This is the
+    one place where a singular B becomes a status: an LU that meets one
+    ends max-iterations at the last point reached, a NaN u when the first
+    prune's does, so nothing here raises.
 
     Returns (u, full multipliers, status, iterations, the final working
     set, residual C u - d + D lam at that u).
     """
-    n_rows = C.shape[0]
     if max_iter is None:
-        max_iter = 10 * (C.shape[1] + n_rows)
+        max_iter = 10 * (C.shape[1] + C.shape[0])
     ws = _WorkingSet(inv_hessian, C, warm)
-    u = _prune(ws, inv_hessian, linear, d)
-
-    iterations = 0
-    status = OPTIMAL
-    norms = None
+    u, iterations, status, norms = None, 0, OPTIMAL, None
     try:
+        u = _prune(ws, inv_hessian, linear, d)
         while True:
             residual = _residual(C, d, u, ws, soft)
             violated = (residual < -FEASIBILITY_TOL).nonzero()[0]
@@ -481,10 +474,11 @@ def _solve_raw(inv_hessian, linear, C, d, max_iter=None, warm=(), soft=None):
     except np.linalg.LinAlgError:
         # LU met a singular B: stop at the last point the loop reached.
         status = MAX_ITERATIONS
+        u = np.full(C.shape[1], math.nan) if u is None else u
     if status != OPTIMAL or ws.size and iterations:
         residual = _residual(C, d, u, ws, soft)  # u moved since the last one
 
-    lam_full = np.zeros(n_rows)
+    lam_full = np.zeros(C.shape[0])
     lam_full[ws.rows] = ws.lam
     return u, lam_full, status, iterations, ws, residual
 
@@ -502,57 +496,57 @@ def _kkt_residuals(hessian, linear, u, residual, ws):
     return stationarity, feasibility, max(complementarity, -float(lam_a.min()))
 
 
+def _solution(problem: QpProblem, start: float, raw, slack=False) -> QpSolution:
+    """One _solve_raw run as a QpSolution: arrays frozen, wall_clock since
+    start, the KKT report read off the active rows, and an optimal u that is
+    not finite refused as max-iterations.  solve's answers must also meet its
+    tolerances; a slack answer keeps the loop's verdict, active_set empty."""
+    u, lam, status, iterations, ws, residual = raw
+    stationarity, feasibility, complementarity = _kkt_residuals(
+        problem.prepared.hessian, problem.linear, u, residual, ws)
+    kkt_residual = max(stationarity, complementarity)
+    # Written to accept, as NaN fails every comparison; a finite u has
+    # finite multipliers and residuals.
+    if status == OPTIMAL and not (np.isfinite(u).all() and (slack or (
+            feasibility <= FEASIBILITY_TOL and kkt_residual <= STATIONARITY_TOL))):
+        status = MAX_ITERATIONS
+    for arr in (u, lam, ws.rows):
+        arr.setflags(write=False)
+    return QpSolution(u_star=u, status=status, kkt_residual=kkt_residual, iterations=iterations,
+                      wall_clock=time.perf_counter() - start, multipliers=lam,
+                      active_set=() if slack else ws.rows)
+
+
 def solve(problem: QpProblem, max_iterations: int | None = None, warm_start=None) -> QpSolution:
     """Solve the box-and-rows QP.
 
     max_iterations caps the dual steps; None means 10 * (variables + stacked
     rows).  warm_start is None or a previous QpSolution (else TypeError):
     the rows of its active_set inside this problem's stacked rows seed the
-    active set, in their order.  A seed of more rows than variables, or
-    whose B is exactly singular, is rejected and the problem solved cold,
-    with the cold solve's bits; so is a warm solve that does not end
-    optimal, which also catches a nearly dependent seed.  Otherwise the
-    answer agrees with a cold solve's to about 1e-9, but can differ in the
-    last bits: the bulk load forms B in one product, where a cold solve
-    grows it row by row.  An answer is optimal only when u is finite and its
+    active set, in their order.  A seed of more rows than variables is
+    dependent and skipped before any product, and a warm attempt that does
+    not end optimal (an exactly singular or nearly dependent B) is redone
+    cold: either way the answer has the cold solve's bits.  Otherwise it
+    agrees with a cold solve's to about 1e-9, but can differ in the last
+    bits: the bulk load forms B in one product, where a cold solve grows it
+    row by row.  An answer is optimal only when u is finite and its
     feasibility and KKT residuals are within FEASIBILITY_TOL and
     STATIONARITY_TOL; any other is reported as max-iterations.  A finite
     problem never raises: infeasibility, the iteration cap and a singular B
     are reported through the status.
     """
     start = time.perf_counter()
-    C, d, linear = problem.C, problem.d, problem.linear
     if not (warm_start is None or isinstance(warm_start, QpSolution)):
         raise TypeError(f"warm_start must be a QpSolution or None, got {warm_start!r}")
+    C, d, inv_hessian = problem.C, problem.d, problem.prepared.inv_hessian
     seed = () if warm_start is None else warm_start.active_set
     warm = seed[seed < C.shape[0]] if len(seed) else ()
-    for seed_rows in (warm, ()) if len(warm) else ((),):
-        try:
-            u, lam, status, iterations, ws, residual = _solve_raw(
-                problem.prepared.inv_hessian, linear, C, d, max_iterations, seed_rows
-            )
-        except np.linalg.LinAlgError:
-            if not len(seed_rows):
-                raise
-            continue
-        stationarity, feasibility, complementarity = _kkt_residuals(
-            problem.prepared.hessian, linear, u, residual, ws
-        )
-        kkt_residual = max(stationarity, complementarity)
-        # Written to accept, as NaN fails every comparison; a finite u has
-        # finite multipliers and residuals.
-        if status == OPTIMAL and not (
-            np.isfinite(u).all() and feasibility <= FEASIBILITY_TOL
-            and kkt_residual <= STATIONARITY_TOL
-        ):
-            status = MAX_ITERATIONS
-        if status == OPTIMAL:
+    for rows in (warm, ()) if 0 < len(warm) <= problem.variables else ((),):
+        raw = _solve_raw(inv_hessian, problem.linear, C, d, max_iterations, rows)
+        solution = _solution(problem, start, raw)
+        if solution.status == OPTIMAL:
             break
-    rows = ws.rows
-    for arr in (u, lam, rows):
-        arr.setflags(write=False)
-    return QpSolution(u_star=u, status=status, kkt_residual=kkt_residual, iterations=iterations,
-                      wall_clock=time.perf_counter() - start, multipliers=lam, active_set=rows)
+    return solution
 
 
 def solve_with_slack(problem: QpProblem, slack_weight: float) -> QpSolution:
@@ -560,20 +554,14 @@ def solve_with_slack(problem: QpProblem, slack_weight: float) -> QpSolution:
     slack s >= 0, penalized by slack_weight * |s|^2, while the box bound
     stays hard.  The loop runs over u alone with s = lam / (2 slack_weight)
     eliminated; the dual method keeps lam >= 0, so s >= 0 needs no rows.
-    The KKT report covers u, and active_set is empty."""
+    The KKT report covers u, and active_set is empty.  The status is the
+    loop's, a non-finite u refused; solve's tolerances do not apply, since
+    complementarity grows with |lam|, which is large at large weights."""
     start = time.perf_counter()
     soft = np.zeros(problem.C.shape[0])
     soft[: problem.rows] = 1.0 / (2.0 * slack_weight)
-    prepared, linear = problem.prepared, problem.linear
-    u, lam, status, iterations, ws, residual = _solve_raw(
-        prepared.inv_hessian, linear, problem.C, problem.d, soft=soft
-    )
-    stationarity, _, complementarity = _kkt_residuals(prepared.hessian, linear, u, residual, ws)
-    for arr in (u, lam):
-        arr.setflags(write=False)
-    return QpSolution(u_star=u, status=status, kkt_residual=max(stationarity, complementarity),
-                      iterations=iterations, wall_clock=time.perf_counter() - start,
-                      multipliers=lam, active_set=())
+    raw = _solve_raw(problem.prepared.inv_hessian, problem.linear, problem.C, problem.d, soft=soft)
+    return _solution(problem, start, raw, slack=True)
 
 
 def _passive_lstsq(A: np.ndarray, b: np.ndarray, passive: np.ndarray) -> np.ndarray:

@@ -272,7 +272,7 @@ def run_scenario(cfg: ScenarioConfig) -> RunMetrics:
     for k in range(steps):
         commands = nominal_commands(frame, goals, cfg.controller_gain, geom, cfg.u_max)
         result = filter_step(frame, commands, cfg.filter_cfg, warm_start=warm)
-        warm = None if result.fallback_applied else result.solver
+        warm = result.solver
 
         min_h[k] = result.min_h
         wall_clock[k] = result.wall_clock

@@ -337,6 +337,25 @@ class TestFallbacks:
             assert result.solver.kkt_residual <= 1e-8
             assert np.abs(result.solver.u_star).max() <= U_MAX + 1e-10
 
+    @pytest.mark.parametrize("fallback", ["zero-input", "slack"])
+    def test_a_fallback_answer_warm_starts_as_a_cold_solve(self, geom, params, fallback):
+        # run_scenario hands every step's answer to the next step as its warm
+        # start, a fallback's too: its empty active set seeds nothing.
+        rng = np.random.default_rng(10)
+        stuck = filter_step(congested_poses(rng, geom), rng.uniform(-U_MAX, U_MAX, size=(22, 2)),
+                            make_config(geom, params, psi=10.0, fallback=fallback))
+        assert stuck.fallback_applied == fallback
+        assert stuck.solver.active_set.tolist() == []
+        cfg = make_config(geom, params, fallback="error")
+        for _ in range(3):
+            poses, nominal = congested_poses(rng, geom), rng.uniform(-U_MAX, U_MAX, size=(22, 2))
+            cold = filter_step(poses, nominal, cfg).solver
+            warm = filter_step(poses, nominal, cfg, warm_start=stuck.solver).solver
+            assert warm.u_star.tobytes() == cold.u_star.tobytes()
+            assert warm.multipliers.tobytes() == cold.multipliers.tobytes()
+            assert warm.active_set.tolist() == cold.active_set.tolist()
+            assert (warm.status, warm.iterations) == (cold.status, cold.iterations)
+
     def test_slack_weight_dominates(self, geom, params):
         # Feasible problems never trigger the fallback.
         cfg = FilterConfig(

@@ -1,8 +1,10 @@
 """Source hygiene of the package, checked with the standard library's ast:
 no module imports a name it never reads, no module reaches into another
 package module's private names, no module writes the frozen fields of an
-object from outside its class, no module imports scipy, and the package's
-__all__ is exactly what __init__ imports."""
+object from outside its class, no module imports scipy, a singular matrix
+reaches the caller by one path only (qp._solve_raw's except clause, which
+turns a LinAlgError into a status), and the package's __all__ is exactly
+what __init__ imports."""
 
 import ast
 from pathlib import Path
@@ -114,6 +116,42 @@ def scipy_imports(tree: ast.Module) -> list:
     return found
 
 
+def names_linalg_error(node) -> bool:
+    """Whether an expression mentions LinAlgError, bare or as an attribute."""
+    return node is not None and any(
+        isinstance(n, ast.Name) and n.id == "LinAlgError"
+        or isinstance(n, ast.Attribute) and n.attr == "LinAlgError"
+        for n in ast.walk(node)
+    )
+
+
+def linalg_error_paths(tree: ast.Module) -> list:
+    """Each raise of LinAlgError and each except clause that names it, as
+    "raise in f" or "except in f", f the enclosing function or <module>.  A
+    bare raise inside such a clause raises it again, so it counts too.  A
+    clause that catches it under another name (ValueError, Exception) is
+    not seen."""
+    found = []
+
+    def visit(node, function, handling):
+        for child in ast.iter_child_nodes(node):
+            inner, catches = function, handling
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                inner, catches = child.name, False
+            elif isinstance(child, ast.ExceptHandler):
+                catches = names_linalg_error(child.type)
+                if catches:
+                    found.append(f"except in {function}")
+            elif isinstance(child, ast.Raise) and (
+                names_linalg_error(child.exc) or child.exc is None and handling
+            ):
+                found.append(f"raise in {function}")
+            visit(child, inner, catches)
+
+    visit(tree, "<module>", False)
+    return found
+
+
 def test_the_package_has_modules():
     assert {"__init__.py", "barrier.py", "qp.py", "sim.py"} <= {p.name for p in MODULES}
 
@@ -175,6 +213,34 @@ def test_scipy_imports_are_found():
     assert scipy_imports(ast.parse(source)) == [
         "import numpy, scipy.linalg as sl", "from scipy import optimize",
         "from scipy.optimize import nnls",
+    ]
+
+
+def test_a_singular_matrix_has_one_path_to_a_status():
+    found = {path.name: linalg_error_paths(ast.parse(path.read_text(), filename=str(path)))
+             for path in MODULES}
+    assert {name: paths for name, paths in found.items() if paths} == {
+        "qp.py": ["except in _solve_raw"]
+    }
+
+
+def test_linalg_error_paths_are_found():
+    source = (
+        "import numpy as np\n"
+        "from numpy.linalg import LinAlgError\n"
+        "def load(rows):\n"
+        "    raise np.linalg.LinAlgError('more rows than variables')\n"
+        "def solve():\n"
+        "    try:\n"
+        "        load(())\n"
+        "    except (ValueError, LinAlgError):\n"
+        "        raise\n"
+        "    except KeyError:\n"
+        "        raise\n"
+        "raise LinAlgError\n"
+    )
+    assert linalg_error_paths(ast.parse(source)) == [
+        "raise in load", "except in solve", "raise in solve", "raise in <module>"
     ]
 
 

@@ -832,13 +832,15 @@ def crossing_snapshots(seed, cfg):
 
 class TestWarmStartFromViolatedRows:
     """Seeding the active set with every row violated at u_nom gives about
-    45 rows for 44 variables: more rows than variables, which bulk_load
-    refuses before forming B, so the problem is solved cold, bit for bit.
-    A seed of at most 44 rows loads and agrees with the cold answer to
-    1e-9; if its rows are dependent, the first prune's LU or the final
-    optimality check sends it cold.  Such a warm solve used to end
-    infeasible or at the iteration cap where the cold solve is optimal, and
-    once raised LinAlgError after entering an active row a second time."""
+    45 rows for 44 variables: more rows than variables, which solve skips
+    before any product, so the problem is solved cold, bit for bit.  A seed
+    of at most 44 rows loads and agrees with the cold answer to 1e-9.  If
+    its rows are dependent, the warm attempt ends max-iterations, with a
+    NaN point when the first prune's LU meets an exactly singular B (19 of
+    the 277 seeds that load here), or fails the final optimality check, and
+    solve redoes it cold.  Such a warm solve used to end infeasible or at
+    the iteration cap where the cold solve is optimal, and once raised
+    LinAlgError after entering an active row a second time."""
 
     def test_congested_snapshots_end_optimal_at_the_cold_answer(self, monkeypatch):
         cfg = load_config(SCENARIO_DIR / "circle22.yaml").filter_config()
@@ -846,11 +848,7 @@ class TestWarmStartFromViolatedRows:
         real, fallbacks = qp._solve_raw, []
 
         def recording(*args):
-            try:
-                out = real(*args)
-            except np.linalg.LinAlgError:
-                fallbacks.append("raised")
-                raise
+            out = real(*args)
             if len(args[-1]) and out[2] != OPTIMAL:
                 fallbacks.append(out[2])
             return out
@@ -882,7 +880,7 @@ class TestWarmStartFromViolatedRows:
                     worst = max(worst, float(np.abs(warm.u_star - cold.u_star).max()))
         assert worst <= 1e-9
         assert max(seeded) > problem.variables
-        assert len(fallbacks) >= 10
+        assert len(fallbacks) >= 10 and set(fallbacks) == {MAX_ITERATIONS}
 
 
 class TestDecoupledMarginSnapshots:
@@ -916,22 +914,41 @@ class TestDecoupledMarginSnapshots:
 
 
 class TestSeedDependence:
-    """bulk_load refuses only a seed of more rows than variables; any other
-    seed is loaded, and its dependence shows in the first prune's LU or in
-    solve's final optimality check."""
+    """solve skips only a seed of more rows than variables, before any
+    product; any other seed is loaded as it comes, and its dependence shows
+    in the first prune's LU, which ends the warm attempt max-iterations, or
+    in solve's final optimality check."""
 
-    def test_more_rows_than_variables_are_refused_before_any_product(self, rng):
+    def test_more_rows_than_variables_are_refused_before_any_product(self, rng, monkeypatch):
         problem = random_problem(rng, m=4, rows=8)
         cold = solve(problem)
         rows = np.arange(problem.variables + 1, dtype=np.intp)
-        # With no rows to gather, any take or product would fail first.
-        with pytest.raises(np.linalg.LinAlgError, match="more warm-start rows than variables"):
-            _WorkingSet(problem.prepared.inv_hessian, np.empty((0, 0)), rows)
+        loaded, real = [], qp._WorkingSet.bulk_load
+
+        def recording(ws, rows):
+            loaded.append(rows.tolist())
+            real(ws, rows)
+
+        monkeypatch.setattr(qp._WorkingSet, "bulk_load", recording)
         sol = solve(problem, warm_start=replace(cold, active_set=rows))
+        assert loaded == []
         assert sol.u_star.tobytes() == cold.u_star.tobytes()
         assert sol.multipliers.tobytes() == cold.multipliers.tobytes()
         assert sol.active_set.tolist() == cold.active_set.tolist()
         assert (sol.status, sol.iterations) == (cold.status, cold.iterations)
+        # As many rows as variables do load.
+        solve(problem, warm_start=replace(cold, active_set=rows[:-1]))
+        assert loaded == [rows[:-1].tolist()]
+
+    def test_an_exactly_singular_seed_ends_with_no_point(self, rng):
+        # A repeated row: the first prune's LU meets an exactly singular B.
+        problem = parallel_row_problem(rng)
+        u, lam, status, iterations, ws, residual = qp._solve_raw(
+            problem.prepared.inv_hessian, problem.linear, problem.C, problem.d, None,
+            np.array([0, 0], dtype=np.intp),
+        )
+        assert (status, iterations) == (MAX_ITERATIONS, 0)
+        assert np.isnan(u).all() and np.isnan(residual).all()
 
     @pytest.mark.parametrize("radius", [0.6, 0.5])
     def test_a_nearly_repeated_row_ends_at_the_cold_answer(self, radius):
@@ -1050,6 +1067,10 @@ class TestSlackElimination:
             )
             assert stationarity <= 1e-8 and feasibility <= 1e-8
             assert complementarity <= 1e-8 * max(1.0, float(np.abs(lam).max()))
+            # The status is the loop's, not solve's tolerance rule: at
+            # |lam| near 5e4, kkt_residual reads up to about 1e-6, but at
+            # most 1.7e-11 per unit of |lam|.
+            assert sol.kkt_residual <= 1e-10 * max(1.0, float(np.abs(lam).max()))
 
     def test_a_slack_solve_allocates_no_embedding(self):
         # At n = 44 the embedding's (88 + 946)^2 Hessian alone is 8.6 MB.
@@ -1082,9 +1103,12 @@ class TestTolerances:
 
         problem = random_problem(rng, m=4, rows=6)
         seed = solve(problem)
+        assert qp.solve_with_slack(problem, 1e6).status == OPTIMAL
         monkeypatch.setattr(qp, "_solve_raw", nan_point)
         for warm_start in (None, seed):
             assert solve(problem, warm_start=warm_start).status == MAX_ITERATIONS
+        # The slack re-solve keeps the loop's verdict, but not on a NaN point.
+        assert qp.solve_with_slack(problem, 1e6).status == MAX_ITERATIONS
 
 
 class TestWarmStartRefusals:

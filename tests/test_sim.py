@@ -26,6 +26,7 @@ from robustcbf import (
 )
 from robustcbf import sim
 from robustcbf.barrier import pair_h_values
+from robustcbf.cli import load_config
 from robustcbf.dynamics import as_commands, as_poses, pose_frame
 from robustcbf.sim import derived_seeds, nominal_commands
 
@@ -247,6 +248,26 @@ class TestRunScenario:
         a = run_scenario(base)
         b = run_scenario(replace(base, rng_seed=2))
         assert not np.array_equal(a.min_h, b.min_h)
+
+    def test_every_step_warm_starts_from_the_last_answer(self, monkeypatch):
+        # A fallback's answer too: its active set is empty, so the step
+        # after it solves cold.  circle22 under a psi = 12 box takes the
+        # slack fallback from step 274 on.
+        cfg = load_config(SCENARIO_DIR / "circle22.yaml")
+        cfg = replace(cfg, disturbance=HullUnion((symmetric_box(12.0),)),
+                      sim_duration=280 * cfg.dt, iterations=1)
+        calls = []
+
+        def recording(*args, warm_start=None):
+            result = safety_filter.filter_step(*args, warm_start=warm_start)
+            calls.append((warm_start, result))
+            return result
+
+        monkeypatch.setattr(sim, "filter_step", recording)
+        run_scenario(cfg)
+        assert len(calls) == 280 and calls[0][0] is None
+        assert all(warm is last.solver for (warm, _), (_, last) in zip(calls[1:], calls))
+        assert [result.fallback_applied for _, result in calls[274:-1]] == ["slack"] * 5
 
     def test_debug_checks_pass_for_all_modes(self):
         for mode in ("off", "uniform-convex", "worst-case", "vertex"):

@@ -1,11 +1,13 @@
 """Closed-loop trajectories and cold filter solves pinned bit for bit.
 
-Two short circle swaps are hashed: circle22 against its worst-case plant,
-and 22 robots under a seeded 3-ring hull union with a uniform-convex plant.
-A change that moves any bit of the poses, min_h or max_alter series fails
-here.  Seeded congested snapshots are filtered cold, one at a time: under a
-psi = 5 box every QP is feasible, under a psi = 10 box every one takes the
-slack fallback, a path no closed loop here reaches.  Their u_star,
+Three short circle swaps are hashed: circle22 against its worst-case
+plant, the same under a psi = 12 box, and 22 robots under a seeded 3-ring
+hull union with a uniform-convex plant.  A change that moves any bit of the
+poses, min_h or max_alter series fails here.  The psi = 12 run takes the
+slack fallback at 44 of its 400 steps (274-291 and 332-357), and each next
+step is warm-started from the fallback's answer.  Seeded congested
+snapshots are filtered cold, one at a time: under a psi = 5 box every QP is
+feasible, under a psi = 10 box every one takes the slack fallback.  Their u_star,
 multipliers and active sets are hashed, and every u_star is checked
 against the box.  A change that moves any of these bits on purpose
 updates the digests and records the old and new values in CHANGES.md.
@@ -19,7 +21,7 @@ import pytest
 
 from robustcbf import (
     BarrierParams, FilterConfig, HullUnion, RobotGeometry, ScenarioConfig, filter_step,
-    run_scenario, symmetric_box
+    run_scenario, safety_filter, sim, symmetric_box
 )
 from robustcbf.cli import load_config
 from robustcbf.qp import FEASIBILITY_TOL
@@ -36,10 +38,14 @@ def sha256(values: np.ndarray) -> str:
     return hashlib.sha256(np.ascontiguousarray(values, dtype="<f8").tobytes()).hexdigest()
 
 
-def circle22_worst_case() -> ScenarioConfig:
+def circle22_worst_case(steps=STEPS) -> ScenarioConfig:
     cfg = load_config(SCENARIO_DIR / "circle22.yaml")
     assert cfg.plant_disturbance == "worst-case"
-    return replace(cfg, sim_duration=STEPS * cfg.dt, iterations=1, record_states=True)
+    return replace(cfg, sim_duration=steps * cfg.dt, iterations=1, record_states=True)
+
+
+def circle22_psi12() -> ScenarioConfig:
+    return replace(circle22_worst_case(400), disturbance=HullUnion((symmetric_box(12.0),)))
 
 
 def union22_uniform() -> ScenarioConfig:
@@ -62,6 +68,14 @@ PINNED = {
             "max_alter": "5942b2139bc1ef6c034c36f3e147f3f2276d04750265b59b004c2904b7cf0039",
         },
     ),
+    "circle22-psi12-fallbacks": (
+        circle22_psi12,
+        {
+            "states": "c80329e5aade89cde52f262a648078ada662c624d676445b893546f6d6fe0723",
+            "min_h": "f65c8c69159ef011117530dac33b6b5cfc814e126c5e04f0f19acd9328dd3c9c",
+            "max_alter": "5db2516d8ec894ad5353cbdc5c458ba2b3a15c6ecb94e542f6f28a0d53643885",
+        },
+    ),
     "union22-3-rings": (
         union22_uniform,
         {
@@ -74,11 +88,25 @@ PINNED = {
 
 
 @pytest.mark.parametrize("name", sorted(PINNED))
-def test_trajectory_bits_are_pinned(name):
+def test_trajectory_bits_are_pinned(name, monkeypatch):
     build, expected = PINNED[name]
-    run = run_scenario(build())
-    assert run.states.shape == (STEPS, 22, 3)
+    cfg = build()
+    fallbacks = []
+
+    def recording(*args, **kwargs):
+        result = safety_filter.filter_step(*args, **kwargs)
+        fallbacks.append(result.fallback_applied)
+        return result
+
+    monkeypatch.setattr(sim, "filter_step", recording)
+    run = run_scenario(cfg)
+    assert run.states.shape == (cfg.steps(), 22, 3)
     assert (run.max_alter > 0.0).all()  # the filter alters every step
+    slack = [k for k, fallback in enumerate(fallbacks) if fallback == "slack"]
+    if name == "circle22-psi12-fallbacks":
+        assert slack == [*range(274, 292), *range(332, 358)]
+    else:
+        assert slack == [] and set(fallbacks) == {None}
     got = {"states": sha256(run.states), "min_h": sha256(run.min_h),
            "max_alter": sha256(run.max_alter)}
     assert got == expected
