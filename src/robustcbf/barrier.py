@@ -31,7 +31,7 @@ class BarrierParams:
 
 @dataclass(frozen=True, eq=False)
 class ConstraintSet:
-    """Stacked inequality A u >= b, one row per robot pair, plus box bound.
+    """Stacked inequality A u >= b, one row per robot pair, and the box rows.
 
     Pairs enumerate (i, j) with i < j, i ascending then j ascending.  A hull
     union still yields one row per pair: its margin is the least over all
@@ -44,7 +44,6 @@ class ConstraintSet:
 
     A: np.ndarray
     b: np.ndarray
-    u_max: float
     pairs: np.ndarray
     h_pairs: np.ndarray
     z_rows: np.ndarray
@@ -137,7 +136,6 @@ def assemble_constraints(
     return ConstraintSet(
         A=C[:n_pairs],
         b=d[:n_pairs],
-        u_max=float(u_max),
         pairs=pairs,
         h_pairs=h_vals,
         z_rows=z_rows,

@@ -215,10 +215,18 @@ def _write_outputs(out_dir: Path, runs, created: list) -> dict:
     return summary
 
 
+def _missing(paths) -> list:
+    """The directories among paths and their ancestors that do not exist
+    yet, each after its parent."""
+    return sorted({p for path in paths for p in (path, *path.parents) if not p.exists()})
+
+
 def _cleanup(created) -> None:
+    """Remove what a failed run made, newest first: each file, and each
+    directory once it is empty."""
     for path in reversed(created):
         try:
-            path.unlink()
+            path.rmdir() if path.is_dir() else path.unlink()
         except OSError:
             pass
 
@@ -264,14 +272,15 @@ def run_command(
         return EXIT_RUNTIME
 
     wanted = ("robust", "non-robust") if mode == "both" else (mode,)
+    targets = [out_dir / one.replace("-", "_") for one in wanted] if mode == "both" else [out_dir]
+    fresh = _missing(targets)
     created: list = []
     summaries = {}
     breach = False
     try:
-        for one in wanted:
+        for one, target in zip(wanted, targets):
             run_cfg = replace(cfg, filter_disturbance=zero_union()) if one == "non-robust" else cfg
             runs = repeat_experiment(run_cfg, jobs=jobs)
-            target = out_dir if mode != "both" else out_dir / one.replace("-", "_")
             summary = _write_outputs(target, runs, created=created)
             summaries[one] = summary
             if check and _check_breach(one, summary, runs):
@@ -299,7 +308,7 @@ def run_command(
             compare_path.write_text(json.dumps(compare, indent=2) + "\n")
             created.append(compare_path)
     except Exception as exc:  # noqa: BLE001 - surfaced as exit status
-        _cleanup(created)
+        _cleanup(fresh + created)
         print(f"run failed: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
     if breach:
@@ -314,7 +323,7 @@ def trace_command(config_path, out_path, seed: int | None = None) -> int:
     if cfg is None:
         return EXIT_CONFIG
     out_path = Path(out_path)
-    created: list = []
+    created = _missing([out_path.parent])
     try:
         metrics = run_scenario(cfg)
         out_path.parent.mkdir(parents=True, exist_ok=True)

@@ -376,14 +376,16 @@ def _solve_raw(inv_hessian, linear, C, d, max_iter=None, warm=(), soft=None):
     start, is a per-row diagonal D >= 0 that lets row r fall short by
     s_r = D_r lam_r at the cost s_r^2 / (2 D_r); D_r adds to B's diagonal.
 
-    The violated row of least residual / |c| enters.  B r = N H^-1 c is
-    solved with the kept inverse on a cold start, else by LU; the final
-    equality re-solve always runs LU on B.  An active row read violated
-    means the kept inverse drifted: the set is then re-solved and pruned
-    by LU and stays on LU; a set already on LU stops there.  This is the
-    one place where a singular B becomes a status: an LU that meets one
-    ends max-iterations at the last point reached, a NaN u when the first
-    prune's does, so nothing here raises.
+    The violated row of least residual / |c| enters by one dual step per
+    iteration, the lesser of its full step, which adds it, and the step at
+    which an active multiplier blocks, which drops that row.  A row that
+    depends on the active rows has an infinite full step and no primal
+    move; if nothing blocks, the problem is infeasible.  B r = N H^-1 c is
+    solved with the kept inverse on a cold start, else by LU, and the final
+    re-solve by LU.  An active row read violated means the kept inverse
+    drifted: the set is re-solved and pruned by LU and stays on LU; a set
+    already on LU stops there.  A singular B met by LU ends max-iterations
+    at the last point reached, a NaN u in the first prune: nothing raises.
 
     Returns (u, full multipliers, status, iterations, the final working
     set, residual C u - d + D lam at that u).
@@ -394,7 +396,7 @@ def _solve_raw(inv_hessian, linear, C, d, max_iter=None, warm=(), soft=None):
     u, iterations, status, norms = None, 0, OPTIMAL, None
     try:
         u = _prune(ws, inv_hessian, linear, d)
-        while True:
+        while status == OPTIMAL:
             residual = _residual(C, d, u, ws, soft)
             violated = (residual < -FEASIBILITY_TOL).nonzero()[0]
             if not violated.size:
@@ -420,8 +422,7 @@ def _solve_raw(inv_hessian, linear, C, d, max_iter=None, warm=(), soft=None):
                 ws.inverse = False
                 u = _prune(ws, inv_hessian, linear, d)
                 continue
-            c = C[worst]
-            d_r = d[worst]
+            c, d_r = C[worst], d[worst]
             soft_r = 0.0 if soft is None else soft[worst]
             Jc = inv_hessian @ c
             cJc = float(c @ Jc) + soft_r
@@ -434,41 +435,32 @@ def _solve_raw(inv_hessian, linear, C, d, max_iter=None, warm=(), soft=None):
                 lam_w = ws.lam
                 w_vec = ws.N @ Jc
                 r_dir = ws.solve_B(w_vec)
-                step_dir = Jc - ws.JNt @ r_dir
                 schur = cJc - float(w_vec @ r_dir)
-
+                block, t = _blocking_ratio(lam_w, r_dir)
+                enter = False
                 if schur <= _DEPENDENCE_RTOL * max(cJc, 1e-300):
-                    # Candidate row is dependent on the active rows: dual-only step.
-                    block, t = _blocking_ratio(lam_w, r_dir)
+                    # Dependent row: infinite full step, no primal move.
                     if block < 0:
                         status = INFEASIBLE
                         break
-                    lam_w -= t * r_dir
-                    lam_new += t
-                    ws.drop(block)
-                    continue
-
-                violation = float(c @ u - d_r)
-                if soft_r:
-                    violation += soft_r * lam_new
-                t_full = -violation / schur
-                block, t_block = _blocking_ratio(lam_w, r_dir)
-
-                t = min(t_full, t_block)
-                u = u + t * step_dir
+                else:
+                    violation = float(c @ u - d_r)
+                    if soft_r:
+                        violation += soft_r * lam_new
+                    t_full = -violation / schur
+                    enter = t_full <= t  # NaN compares false
+                    t = min(t_full, t)
+                    u = u + t * (Jc - ws.JNt @ r_dir)
                 lam_w -= t * r_dir
                 lam_new += t
-                if t_full <= t_block:
+                if enter:
                     ws.add(worst, c, Jc, w_vec, cJc, r_dir, schur, lam_new)
                     break
                 ws.drop(block)
-            if status != OPTIMAL:
-                break
 
         if status == OPTIMAL and ws.size and iterations:
-            # Re-solve the final equality system: removes drift accumulated by
-            # the incremental primal updates.  With no iterations the warm-start
-            # prune above has just solved this very system.
+            # Re-solve the final equality system against the drift of the
+            # primal updates; with no iterations the prune has just solved it.
             ws.eq_multipliers(linear, d)
             u = ws.primal(linear)
     except np.linalg.LinAlgError:

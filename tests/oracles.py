@@ -472,7 +472,7 @@ def decoupled_margin_constraints(states, geom, params, hulls, u_max, *plan):
     d = cs.d.copy()
     d[:k] = -class_k_cubic(cs.h_pairs, params.gamma) - margin
     d.setflags(write=False)
-    return ConstraintSet(A=cs.A, b=d[:k], u_max=cs.u_max, pairs=cs.pairs, h_pairs=cs.h_pairs,
+    return ConstraintSet(A=cs.A, b=d[:k], pairs=cs.pairs, h_pairs=cs.h_pairs,
                          z_rows=cs.z_rows, C=cs.C, d=d)
 
 

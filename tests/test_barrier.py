@@ -143,7 +143,6 @@ class TestAssembleConstraints:
         )
         assert cs.A.shape == (0, 2)
         assert cs.b.shape == (0,)
-        assert cs.u_max == U_MAX
 
     def test_two_robots_one_hull_one_row(self, geom, params, box5, rng):
         cs = assemble_constraints(

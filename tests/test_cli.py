@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -72,9 +73,10 @@ filter:
   slack_weight: 1.0e+6
 """
 
-# Values that used to load and then fail mid-run, or run something other
-# than what the file says; each key is appended to MINIMAL's last section
-# or written in its own.
+# Files the loader refuses, keyed by the text its error names: values that
+# used to load and then fail mid-run, or run something other than what the
+# file says, and files or sections of the wrong shape.  Each file appends a
+# line to MINIMAL's last section or a section of its own, or stands alone.
 INVALID = {
     "fallback": MINIMAL + "filter:\n  fallback: bogus\n",
     "u_max": MINIMAL + "filter:\n  u_max: -1\n",
@@ -87,6 +89,14 @@ INVALID = {
     "dt": MINIMAL + "  dt: 1" + "0" * 400 + "\n",
     # Clears n delta / 2 pi = 0.420 m, but circle_init needs about 0.452 m.
     "radius": "robots:\n  count: 22\nsim:\n  duration: 0.05\n  radius: 0.43\n",
+    "disturbance.hulls": MINIMAL + "disturbance:\n  hulls: []\n",
+    "disturbance.hulls[0]": MINIMAL + "disturbance:\n  hulls:\n    - points: [[0, 0]]\n",
+    "disturbance.hulls[1].vertices": (
+        MINIMAL + "disturbance:\n  hulls:\n    - vertices: [[0, 0]]\n    - vertices: [[0, 0], [1]]\n"
+    ),
+    "robots.count is required": "",
+    "mapping of sections": "- robots\n- sim\n",
+    "section 'robots'": "robots: 3\nsim:\n  duration: 0.2\n",
 }
 
 
@@ -218,12 +228,13 @@ class TestLoadConfig:
     def test_every_key_at_its_default_loads_as_minimal(self, tmp_path):
         full = load_config(write_scenario(tmp_path, ALL_DEFAULTS, "full.yaml"))
         minimal = load_config(write_scenario(tmp_path, MINIMAL, "minimal.yaml"))
-        assert config_fields(full) == config_fields(minimal)
+        bare = load_config(write_scenario(tmp_path, MINIMAL + "barrier:\n", "bare.yaml"))
+        assert config_fields(full) == config_fields(minimal) == config_fields(bare)
 
     @pytest.mark.parametrize("key", sorted(INVALID))
     def test_invalid_value_is_config_error_naming_the_key(self, tmp_path, key):
         path = write_scenario(tmp_path, INVALID[key])
-        with pytest.raises(ConfigError, match=key):
+        with pytest.raises(ConfigError, match=re.escape(key)):
             load_config(path)
         assert run_command(path, tmp_path / "out", mode="robust") == EXIT_CONFIG
         assert not (tmp_path / "out").exists()
@@ -393,6 +404,30 @@ class TestRunCommand:
         blocker.write_text("file, not a directory")
         assert run_command(scenario, blocker, mode="robust") == EXIT_RUNTIME
         assert blocker.read_text() == "file, not a directory"
+
+    def test_failed_run_removes_what_it_made_and_nothing_else(self, tmp_path, monkeypatch,
+                                                              capsys):
+        # The robust pass writes its outputs, then the non-robust one raises.
+        scenario = write_scenario(tmp_path, SMALL_RUN)
+        real, calls = cli.repeat_experiment, []
+
+        def second_fails(cfg, jobs):
+            calls.append(cfg)
+            if len(calls) % 2 == 0:
+                raise RuntimeError("non-robust pass broke")
+            return real(cfg, jobs=jobs)
+
+        monkeypatch.setattr(cli, "repeat_experiment", second_fails)
+        kept = tmp_path / "kept"
+        kept.mkdir()
+        (kept / "earlier.csv").write_text("x\n")
+        fresh = tmp_path / "fresh" / "out"
+        for out in (kept, fresh):
+            assert run_command(scenario, out, mode="both") == EXIT_RUNTIME
+            assert "run failed: non-robust pass broke" in capsys.readouterr().err
+        assert [p.name for p in tmp_path.iterdir() if p.name != "scenario.yaml"] == ["kept"]
+        assert [p.name for p in kept.iterdir()] == ["earlier.csv"]
+        assert (kept / "earlier.csv").read_text() == "x\n"
 
     def test_config_error_exit_code(self, tmp_path):
         bad = write_scenario(tmp_path, "robots:\n  count: 2\n")

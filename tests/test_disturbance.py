@@ -90,6 +90,10 @@ class TestSupportMin:
         with pytest.raises(ValueError):
             support_min(np.array([np.nan, 0.0]), box5)
 
+    def test_rejects_a_direction_that_is_not_a_2_vector(self, box5):
+        with pytest.raises(ValueError, match="direction must be a 2-vector"):
+            support_min(np.array([1.0, 0.0, 0.0]), box5)
+
     @settings(max_examples=100, deadline=None)
     @given(
         z1=finite_coord,

@@ -1,10 +1,11 @@
 """Source hygiene of the package, checked with the standard library's ast:
 no module imports a name it never reads, no module reaches into another
 package module's private names, no module writes the frozen fields of an
-object from outside its class, no module imports scipy, a singular matrix
-reaches the caller by one path only (qp._solve_raw's except clause, which
-turns a LinAlgError into a status), and the package's __all__ is exactly
-what __init__ imports."""
+object from outside its class, no module imports scipy, only qp.py
+factorizes (another module may take a numpy.linalg norm, nothing else), a
+singular matrix reaches the caller by one path only (qp._solve_raw's except
+clause, which turns a LinAlgError into a status), and the package's __all__
+is exactly what __init__ imports."""
 
 import ast
 from pathlib import Path
@@ -116,6 +117,34 @@ def scipy_imports(tree: ast.Module) -> list:
     return found
 
 
+def linalg_uses(tree: ast.Module) -> list:
+    """Each numpy.linalg name a module reads, as "linalg.f": imported from
+    numpy.linalg, or an attribute of numpy.linalg under whatever name the
+    module binds numpy or numpy.linalg to."""
+    numpy_names, linalg_names, found = set(), set(), []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.name == "numpy.linalg" and alias.asname:
+                    linalg_names.add(alias.asname)
+                elif alias.name in ("numpy", "numpy.linalg"):
+                    numpy_names.add(alias.asname or "numpy")
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            if node.module == "numpy":
+                linalg_names.update(a.asname or a.name for a in node.names if a.name == "linalg")
+            elif node.module == "numpy.linalg":
+                found += [f"linalg.{alias.name}" for alias in node.names]
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Attribute):
+            continue
+        base = node.value
+        if (isinstance(base, ast.Name) and base.id in linalg_names
+                or isinstance(base, ast.Attribute) and base.attr == "linalg"
+                and isinstance(base.value, ast.Name) and base.value.id in numpy_names):
+            found.append(f"linalg.{node.attr}")
+    return found
+
+
 def names_linalg_error(node) -> bool:
     """Whether an expression mentions LinAlgError, bare or as an attribute."""
     return node is not None and any(
@@ -213,6 +242,33 @@ def test_scipy_imports_are_found():
     assert scipy_imports(ast.parse(source)) == [
         "import numpy, scipy.linalg as sl", "from scipy import optimize",
         "from scipy.optimize import nnls",
+    ]
+
+
+@pytest.mark.parametrize("path", [p for p in MODULES if p.name != "qp.py"], ids=lambda p: p.name)
+def test_only_the_solver_factorizes(path):
+    # Which LAPACK routine factorizes, and on how many threads, is qp.py's
+    # decision alone; the other modules take norms.
+    uses = linalg_uses(ast.parse(path.read_text(), filename=str(path)))
+    assert set(uses) <= {"linalg.norm"}
+
+
+def test_linalg_uses_are_found():
+    source = (
+        "import numpy as np\n"
+        "import numpy.linalg as la\n"
+        "from numpy import linalg\n"
+        "from numpy.linalg import solve\n"
+        "def f(a, b):\n"
+        "    np.linalg.norm(a)\n"
+        "    np.linalg.cholesky(a)\n"
+        "    la.lstsq(a, b)\n"
+        "    linalg.inv(a)\n"
+        "    np.linalg_extra.x(a)\n"
+        "    a.linalg.solve(b)\n"
+    )
+    assert sorted(linalg_uses(ast.parse(source))) == [
+        "linalg.cholesky", "linalg.inv", "linalg.lstsq", "linalg.norm", "linalg.solve"
     ]
 
 

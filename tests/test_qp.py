@@ -536,6 +536,15 @@ class TestProblemValidation:
         with pytest.raises(ValueError):
             QpProblem(np.zeros((2, 2)), np.zeros(2), np.zeros((0, 2)), np.zeros(0), 1.0)
 
+    @pytest.mark.parametrize("weight, u_max, message", [
+        (np.ones((2, 3)), 1.0, "weight must be a square matrix"),
+        (np.diag([1.0, np.inf]), 1.0, "weight must be finite"),
+        (np.eye(2), 0.0, "u_max must be finite and > 0"),
+    ], ids=["non-square-weight", "non-finite-weight", "zero-u_max"])
+    def test_weight_and_box_bound_are_checked(self, weight, u_max, message):
+        with pytest.raises(ValueError, match=message):
+            QpProblem(weight, np.zeros(2), np.zeros((0, 2)), np.zeros(0), u_max)
+
     def test_ill_conditioned_weight_warns(self):
         weight = np.diag([1.0, 1e-9])
         with pytest.warns(UserWarning):
@@ -645,6 +654,11 @@ class TestKktCheck:
         )
         with pytest.raises(ValueError, match="finite"):
             kkt_check(problem, [bad, 0.0])
+
+    def test_a_candidate_of_the_wrong_dimension_is_refused(self):
+        problem = QpProblem(np.eye(2), np.zeros(2), np.zeros((0, 2)), np.zeros(0), 25.0)
+        with pytest.raises(ValueError, match="wrong dimension"):
+            kkt_check(problem, [0.0, 0.0, 0.0])
 
     def test_matches_the_scipy_reference_on_congested_snapshots(self, geom, params):
         # A psi = 5 box leaves 27-34 rows active at the optimum, one NNLS

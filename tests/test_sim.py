@@ -84,6 +84,9 @@ class TestScenarioConfig:
             ScenarioConfig(robot_count=2, sim_duration=1.0, iterations=0)
         with pytest.raises(ValueError):
             ScenarioConfig(robot_count=2, sim_duration=1.0, integrator="verlet")
+        for name in ("controller_gain", "goal_tolerance"):
+            with pytest.raises(ValueError, match=f"{name} must be > 0"):
+                ScenarioConfig(robot_count=2, sim_duration=1.0, **{name: 0.0})
 
     def test_filter_config_is_built_once(self):
         cfg = ScenarioConfig(robot_count=4, sim_duration=0.05, circle_radius=0.3)
@@ -151,6 +154,10 @@ class TestCircleInit:
     def test_single_robot(self, geom, params):
         states = circle_init(1, 0.5, geom, params)
         assert len(states) == 1
+
+    def test_no_robots_raises(self, geom, params):
+        with pytest.raises(ValueError, match="at least one robot"):
+            circle_init(0, 0.5, geom, params)
 
     def test_overlap_raises(self, geom, params):
         with pytest.raises(ValueError):
