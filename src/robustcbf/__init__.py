@@ -28,7 +28,6 @@ from .safety_filter import (
     FilterConfig,
     FilterInfeasibleError,
     FilterResult,
-    certificate_holds,
     ensemble_weight,
     filter_step,
 )
@@ -59,7 +58,6 @@ __all__ = [
     "WheelCommand",
     "aggregate_metrics",
     "assemble_constraints",
-    "certificate_holds",
     "circle_init",
     "class_k_cubic",
     "ensemble_weight",

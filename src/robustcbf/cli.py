@@ -318,16 +318,20 @@ def run_command(
 
 
 def trace_command(config_path, out_path, seed: int | None = None) -> int:
-    """Write the (t, min_h) series of a single run as a two-column CSV."""
+    """Write the (t, min_h) series of a single run as a two-column CSV.  A
+    directory out_path is refused (exit 2); a failed run removes only the
+    paths it created."""
     cfg = _load(config_path, seed)
     if cfg is None:
         return EXIT_CONFIG
     out_path = Path(out_path)
-    created = _missing([out_path.parent])
+    if out_path.is_dir():
+        print(f"output path {out_path} is a directory", file=sys.stderr)
+        return EXIT_RUNTIME
+    created = _missing([out_path])
     try:
         metrics = run_scenario(cfg)
         out_path.parent.mkdir(parents=True, exist_ok=True)
-        created.append(out_path)
         write_csv(out_path, TRACE_HEADER, (metrics.times, metrics.min_h))
     except Exception as exc:  # noqa: BLE001 - surfaced as exit status
         _cleanup(created)

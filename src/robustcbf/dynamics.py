@@ -62,11 +62,15 @@ class WheelCommand:
         object.__setattr__(self, "omega_l", float(self.omega_l))
 
 
-def _as_rows(values, fields: attrgetter, width: int, what: str) -> np.ndarray:
+def _as_rows(values, fields: attrgetter, width: int, what: str, kind: str) -> np.ndarray:
     if isinstance(values, np.ndarray):
         rows = np.array(values, dtype=float)
     else:
-        rows = np.array([fields(v) for v in values], dtype=float).reshape(-1, width)
+        try:
+            rows = np.array([fields(v) for v in values], dtype=float).reshape(-1, width)
+        except (AttributeError, TypeError):
+            raise ValueError(
+                f"{what} must be an (n, {width}) array or a sequence of {kind}") from None
     if rows.ndim != 2 or rows.shape[1] != width:
         raise ValueError(f"{what} must form an (n, {width}) array, got shape {rows.shape}")
     if not np.isfinite(rows).all():
@@ -76,14 +80,14 @@ def _as_rows(values, fields: attrgetter, width: int, what: str) -> np.ndarray:
 
 def as_poses(states) -> np.ndarray:
     """A sequence of RobotState or an (n, 3) array as a new (n, 3) array;
-    ValueError on another shape or a non-finite entry."""
-    return _as_rows(states, attrgetter("x1", "x2", "theta"), 3, "poses")
+    ValueError on another form or shape, or on a non-finite entry."""
+    return _as_rows(states, attrgetter("x1", "x2", "theta"), 3, "poses", "RobotState")
 
 
 def as_commands(commands) -> np.ndarray:
     """A sequence of WheelCommand or an (n, 2) array as a new (n, 2) array;
-    ValueError on another shape or a non-finite entry."""
-    return _as_rows(commands, attrgetter("omega_r", "omega_l"), 2, "commands")
+    ValueError on another form or shape, or on a non-finite entry."""
+    return _as_rows(commands, attrgetter("omega_r", "omega_l"), 2, "commands", "WheelCommand")
 
 
 @dataclass(frozen=True)

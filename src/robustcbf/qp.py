@@ -17,7 +17,6 @@ kkt_check certifies a point on its own, by a Lawson-Hanson NNLS in numpy.
 from __future__ import annotations
 
 import math
-import time
 import warnings
 from dataclasses import InitVar, dataclass, field
 
@@ -189,7 +188,6 @@ class QpSolution:
     status: str
     kkt_residual: float
     iterations: int
-    wall_clock: float
     multipliers: np.ndarray
     active_set: np.ndarray
 
@@ -488,11 +486,11 @@ def _kkt_residuals(hessian, linear, u, residual, ws):
     return stationarity, feasibility, max(complementarity, -float(lam_a.min()))
 
 
-def _solution(problem: QpProblem, start: float, raw, slack=False) -> QpSolution:
-    """One _solve_raw run as a QpSolution: arrays frozen, wall_clock since
-    start, the KKT report read off the active rows, and an optimal u that is
-    not finite refused as max-iterations.  solve's answers must also meet its
-    tolerances; a slack answer keeps the loop's verdict, active_set empty."""
+def _solution(problem: QpProblem, raw, slack=False) -> QpSolution:
+    """One _solve_raw run as a QpSolution: arrays frozen, the KKT report
+    read off the active rows, and an optimal u that is not finite refused
+    as max-iterations.  solve's answers must also meet its tolerances; a
+    slack answer keeps the loop's verdict, active_set empty."""
     u, lam, status, iterations, ws, residual = raw
     stationarity, feasibility, complementarity = _kkt_residuals(
         problem.prepared.hessian, problem.linear, u, residual, ws)
@@ -505,8 +503,7 @@ def _solution(problem: QpProblem, start: float, raw, slack=False) -> QpSolution:
     for arr in (u, lam, ws.rows):
         arr.setflags(write=False)
     return QpSolution(u_star=u, status=status, kkt_residual=kkt_residual, iterations=iterations,
-                      wall_clock=time.perf_counter() - start, multipliers=lam,
-                      active_set=() if slack else ws.rows)
+                      multipliers=lam, active_set=() if slack else ws.rows)
 
 
 def solve(problem: QpProblem, max_iterations: int | None = None, warm_start=None) -> QpSolution:
@@ -527,7 +524,6 @@ def solve(problem: QpProblem, max_iterations: int | None = None, warm_start=None
     problem never raises: infeasibility, the iteration cap and a singular B
     are reported through the status.
     """
-    start = time.perf_counter()
     if not (warm_start is None or isinstance(warm_start, QpSolution)):
         raise TypeError(f"warm_start must be a QpSolution or None, got {warm_start!r}")
     C, d, inv_hessian = problem.C, problem.d, problem.prepared.inv_hessian
@@ -535,7 +531,7 @@ def solve(problem: QpProblem, max_iterations: int | None = None, warm_start=None
     warm = seed[seed < C.shape[0]] if len(seed) else ()
     for rows in (warm, ()) if 0 < len(warm) <= problem.variables else ((),):
         raw = _solve_raw(inv_hessian, problem.linear, C, d, max_iterations, rows)
-        solution = _solution(problem, start, raw)
+        solution = _solution(problem, raw)
         if solution.status == OPTIMAL:
             break
     return solution
@@ -549,11 +545,10 @@ def solve_with_slack(problem: QpProblem, slack_weight: float) -> QpSolution:
     The KKT report covers u, and active_set is empty.  The status is the
     loop's, a non-finite u refused; solve's tolerances do not apply, since
     complementarity grows with |lam|, which is large at large weights."""
-    start = time.perf_counter()
     soft = np.zeros(problem.C.shape[0])
     soft[: problem.rows] = 1.0 / (2.0 * slack_weight)
     raw = _solve_raw(problem.prepared.inv_hessian, problem.linear, problem.C, problem.d, soft=soft)
-    return _solution(problem, start, raw, slack=True)
+    return _solution(problem, raw, slack=True)
 
 
 def _passive_lstsq(A: np.ndarray, b: np.ndarray, passive: np.ndarray) -> np.ndarray:

@@ -18,7 +18,6 @@ from .dynamics import PoseFrame, RobotGeometry, RobotState, WheelCommand, as_com
 
 _FALLBACKS = ("error", "zero-input", "slack")
 _LOG = logging.getLogger("robustcbf")
-CERTIFICATE_TOL = 1e-9
 
 
 class FilterInfeasibleError(RuntimeError):
@@ -177,23 +176,3 @@ def filter_step(
         fallback_applied=fallback_applied,
     )
 
-
-def certificate_holds(
-    states: Sequence[RobotState] | np.ndarray | PoseFrame,
-    u: Sequence[WheelCommand] | np.ndarray,
-    cfg: FilterConfig,
-):
-    """Directly evaluate the robust certificate for every pair.
-
-    states and u take the same forms as in filter_step.  Returns (holds,
-    worst_margin): the minimum slack of A u - b and whether it clears
-    -CERTIFICATE_TOL.  A single robot trivially holds with infinite margin.
-    """
-    constraints = assemble_constraints(
-        states, cfg.geometry, cfg.barrier, cfg.disturbance, cfg.u_max
-    )
-    if constraints.rows == 0:
-        return True, math.inf
-    slack = constraints.A @ as_commands(u).reshape(-1) - constraints.b
-    worst = float(slack.min())
-    return worst >= -CERTIFICATE_TOL, worst

@@ -17,6 +17,9 @@ report read only the active rows.  The KKT certificate reference is
 qp.kkt_check as it was on scipy.optimize.nnls, before its own numpy solver.
 The decoupled margin gives each robot of a pair its own disturbance offset;
 it yields the congested QPs on which the solver once raised LinAlgError.
+The certificate audit reads hdot + gamma h^3 off the scalar output map and
+central differences of the one-robot step, sharing no code with the
+filter's constraint rows.
 """
 
 from __future__ import annotations
@@ -533,6 +536,53 @@ def _reference_step(state, u, d, dt, geom, method):
         stepped = x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
     return RobotState(stepped[0], stepped[1], stepped[2])
 
+
+_AUDIT_STEP = 1e-6
+
+
+def shared_offsets(union) -> list:
+    """(v, v) for every pooled vertex v: both robots of a pair slip alike,
+    the disturbance model of the shipped margin."""
+    return [(v, v) for v in pooled_vertices(union)]
+
+
+def per_robot_offsets(union) -> list:
+    """(v, w) for every two pooled vertices: each robot slips by its own."""
+    vertices = pooled_vertices(union)
+    return [(v, w) for v in vertices for w in vertices]
+
+
+def audit_margin(states, u, geom, params, offsets) -> float:
+    """The least hdot + gamma h^3 over every pair i < j and every offset
+    pair (d_i, d_j) of offsets, from the dynamics alone; inf for one robot.
+
+    states and u are RobotState and WheelCommand sequences or (n, 3) and
+    (n, 2) arrays.  h comes from the scalar output map, and hdot is a
+    central difference over +-_AUDIT_STEP of the Euler step of robot i
+    under u_i + d_i and of robot j under u_j + d_j.  Since hdot is affine
+    in (d_i, d_j), the hull vertices are the worst offsets.
+    """
+    states = [s if isinstance(s, RobotState) else RobotState(*s) for s in states]
+    u = [c if isinstance(c, WheelCommand) else WheelCommand(*c) for c in u]
+
+    def swept(k, d):
+        """Robot k's output point one step back and one step ahead."""
+        return [
+            _reference_output(_reference_step(states[k], u[k], d, dt, geom, "euler"), geom)
+            for dt in (-_AUDIT_STEP, _AUDIT_STEP)
+        ]
+
+    worst = math.inf
+    for i in range(len(states)):
+        for j in range(i + 1, len(states)):
+            diff = _reference_output(states[i], geom) - _reference_output(states[j], geom)
+            h = float(diff @ diff) - params.delta**2
+            for d_i, d_j in offsets:
+                (back_i, ahead_i), (back_j, ahead_j) = swept(i, d_i), swept(j, d_j)
+                back, ahead = back_i - back_j, ahead_i - ahead_j
+                h_dot = (float(ahead @ ahead) - float(back @ back)) / (2.0 * _AUDIT_STEP)
+                worst = min(worst, h_dot + params.gamma * h**3)
+    return worst
 
 def _reference_draws(cfg, result, rng) -> np.ndarray:
     """The plant disturbance of one step, one robot at a time; uniform-convex

@@ -22,7 +22,6 @@ from robustcbf import (
     HullUnion,
     RobotState,
     WheelCommand,
-    certificate_holds,
     circle_init,
     filter_step,
     kkt_check,
@@ -43,11 +42,13 @@ from robustcbf.qp import OPTIMAL
 
 from .conftest import SCENARIO_DIR, U_MAX
 from .oracles import (
+    audit_margin,
     convex_combination,
     fd_jacobian,
     pair_h_gradient,
     projected_gradient_qp,
     qp_objective,
+    shared_offsets,
 )
 from .test_qp import random_problem
 
@@ -213,6 +214,7 @@ def test_criterion_7_minimal_invasiveness(geom, params):
         u_max=U_MAX,
         fallback="error",
     )
+    offsets = shared_offsets(cfg.disturbance)
     worst = 0.0
     checked = 0
     while checked < 100:
@@ -222,8 +224,7 @@ def test_criterion_7_minimal_invasiveness(geom, params):
             for k in range(n)
         ]
         nominal = [WheelCommand(*rng.uniform(-U_MAX, U_MAX, size=2)) for _ in range(n)]
-        holds, _ = certificate_holds(states, nominal, cfg)
-        if not holds:
+        if audit_margin(states, nominal, geom, params, offsets) < -1e-9:
             continue
         checked += 1
         result = filter_step(states, nominal, cfg)

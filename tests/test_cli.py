@@ -543,6 +543,14 @@ class TestTraceCommand:
         assert trace_command(scenario, out) == EXIT_RUNTIME
         assert out.read_text() == "x\n"
 
+    def test_a_directory_out_is_refused_and_kept(self, tmp_path, capsys):
+        scenario = write_scenario(tmp_path, SMALL_RUN)
+        out = tmp_path / "empty"
+        out.mkdir()
+        assert trace_command(scenario, out) == EXIT_RUNTIME
+        assert out.is_dir()
+        assert f"output path {out} is a directory" in capsys.readouterr().err
+
 
 class TestMain:
     def test_run_subcommand(self, tmp_path):

@@ -287,6 +287,20 @@ class TestAsPoses:
         with pytest.raises(ValueError, match="finite"):
             as_poses(np.array([[0.0, math.nan, 0.0]]))
 
+    def test_a_list_of_lists_is_refused(self, geom, params, box5):
+        # Only an (n, k) array or a sequence of the dataclasses is accepted.
+        rows, wheels = [[0.0, 0.0, 0.0], [1.0, 0.0, 0.0]], [[1.0, 2.0], [3.0, 4.0]]
+        cfg = FilterConfig(geom, params, HullUnion((box5,)), u_max=25.0)
+        for bad in (rows, 5, None):
+            with pytest.raises(ValueError, match="sequence of RobotState"):
+                as_poses(bad)
+        with pytest.raises(ValueError, match="sequence of RobotState"):
+            pose_frame(rows, geom)
+        with pytest.raises(ValueError, match="sequence of RobotState"):
+            filter_step(rows, np.array(wheels), cfg)
+        with pytest.raises(ValueError, match="sequence of WheelCommand"):
+            filter_step(np.array(rows), wheels, cfg)
+
 
 class TestPoseFrame:
     """One PoseFrame per step serves the controller, the filter and the

@@ -1,3 +1,5 @@
+import ast
+import inspect
 import logging
 import math
 from dataclasses import replace
@@ -13,7 +15,6 @@ from robustcbf import (
     RobotState,
     WheelCommand,
     assemble_constraints,
-    certificate_holds,
     circle_init,
     ensemble_weight,
     filter_step,
@@ -28,6 +29,8 @@ from robustcbf import qp
 from robustcbf.qp import MAX_ITERATIONS, OPTIMAL, QpProblem
 
 from .conftest import U_MAX, congested_poses, ring_hulls
+from . import oracles
+from .oracles import audit_margin, per_robot_offsets, shared_offsets
 
 
 def make_config(geom, params, psi=5.0, **kwargs):
@@ -153,8 +156,8 @@ class TestFilterStep:
             nominal = [
                 WheelCommand(*rng.uniform(-U_MAX, U_MAX, size=2)) for _ in range(n)
             ]
-            holds, _ = certificate_holds(states, nominal, cfg)
-            assert holds
+            offsets = shared_offsets(cfg.disturbance)
+            assert audit_margin(states, nominal, geom, params, offsets) >= -1e-9
             result = filter_step(states, nominal, cfg)
             stacked = as_commands(nominal).reshape(-1)
             assert np.abs(result.solver.u_star - stacked).max() <= 1e-6
@@ -169,8 +172,9 @@ class TestFilterStep:
         ]
         nominal = [WheelCommand(20.0, 20.0)] * 3
         result = filter_step(states, nominal, robust_cfg)
-        holds, _ = certificate_holds(states, result.solver.u_star.reshape(-1, 2), plain_cfg)
-        assert holds
+        u = result.solver.u_star.reshape(-1, 2)
+        offsets = shared_offsets(plain_cfg.disturbance)
+        assert audit_margin(states, u, geom, params, offsets) >= -1e-9
 
     def test_permutation_equivariance(self, geom, params, rng):
         cfg = make_config(geom, params, fallback="error")
@@ -206,8 +210,9 @@ class TestFilterStep:
             nominal = [WheelCommand(*rng.uniform(-U_MAX, U_MAX, size=2)) for _ in range(4)]
             result = filter_step(states, nominal, cfg)
             assert result.solver.status == OPTIMAL
-            holds, worst = certificate_holds(states, result.solver.u_star.reshape(-1, 2), cfg)
-            assert holds, worst
+            u = result.solver.u_star.reshape(-1, 2)
+            worst = audit_margin(states, u, geom, params, shared_offsets(cfg.disturbance))
+            assert worst >= -1e-9, worst
 
     def test_min_h_matches_pairwise_minimum(self, geom, params, rng):
         cfg = make_config(geom, params)
@@ -393,8 +398,10 @@ class TestArrayEntry:
             assert from_array.min_h == from_list.min_h
             assert from_array.solver.status == from_list.solver.status
             filtered = [WheelCommand(*c) for c in from_list.solver.u_star.reshape(-1, 2)]
-            assert certificate_holds(poses, from_array.solver.u_star.reshape(-1, 2), cfg) == (
-                certificate_holds(states, filtered, cfg)
+            offsets = shared_offsets(cfg.disturbance)
+            u = from_array.solver.u_star.reshape(-1, 2)
+            assert audit_margin(poses, u, geom, params, offsets) == (
+                audit_margin(states, filtered, geom, params, offsets)
             )
             warm_list, warm_array = from_list.solver, from_array.solver
         assert from_array.altered.max() > 0.0
@@ -450,45 +457,108 @@ class TestPlanPerRobotCount:
         assert filter_step(*cases[22], shared).altered.max() > 0.0
 
 
-class TestCertificateHolds:
+class TestAuditMargin:
+    """The robust certificate hdot + gamma h^3 >= 0 read off the dynamics by
+    tests/oracles.py::audit_margin, which shares no code with the filter's
+    rows.  With shared offsets it audits the model the filter implements."""
+
+    def test_shared_offsets_match_the_filter_rows(self, geom, params):
+        # hdot is a central difference, so the audit meets min(A u - b) to
+        # a relative 1e-9 of the magnitude of the least row's terms, not of
+        # their sum, which can be near zero.
+        rng = np.random.default_rng(2417)
+        union = HullUnion((symmetric_box(5.0),))
+        for _ in range(40):
+            n = int(rng.integers(2, 6))
+            poses = np.column_stack(
+                [rng.uniform(-0.4, 0.4, size=(n, 2)), rng.uniform(-math.pi, math.pi, size=n)]
+            )
+            u = rng.uniform(-U_MAX, U_MAX, size=(n, 2))
+            cs = assemble_constraints(poses, geom, params, union, U_MAX)
+            slack = cs.A @ u.reshape(-1) - cs.b
+            row = int(np.argmin(slack))
+            terms = float(np.abs(cs.A[row]) @ np.abs(u.reshape(-1)) + abs(cs.b[row]))
+            audit = audit_margin(poses, u, geom, params, shared_offsets(union))
+            assert abs(audit - slack[row]) <= 1e-9 * terms
+
     def test_filtered_output_passes(self, geom, params):
         cfg = make_config(geom, params, fallback="error")
         states = head_on_contact(geom, params)
         result = filter_step(states, [WheelCommand(25.0, 25.0)] * 2, cfg)
-        holds, worst = certificate_holds(states, result.solver.u_star.reshape(-1, 2), cfg)
-        assert holds
-        assert worst >= -1e-9
+        u = result.solver.u_star.reshape(-1, 2)
+        assert audit_margin(states, u, geom, params, shared_offsets(cfg.disturbance)) >= -1e-9
 
     def test_full_speed_head_on_fails_near_contact(self, geom, params):
         cfg = make_config(geom, params)
         states = head_on_contact(geom, params)
-        holds, worst = certificate_holds(
-            states, [WheelCommand(25.0, 25.0), WheelCommand(25.0, 25.0)], cfg
-        )
-        assert not holds
-        assert worst < 0.0
+        u = [WheelCommand(25.0, 25.0), WheelCommand(25.0, 25.0)]
+        assert audit_margin(states, u, geom, params, shared_offsets(cfg.disturbance)) < 0.0
 
-    def test_zero_hull_reduces_to_plain_certificate(self, geom, params, rng):
-        cfg_zero = FilterConfig(geom, params, zero_union(), u_max=U_MAX)
+    def test_zero_hull_reduces_to_plain_certificate(self, geom, params):
+        # Both robots drive straight at each other along the x-axis, each at
+        # r (2 + 2) / 2 m/s, so the 0.44 m gap of their output points closes
+        # at 4 r.
         states = [RobotState(0.0, 0.0, 0.0), RobotState(0.5, 0.0, math.pi)]
         u = [WheelCommand(2.0, 2.0), WheelCommand(2.0, 2.0)]
-        holds, worst = certificate_holds(states, u, cfg_zero)
-        from robustcbf import assemble_constraints
-
+        audit = audit_margin(states, u, geom, params, shared_offsets(zero_union()))
+        gap = 0.5 - 2.0 * geom.look_ahead
+        h = gap**2 - params.delta**2
+        plain = -2.0 * gap * 4.0 * geom.wheel_radius + params.gamma * h**3
+        assert audit == pytest.approx(plain, rel=1e-9)
         cs = assemble_constraints(states, geom, params, zero_union(), U_MAX)
-        direct = float(
-            (cs.A @ as_commands(u).reshape(-1) - cs.b).min()
-        )
-        assert worst == pytest.approx(direct, rel=1e-12)
-        assert holds == (direct >= -1e-9)
+        assert audit == pytest.approx(float((cs.A @ as_commands(u).reshape(-1) - cs.b).min()),
+                                      rel=1e-9)
 
     def test_single_robot_holds_trivially(self, geom, params):
         cfg = make_config(geom, params)
-        holds, worst = certificate_holds(
-            [RobotState(0, 0, 0)], [WheelCommand(25.0, 25.0)], cfg
-        )
-        assert holds
-        assert worst == math.inf
+        u = [WheelCommand(25.0, 25.0)]
+        offsets = shared_offsets(cfg.disturbance)
+        assert audit_margin([RobotState(0, 0, 0)], u, geom, params, offsets) == math.inf
+
+    def step_with_equal_headings(self, geom, params):
+        """One filtered step of two robots that share a heading, so the
+        filter's margin direction z_i + z_j is zero."""
+        cfg = make_config(geom, params, fallback="error")
+        states = [
+            RobotState(0.0, 0.0, 0.7),
+            RobotState(0.15 * math.cos(0.7), 0.15 * math.sin(0.7), 0.7),
+        ]
+        result = filter_step(states, [WheelCommand(25.0, 25.0), WheelCommand(-25.0, -25.0)], cfg)
+        assert result.solver.status == OPTIMAL
+        assert result.constraints.z_rows.tolist() == [[0.0, 0.0]]
+        return states, result.solver.u_star.reshape(-1, 2), cfg.disturbance
+
+    def test_equal_headings_pass_with_shared_offsets(self, geom, params):
+        states, u, union = self.step_with_equal_headings(geom, params)
+        assert audit_margin(states, u, geom, params, shared_offsets(union)) >= -1e-9
+
+    @pytest.mark.xfail(
+        strict=True,
+        reason="the filter's margin takes one offset for both robots of a pair; "
+        "each robot's own slip breaks the certificate where z_i + z_j = 0",
+    )
+    def test_equal_headings_pass_with_per_robot_offsets(self, geom, params):
+        states, u, union = self.step_with_equal_headings(geom, params)
+        assert audit_margin(states, u, geom, params, per_robot_offsets(union)) >= -1e-9
+
+    def test_audit_reads_no_filter_code(self):
+        # The audit and the oracles it calls name none of the filter's
+        # constraint code.
+        tree = ast.parse(inspect.getsource(oracles))
+        functions = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+        seen, todo = set(), ["audit_margin", "shared_offsets", "per_robot_offsets"]
+        names = set()
+        while todo:
+            name = todo.pop()
+            if name in seen:
+                continue
+            seen.add(name)
+            used = {node.id for node in ast.walk(functions[name]) if isinstance(node, ast.Name)}
+            names |= used
+            todo += sorted(used & functions.keys())
+        forbidden = {"assemble_constraints", "pose_frame", "support_min_rows", "filter_step",
+                     "ConstraintSet", "as_poses", "as_commands"}
+        assert not names & forbidden
 
 
 def overlapping_rings(seed: int) -> tuple:

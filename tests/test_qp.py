@@ -774,7 +774,6 @@ class TestSolutionInvariants:
                 assert np.all(problem.A @ sol.u_star - problem.b >= -1e-8)
             assert np.abs(sol.u_star).max() <= problem.u_max + 1e-10
             assert sol.kkt_residual <= 1e-8
-            assert sol.wall_clock >= 0.0
 
     def test_row_order_does_not_change_the_answer(self, rng):
         for _ in range(20):
@@ -1195,7 +1194,7 @@ class TestStackedRows:
 
 def solution_with(active_set, u_star=(0.0, 0.0), multipliers=(0.0,) * 6) -> QpSolution:
     return QpSolution(u_star=u_star, status=OPTIMAL, kkt_residual=0.0, iterations=0,
-                      wall_clock=0.0, multipliers=multipliers, active_set=active_set)
+                      multipliers=multipliers, active_set=active_set)
 
 
 class TestSolutionArrays:
