@@ -1,12 +1,18 @@
 """Dense solver for strongly convex quadratic programs with inequality rows
 and an infinity-norm box bound.
 
-The algorithm is the Goldfarb-Idnani dual active-set method: from the
-unconstrained optimum it adds violated constraints one at a time, farthest
+The algorithm is the Goldfarb-Idnani dual active-set method: from a
+dual feasible start it adds violated constraints one at a time, farthest
 first, with partial dual steps when a blocking multiplier would turn
 negative.  For strictly convex problems this terminates finitely, returns
 exact multipliers, and detects primal infeasibility when the dual becomes
-unbounded.  Cold solves keep B^-1 over the active rows by rank-one updates.
+unbounded.  A warm start bulk-loads the previous active set, a cold start
+a crash set: the rows farthest violated at the unconstrained optimum
+(Bixby, "Implementing the simplex method: the initial basis", ORSA J.
+Computing 1992).  Either is pruned by LU until its multipliers are
+nonnegative, which makes the start dual feasible.  A cold solve then
+inverts B once and keeps B^-1 over the active rows by rank-one updates; a
+crash attempt that fails is redone from the empty set.
 
 A QpProblem holds its stacked rows C u >= d and its linear term from
 construction on; solve, solve_with_slack and kkt_check only read them.  The
@@ -217,9 +223,10 @@ class QpSolution:
 class _WorkingSet:
     """Active rows N (k x m), J N^T (m x k), B = N J N^T, its inverse Binv
     and multipliers lam, used through the leading k = size rows and columns
-    of buffers for cap rows; cap doubles when full.  A cold set allocates
+    of buffers for cap rows; cap doubles when full.  An empty set allocates
     cap = min(rows, variables); a bulk load's arrays are its set's buffers.
-    Binv is kept while `inverse` holds: the set grew from empty."""
+    Binv is kept while `inverse` holds: the set grew from empty, or invert
+    formed it."""
 
     def __init__(self, inv_hessian: np.ndarray, C: np.ndarray, rows=()):
         self._J, self._C = inv_hessian, C
@@ -318,11 +325,27 @@ class _WorkingSet:
     def primal(self, linear: np.ndarray) -> np.ndarray:
         return self.JNt @ self.lam - self._J @ linear
 
+    def invert(self) -> bool:
+        """Form B^-1 of the active rows once and keep it from here on, as a
+        set grown from empty does.  Whether the rows are independent: each
+        row's Schur complement against the others, 1 / B^-1_ii, must exceed
+        _DEPENDENCE_RTOL * B_ii, the loop's test for an entering row.  An
+        exactly singular B raises LinAlgError."""
+        k = self.size
+        self._Binv = np.zeros((self._lam.size,) * 2)
+        self.inverse = True
+        if not k:
+            return True
+        self._Binv[:k, :k] = np.linalg.inv(self._B[:k, :k])
+        scaled = self._B.diagonal()[:k] * self._Binv.diagonal()[:k]
+        return bool(((scaled > 0.0) & (scaled < 1.0 / _DEPENDENCE_RTOL)).all())
+
     def bulk_load(self, rows: np.ndarray) -> None:
         """Load the rows at once, B in one product, and keep N, J N^T and B
         as they come; lam starts at zero.  Nothing is checked: solve loads
         at most as many rows as variables, and dependent rows are left to
-        the LU of the first prune and to solve's final optimality check."""
+        the LU of the first prune, to invert on a crash set and to solve's
+        final optimality check."""
         N = self._C.take(rows, axis=0)
         JNt = self._J @ N.T
         B = N @ JNt
@@ -366,24 +389,45 @@ def _residual(C, d, u, ws: _WorkingSet, soft) -> np.ndarray:
     return residual
 
 
-def _solve_raw(inv_hessian, linear, C, d, max_iter=None, warm=(), soft=None):
+def _crash_rows(C, d, u0, m) -> np.ndarray:
+    """The crash set of a cold start: of the rows violated at u0, the
+    m // 2 of least residual / |c| (ties to the lower row), zero rows left
+    out, in ascending row order."""
+    residual = C @ u0 - d
+    violated = (residual < -FEASIBILITY_TOL).nonzero()[0]
+    rows = C.take(violated, axis=0)
+    norms = np.sqrt(np.einsum("ij,ij->i", rows, rows))
+    nonzero = norms > 0.0
+    violated = violated[nonzero]
+    if violated.size > m // 2:
+        dist = residual[violated] / norms[nonzero]
+        violated = np.sort(violated[dist.argsort(kind="stable")[: m // 2]])
+    return violated
+
+
+def _solve_raw(inv_hessian, linear, C, d, max_iter=None, warm=(), soft=None, crash=False):
     """Dual active-set loop on min 0.5 u'Hu + q'u s.t. C u >= d, with
     inv_hessian = H^-1 precomputed by the caller.  max_iter defaults to
     10 * (variables + stacked rows).  warm is an np.intp array of at most
-    variables row indices in [0, rows), bulk loaded.  soft, on a cold
-    start, is a per-row diagonal D >= 0 that lets row r fall short by
-    s_r = D_r lam_r at the cost s_r^2 / (2 D_r); D_r adds to B's diagonal.
+    variables row indices in [0, rows), bulk loaded; crash marks it as a
+    crash set, whose B is inverted once after the first prune, and which
+    ends max-iterations there if its rows are dependent.  soft, on a
+    start from the empty set, is a per-row diagonal D >= 0 that lets row r
+    fall short by s_r = D_r lam_r at the cost s_r^2 / (2 D_r); D_r adds to
+    B's diagonal.
 
     The violated row of least residual / |c| enters by one dual step per
     iteration, the lesser of its full step, which adds it, and the step at
     which an active multiplier blocks, which drops that row.  A row that
     depends on the active rows has an infinite full step and no primal
     move; if nothing blocks, the problem is infeasible.  B r = N H^-1 c is
-    solved with the kept inverse on a cold start, else by LU, and the final
-    re-solve by LU.  An active row read violated means the kept inverse
-    drifted: the set is re-solved and pruned by LU and stays on LU; a set
-    already on LU stops there.  A singular B met by LU ends max-iterations
-    at the last point reached, a NaN u in the first prune: nothing raises.
+    solved with the kept inverse on a cold start, from the empty set or a
+    crash set, else by LU, and the final re-solve by LU.  An active row
+    read violated means the kept inverse drifted: the set is re-solved and
+    pruned by LU and stays on LU; a set already on LU stops there.  A
+    singular B met by LU or by the crash set's inversion ends
+    max-iterations at the last point reached, a NaN u in the first prune:
+    nothing raises.
 
     Returns (u, full multipliers, status, iterations, the final working
     set, residual C u - d + D lam at that u).
@@ -394,6 +438,8 @@ def _solve_raw(inv_hessian, linear, C, d, max_iter=None, warm=(), soft=None):
     u, iterations, status, norms = None, 0, OPTIMAL, None
     try:
         u = _prune(ws, inv_hessian, linear, d)
+        if crash and not ws.invert():
+            status = MAX_ITERATIONS  # dependent rows: solve redoes it from the empty set
         while status == OPTIMAL:
             residual = _residual(C, d, u, ws, soft)
             violated = (residual < -FEASIBILITY_TOL).nonzero()[0]
@@ -506,6 +552,19 @@ def _solution(problem: QpProblem, raw, slack=False) -> QpSolution:
                       multipliers=lam, active_set=() if slack else ws.rows)
 
 
+def _seeds(problem: QpProblem, warm):
+    """The (rows, crash) seeds solve tries in turn: a warm seed of at most
+    as many rows as variables, then the crash set if it is not empty, then
+    the empty set.  The crash set is found only when it is tried."""
+    if 0 < len(warm) <= problem.variables:
+        yield warm, False
+    u0 = -problem.prepared.inv_hessian @ problem.linear
+    crash = _crash_rows(problem.C, problem.d, u0, problem.variables)
+    if crash.size:
+        yield crash, True
+    yield (), False
+
+
 def solve(problem: QpProblem, max_iterations: int | None = None, warm_start=None) -> QpSolution:
     """Solve the box-and-rows QP.
 
@@ -517,22 +576,27 @@ def solve(problem: QpProblem, max_iterations: int | None = None, warm_start=None
     not end optimal (an exactly singular or nearly dependent B) is redone
     cold: either way the answer has the cold solve's bits.  Otherwise it
     agrees with a cold solve's to about 1e-9, but can differ in the last
-    bits: the bulk load forms B in one product, where a cold solve grows it
-    row by row.  An answer is optimal only when u is finite and its
-    feasibility and KKT residuals are within FEASIBILITY_TOL and
-    STATIONARITY_TOL; any other is reported as max-iterations.  A finite
-    problem never raises: infeasibility, the iteration cap and a singular B
-    are reported through the status.
+    bits: the bulk load forms B in one product and solves it by LU.
+
+    A cold solve starts from the crash set of _crash_rows, the m // 2 rows
+    farthest violated at the unconstrained optimum, pruned by LU and then
+    inverted once.  The pruned set is dual feasible, so a crash attempt
+    that ends infeasible is final; one that does not end optimal otherwise
+    is redone from the empty set.  An answer is optimal only when u is
+    finite and its feasibility and KKT residuals are within FEASIBILITY_TOL
+    and STATIONARITY_TOL; any other is reported as max-iterations.  A
+    finite problem never raises: infeasibility, the iteration cap and a
+    singular B are reported through the status.
     """
     if not (warm_start is None or isinstance(warm_start, QpSolution)):
         raise TypeError(f"warm_start must be a QpSolution or None, got {warm_start!r}")
     C, d, inv_hessian = problem.C, problem.d, problem.prepared.inv_hessian
     seed = () if warm_start is None else warm_start.active_set
     warm = seed[seed < C.shape[0]] if len(seed) else ()
-    for rows in (warm, ()) if 0 < len(warm) <= problem.variables else ((),):
-        raw = _solve_raw(inv_hessian, problem.linear, C, d, max_iterations, rows)
+    for rows, crash in _seeds(problem, warm):
+        raw = _solve_raw(inv_hessian, problem.linear, C, d, max_iterations, rows, crash=crash)
         solution = _solution(problem, raw)
-        if solution.status == OPTIMAL:
+        if solution.status == OPTIMAL or crash and solution.status == INFEASIBLE:
             break
     return solution
 

@@ -8,8 +8,9 @@ the closed-loop reference steps one robot object at a time.  The dual
 active-set reference is a frozen copy of the solver loop before its working
 set moved into preallocated buffers and kept B^-1, which solves B by LU on
 every step.  With the solver's scaled entering rule it pins the solver's
-steps and active sets; with the raw rule it pins the answers of the solver
-before that rule changed.  Run on the dense (u, s) embedding of the slack
+steps and active sets, seeded with crash_rows wherever a cold solve loads
+its crash set; with the raw rule it pins the answers of the solver before
+that rule changed.  Run on the dense (u, s) embedding of the slack
 re-solve (slack_system), it pins the answers of the eliminated slacks.  The
 assembly reference is the gather-based assembly from before the one pass
 over all ordered pairs, and the full-row KKT report the one from before the
@@ -248,15 +249,29 @@ def farthest_violated_row(C, residual):
     return int(violated[np.flatnonzero(dist <= dist.min() * (1.0 - 1e-12))[0]])
 
 
+def crash_rows(C, d, u0, m):
+    """The crash set of a cold solve, as a sorted list: the rows violated
+    by more than 1e-8 at u0, zero rows left out, cut to the m // 2 of least
+    residual / |c| by a stable sort, which keeps the lower row of a tie."""
+    residual = C @ u0 - d
+    candidates = [i for i in range(C.shape[0]) if residual[i] < -1e-8 and C[i].any()]
+    if not candidates:
+        return []
+    norms = np.sqrt(np.einsum("ij,ij->i", C[candidates], C[candidates]))
+    ranked = sorted(range(len(candidates)), key=lambda j: residual[candidates[j]] / norms[j])
+    return sorted(candidates[j] for j in ranked[: m // 2])
+
+
 def reference_dual_active_set(
-    problem, max_iterations=None, warm_start=None, entering=most_negative_row
+    problem, max_iterations=None, warm_start=None, entering=most_negative_row, crash=False
 ):
     """Goldfarb-Idnani dual active-set solve of a QpProblem with the
     reallocating working set, including the final equality re-solve after a
     warm start that needed no iterations and the KKT downgrade of the status.
 
     warm_start is a previous solution or an iterable of stacked-row indices,
-    loaded in bulk; a seed that does not load raises np.linalg.LinAlgError.
+    loaded in bulk; a seed that does not load raises np.linalg.LinAlgError,
+    and so does a crash seed whose pruned rows are dependent.
     max_iterations defaults to 10 * (variables + stacked rows); entering
     picks the row to enter from (C, C u - d), or None at the optimum.
     """
@@ -272,10 +287,41 @@ def reference_dual_active_set(
     warm = () if warm_start is None else getattr(warm_start, "active_set", warm_start)
     warm = [i for i in (int(i) for i in warm) if 0 <= i < n_rows]
 
-    return _reference_loop(hessian, inv_hessian, linear, C, d, max_iter, warm, entering)
+    return _reference_loop(hessian, inv_hessian, linear, C, d, max_iter, warm, entering, crash)
 
 
-def _reference_loop(hessian, inv_hessian, linear, C, d, max_iter, warm, entering):
+def reference_cold_solve(problem, max_iterations=None, entering=farthest_violated_row):
+    """A cold solve as qp.solve makes it, by the reference: from the crash
+    set of crash_rows at u0 = -H^-1 linear, redone from the empty set when
+    that set is empty, its pruned rows are dependent or its run ends
+    max-iterations."""
+    u0 = -problem.prepared.inv_hessian @ problem.linear
+    seed = crash_rows(problem.C, problem.d, u0, problem.variables)
+    if seed:
+        try:
+            ref = reference_dual_active_set(problem, max_iterations, seed, entering, crash=True)
+        except np.linalg.LinAlgError:
+            ref = None
+        if ref is not None and ref.status != MAX_ITERATIONS:
+            return ref
+    return reference_dual_active_set(problem, max_iterations, (), entering)
+
+
+def _dependent_row(B):
+    """Whether some row of the Gram matrix B has a Schur complement against
+    the others, by least squares on them, of at most 1e-12 of its diagonal."""
+    for i in range(B.shape[0]):
+        rest = [j for j in range(B.shape[0]) if j != i]
+        schur = B[i, i]
+        if rest:
+            coupling = B[rest, i]
+            schur -= coupling @ np.linalg.lstsq(B[np.ix_(rest, rest)], coupling, rcond=None)[0]
+        if schur <= _DEPENDENCE_RTOL * B[i, i]:
+            return True
+    return False
+
+
+def _reference_loop(hessian, inv_hessian, linear, C, d, max_iter, warm, entering, crash=False):
     """The loop of reference_dual_active_set on min 0.5 u'Hu + linear'u
     s.t. C u >= d, warm a list of row indices."""
     n_rows = C.shape[0]
@@ -292,6 +338,8 @@ def _reference_loop(hessian, inv_hessian, linear, C, d, max_iter, warm, entering
         u = ws.primal(linear, lam_w) if ws.size else -inv_hessian @ linear
     else:
         u = -inv_hessian @ linear
+    if crash and _dependent_row(ws._B):
+        raise np.linalg.LinAlgError("the pruned crash set is dependent")
 
     iterations = 0
     dependent_steps = 0

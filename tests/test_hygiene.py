@@ -2,7 +2,8 @@
 no module imports a name it never reads, no module reaches into another
 package module's private names, no module writes the frozen fields of an
 object from outside its class, no module imports scipy, only qp.py
-factorizes (another module may take a numpy.linalg norm, nothing else), a
+factorizes (another module may take a numpy.linalg norm, nothing else) and
+inverts only in prepare_weight, _solve_raw and _WorkingSet, a
 singular matrix reaches the caller by one path only (qp._solve_raw's except
 clause, which turns a LinAlgError into a status), and the package's __all__
 is exactly what __init__ imports."""
@@ -145,6 +146,19 @@ def linalg_uses(tree: ast.Module) -> list:
     return found
 
 
+def linalg_uses_by_definition(tree: ast.Module) -> dict:
+    """{top-level function or class, or "<module>": the numpy.linalg names
+    it reads}, read by linalg_uses under the module's top-level imports."""
+    imports = [n for n in tree.body if isinstance(n, (ast.Import, ast.ImportFrom))]
+    found = {}
+    for node in tree.body:
+        if node not in imports:
+            uses = linalg_uses(ast.Module(body=imports + [node], type_ignores=[]))
+            if uses:
+                found.setdefault(getattr(node, "name", "<module>"), []).extend(uses)
+    return found
+
+
 def names_linalg_error(node) -> bool:
     """Whether an expression mentions LinAlgError, bare or as an attribute."""
     return node is not None and any(
@@ -270,6 +284,32 @@ def test_linalg_uses_are_found():
     assert sorted(linalg_uses(ast.parse(source))) == [
         "linalg.cholesky", "linalg.inv", "linalg.lstsq", "linalg.norm", "linalg.solve"
     ]
+
+
+def test_only_the_weight_and_the_cold_loop_invert():
+    # prepare_weight inverts the Hessian once per weight, and a cold solve
+    # its crash set's B once; a warm step solves by LU and inverts nothing.
+    tree = ast.parse((PACKAGE / "qp.py").read_text(), filename="qp.py")
+    inverting = {name for name, uses in linalg_uses_by_definition(tree).items()
+                 if "linalg.inv" in uses}
+    assert inverting <= {"prepare_weight", "_solve_raw", "_WorkingSet"}
+
+
+def test_linalg_uses_by_definition_are_found():
+    source = (
+        "import numpy as np\n"
+        "INV = np.linalg.inv\n"
+        "def f(a):\n"
+        "    return np.linalg.solve(a, a)\n"
+        "class W:\n"
+        "    def g(self, a):\n"
+        "        return np.linalg.inv(a)\n"
+        "def h(a):\n"
+        "    return a\n"
+    )
+    assert linalg_uses_by_definition(ast.parse(source)) == {
+        "<module>": ["linalg.inv"], "f": ["linalg.solve"], "W": ["linalg.inv"]
+    }
 
 
 def test_a_singular_matrix_has_one_path_to_a_status():

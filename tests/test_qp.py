@@ -9,6 +9,7 @@ import pytest
 
 from robustcbf import (
     BarrierParams,
+    FilterConfig,
     HullUnion,
     QpProblem,
     QpSolution,
@@ -26,18 +27,22 @@ from robustcbf import (
 from robustcbf import qp, safety_filter
 from robustcbf.cli import load_config
 from robustcbf.sim import nominal_commands, run_scenario
-from robustcbf.qp import INFEASIBLE, MAX_ITERATIONS, OPTIMAL, _blocking_ratio, _WorkingSet
+from robustcbf.qp import (
+    INFEASIBLE, MAX_ITERATIONS, OPTIMAL, _blocking_ratio, _solve_raw, _solution, _WorkingSet
+)
 
 from .conftest import (
     BASE_LENGTH, DIAMETER, GAMMA, LOOK_AHEAD, SCENARIO_DIR, U_MAX, WHEEL_RADIUS, congested_poses
 )
 from .oracles import (
     ReallocatingWorkingSet,
+    crash_rows,
     decoupled_margin_constraints,
     farthest_violated_row,
     full_row_kkt,
     projected_gradient_qp,
     qp_objective,
+    reference_cold_solve,
     reference_dual_active_set,
     reference_kkt_check,
     reference_slack_solve,
@@ -112,14 +117,35 @@ def summed_row_problem(rng, m=4, rows=5):
     return QpProblem(base.weight, base.u_nom, A, b, base.u_max)
 
 
+def cold_seed(problem):
+    """The crash set a cold solve of problem loads, by the oracle."""
+    u0 = -problem.prepared.inv_hessian @ problem.linear
+    return crash_rows(problem.C, problem.d, u0, problem.variables)
+
+
+def from_empty(problem):
+    """The raw result of the loop from the empty set on problem, which a
+    cold solve runs only after its crash attempt; imported, so a patched
+    qp._solve_raw does not see it."""
+    return _solve_raw(problem.prepared.inv_hessian, problem.linear, problem.C, problem.d,
+                      warm=())
+
+
 def assert_matches_reference(problem, max_iterations=None, warm_start=None):
     """qp.solve takes the steps of the reallocating reference solver with
-    the same entering rule: the same status, active set and iteration
-    count, with u_star and multipliers within 1e-9.  Uncapped, it also ends
-    in the status of the raw-selection reference, and at its u_star when
-    optimal."""
+    the same entering rule and seed: the same status, active set and
+    iteration count, with u_star and multipliers within 1e-9.  A warm seed
+    that loads seeds the reference; otherwise the oracle's crash set does,
+    and a crash run that ends max-iterations is redone from the empty set,
+    as solve does.  Uncapped, it also ends in the status of the
+    raw-selection reference, and at its u_star when optimal."""
     sol = solve(problem, max_iterations=max_iterations, warm_start=warm_start)
-    ref = reference_dual_active_set(problem, max_iterations, warm_start, farthest_violated_row)
+    seed = [] if warm_start is None else warm_start.active_set.tolist()
+    seed = [i for i in seed if i < problem.C.shape[0]]
+    if 0 < len(seed) <= problem.variables:
+        ref = reference_dual_active_set(problem, max_iterations, seed, farthest_violated_row)
+    else:
+        ref = reference_cold_solve(problem, max_iterations)
     assert sol.status == ref.status
     assert sol.active_set.tolist() == list(ref.active_set)
     assert sol.iterations == ref.iterations
@@ -168,8 +194,9 @@ class TestReferenceBitIdentity:
             assert sol.status == first.status
 
     def test_congested_22_robot_starts_cold(self):
-        # The raw rule takes 110 iterations on both starts, the distance
-        # rule 24 at radius 0.6 and 66 at radius 0.5.
+        # The raw rule takes 110 iterations on both starts from the empty
+        # set; the distance rule from the crash set 0 at radius 0.6 and 44
+        # at radius 0.5 (24 and 66 from the empty set).
         for radius, share in ((0.6, 1 / 2), (0.5, 2 / 3)):
             problem = congested_problem(radius)
             sol, _ = assert_matches_reference(problem)
@@ -230,7 +257,7 @@ class TestReferenceBitIdentity:
         for cap in (0, 1, 2, 5):
             for _ in range(5):
                 assert_matches_reference(random_problem(rng, m=6, rows=10), max_iterations=cap)
-        sol, _ = assert_matches_reference(congested_problem(0.6), max_iterations=20)
+        sol, _ = assert_matches_reference(congested_problem(0.5), max_iterations=20)
         assert sol.status == MAX_ITERATIONS
 
     def test_warm_start_from_the_optimum_needs_no_iterations(self, rng):
@@ -284,9 +311,9 @@ class TestWorkingSetCapacity:
 
 
 class TestKeptInverse:
-    def recorded_solve(self, monkeypatch, problem, warm_start=None):
-        """solve(problem) and the working set it ended with, which counts
-        its drops."""
+    @staticmethod
+    def recorded(monkeypatch, run):
+        """run() and the working sets it made, which count their drops."""
         sets = []
 
         class Recording(_WorkingSet):
@@ -302,16 +329,17 @@ class TestKeptInverse:
 
         with monkeypatch.context() as patch:
             patch.setattr(qp, "_WorkingSet", Recording)
-            sol = solve(problem, warm_start=warm_start)
-        (ws,) = sets
-        return sol, ws
+            out = run()
+        return out, sets
 
     def test_long_cold_solves_keep_it_accurate(self, rng, monkeypatch):
+        # The loop from the empty set, which a cold solve runs when its
+        # crash set is dependent or fails.
         drops = []
         for _ in range(5):
             problem = summed_row_problem(rng, m=20, rows=60)
-            sol, ws = self.recorded_solve(monkeypatch, problem)
-            assert sol.status == OPTIMAL
+            raw, (ws,) = self.recorded(monkeypatch, lambda: from_empty(problem))
+            assert raw[2] == OPTIMAL
             assert ws.inverse
             k = ws.size
             np.testing.assert_allclose(
@@ -320,20 +348,33 @@ class TestKeptInverse:
             drops.append(ws.drops)
         assert min(drops) >= 5 and sum(drops) >= 50
 
+    def test_a_crash_set_keeps_it_accurate(self, monkeypatch):
+        # Loaded, pruned by LU and inverted once, then 44 iterations of
+        # rank-one updates at radius 0.5.
+        for radius in (0.6, 0.5):
+            problem = congested_problem(radius)
+            sol, (ws,) = self.recorded(monkeypatch, lambda: solve(problem))
+            assert sol.status == OPTIMAL and ws.inverse
+            k = ws.size
+            np.testing.assert_allclose(
+                ws._Binv[:k, :k] @ ws._B[:k, :k], np.eye(k), rtol=0.0, atol=1e-10
+            )
+
     def test_bulk_loaded_warm_set_solves_by_lu(self, monkeypatch):
         problem = congested_problem(0.6)
-        cold, ws = self.recorded_solve(monkeypatch, problem)
+        cold, (ws,) = self.recorded(monkeypatch, lambda: solve(problem))
         assert ws.inverse
-        warm, ws = self.recorded_solve(monkeypatch, problem, warm_start=cold)
+        warm, (ws,) = self.recorded(monkeypatch, lambda: solve(problem, warm_start=cold))
         assert not ws.inverse
         assert warm.iterations == 0
 
 
 @pytest.fixture(scope="class")
-def zero_iteration_warm_step():
-    """(problem, seed) of the first circle22 step whose warm solve keeps
-    the previous step's active set and takes no iteration."""
-    cfg = replace(load_config(SCENARIO_DIR / "circle22.yaml"), sim_duration=0.5, iterations=1)
+def warm_steps():
+    """{iterations: (problem, seed)} of the first circle22 warm step that
+    ends optimal after 0 and after 1 iteration; the one of no iteration
+    keeps the previous step's active set."""
+    cfg = replace(load_config(SCENARIO_DIR / "circle22.yaml"), sim_duration=1.0, iterations=1)
     steps, real = [], qp.solve
 
     def recording(problem, max_iterations=None, warm_start=None):
@@ -344,19 +385,23 @@ def zero_iteration_warm_step():
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(qp, "solve", recording)
         run_scenario(cfg)
+    found = {}
     for problem, warm, sol in steps:
-        if warm is not None and warm.active_set.size and np.array_equal(
-            sol.active_set, warm.active_set
-        ):
-            if sol.iterations == 0 and sol.status == OPTIMAL:
-                return problem, warm
-    raise AssertionError("no zero-iteration warm step in the first 100 steps")
+        if warm is None or not warm.active_set.size or sol.status != OPTIMAL:
+            continue
+        if sol.iterations == 0 and np.array_equal(sol.active_set, warm.active_set):
+            found.setdefault(0, (problem, warm))
+        elif sol.iterations == 1:
+            found.setdefault(1, (problem, warm))
+    assert set(found) == {0, 1}, "no such warm steps in the first 200 steps"
+    return found
 
 
 class TestZeroIterationWarmStep:
     """A warm step that needs no iteration loads its active set once and
     factorizes it once: one LU multiplier solve, no Cholesky dependence
-    test and no buffer allocation."""
+    test, no inversion and no buffer allocation.  A warm step of one
+    iteration also inverts nothing: the inversion is for crash sets."""
 
     @staticmethod
     def counted(monkeypatch, *targets):
@@ -372,24 +417,33 @@ class TestZeroIterationWarmStep:
             monkeypatch.setattr(owner, name, counting)
         return calls
 
-    def test_one_factorization_each_and_no_allocation(self, monkeypatch, zero_iteration_warm_step):
-        problem, seed = zero_iteration_warm_step
+    def test_one_factorization_each_and_no_allocation(self, monkeypatch, warm_steps):
+        problem, seed = warm_steps[0]
         calls = self.counted(
             monkeypatch,
             (np.linalg, "cholesky"),
             (np.linalg, "solve"),
+            (np.linalg, "inv"),
             (qp._WorkingSet, "_allocate"),
         )
         warm = solve(problem, warm_start=seed)
         assert (warm.status, warm.iterations) == (OPTIMAL, 0)
         assert warm.active_set.tolist() == seed.active_set.tolist()
-        assert calls == {"cholesky": 0, "solve": 1, "_allocate": 0}
-        # A cold solve allocates its buffers up front and factorizes nothing
-        # in bulk.
+        assert calls == {"cholesky": 0, "solve": 1, "inv": 0, "_allocate": 0}
+        # The loop from the empty set allocates its buffers up front and
+        # factorizes nothing in bulk.
         calls.update(solve=0)
-        cold = solve(problem)
-        assert calls["_allocate"] >= 1 and calls["cholesky"] == 0
-        np.testing.assert_allclose(warm.u_star, cold.u_star, rtol=0.0, atol=1e-9)
+        cold = from_empty(problem)
+        assert calls["_allocate"] >= 1 and calls["cholesky"] == 0 and calls["inv"] == 0
+        np.testing.assert_allclose(warm.u_star, cold[0], rtol=0.0, atol=1e-9)
+
+    def test_a_one_iteration_warm_step_inverts_nothing(self, monkeypatch, warm_steps):
+        problem, seed = warm_steps[1]
+        calls = self.counted(monkeypatch, (np.linalg, "solve"), (np.linalg, "inv"))
+        warm = solve(problem, warm_start=seed)
+        assert (warm.status, warm.iterations) == (OPTIMAL, 1)
+        # The prune, the one step's B r = w and the final re-solve, each by LU.
+        assert calls == {"solve": 3, "inv": 0}
 
 
 class TestBlockingRatio:
@@ -679,6 +733,32 @@ class TestKktCheck:
             ref = reference_kkt_check(problem, sol.u_star)
             assert abs(got[0] - ref[0]) <= 1e-10 and abs(got[1] - ref[1]) <= 1e-10
 
+    @staticmethod
+    def near_copy_case():
+        """A seeded 6-variable problem plus a copy of its first active row
+        of A perturbed at 1e-9 relative and 1e-6 slack at the optimum, and
+        its solve: the copy is inactive, yet within KKT_ACTIVE_TOL."""
+        rng = np.random.default_rng(3)
+        base = random_problem(rng, m=6)
+        optimum = solve(base)
+        row = base.A[[i for i in optimum.active_set.tolist() if i < base.rows][0]]
+        copy = row + 1e-9 * np.abs(row).max() * rng.normal(size=row.size)
+        problem = QpProblem(base.weight, base.u_nom, np.vstack([base.A, copy]),
+                            np.append(base.b, copy @ optimum.u_star - 1e-6), base.u_max)
+        return problem, solve(problem)
+
+    def test_the_near_copy_case_is_solved(self):
+        problem, sol = self.near_copy_case()
+        assert sol.status == OPTIMAL and sol.kkt_residual <= 1e-11
+        assert problem.rows not in sol.active_set.tolist()
+
+    @pytest.mark.xfail(strict=True, reason="kkt_check splits a multiplier between a row and "
+                       "its near copy, whose 1e-6 residual then reads as complementarity")
+    def test_a_near_copy_of_an_active_row_leaves_the_certificate(self):
+        # It reads 3.6e-5 here, where the answer's own KKT residual is 3.8e-12.
+        problem, sol = self.near_copy_case()
+        assert max(kkt_check(problem, sol.u_star)) <= 1e-8
+
 
 def nnls_cases():
     """(A, b) problems for qp._nnls, keyed by what they exercise."""
@@ -860,9 +940,9 @@ class TestWarmStartFromViolatedRows:
         geom, plan = cfg.geometry, cfg.plan(22)
         real, fallbacks = qp._solve_raw, []
 
-        def recording(*args):
-            out = real(*args)
-            if len(args[-1]) and out[2] != OPTIMAL:
+        def recording(*args, **kwargs):
+            out = real(*args, **kwargs)
+            if len(args[5]) and not kwargs["crash"] and out[2] != OPTIMAL:
                 fallbacks.append(out[2])
             return out
 
@@ -898,20 +978,24 @@ class TestWarmStartFromViolatedRows:
 
 class TestDecoupledMarginSnapshots:
     """With the decoupled margin of tests/oracles.py, most congested
-    crossing snapshots are infeasible, and a few cold solves drift until an
-    active row reads violated.  The LU re-solve of that set then meets a
-    singular B (condition about 1e18): seed 1's snapshot 189 and seed 2's
-    18 and 50 once raised LinAlgError out of solve and filter_step, so the
-    slack fallback never ran."""
+    crossing snapshots are infeasible, and a few solves from the empty set
+    drift until an active row reads violated.  The LU re-solve of that set
+    then meets a singular B (condition about 1e18): seed 1's snapshot 189
+    and seed 2's 18 and 50 once raised LinAlgError out of solve and
+    filter_step, so the slack fallback never ran.  A cold solve now starts
+    from its crash set and proves those three infeasible; the loop from the
+    empty set, run on every problem beside it, still meets the singular B
+    and must still return."""
 
     def test_every_filter_step_returns_and_falls_back(self, monkeypatch):
         cfg = load_config(SCENARIO_DIR / "circle22.yaml").filter_config()
         monkeypatch.setattr(safety_filter, "assemble_constraints", decoupled_margin_constraints)
-        real, statuses = qp.solve, []
+        real, statuses, empty = qp.solve, [], []
 
         def recording(problem, max_iterations=None, warm_start=None):
             sol = real(problem, max_iterations, warm_start)
             statuses.append(sol.status)
+            empty.append(from_empty(problem)[2])
             return sol
 
         monkeypatch.setattr(qp, "solve", recording)
@@ -923,7 +1007,95 @@ class TestDecoupledMarginSnapshots:
                 assert result.solver.status == OPTIMAL
                 assert np.isfinite(result.solver.u_star).all()
         assert len(statuses) == 400
-        assert statuses.count(MAX_ITERATIONS) >= 3 and OPTIMAL in statuses
+        assert empty.count(MAX_ITERATIONS) >= 3 and OPTIMAL in statuses
+
+
+class TestCrashStart:
+    """A cold solve loads the crash set of tests/oracles.py::crash_rows,
+    prunes it by LU and inverts its B once.  Against the loop from the
+    empty set on congested crossing snapshots, with the shipped and with
+    the decoupled margin, it never raises, reaches the same optimum within
+    1e-9 in fewer iterations, and calls a problem
+    infeasible only where the loop from the empty set finds no optimum.  A
+    crash attempt that ends infeasible is final: the pruned crash set is
+    dual feasible."""
+
+    @staticmethod
+    def snapshot_problems(assemble, count=100):
+        cfg = load_config(SCENARIO_DIR / "circle22.yaml").filter_config()
+        geom, plan = cfg.geometry, cfg.plan(22)
+        for seed in (1, 2):
+            snapshots = crossing_snapshots(seed, cfg)
+            for _ in range(count):
+                poses, commands = next(snapshots)
+                cs = assemble(poses, geom, cfg.barrier, plan.margin_union, cfg.u_max, plan.pairs)
+                yield QpProblem(plan.weight, commands.reshape(-1), cs.A, cs.b, cfg.u_max)
+
+    @staticmethod
+    def recorded_attempts(monkeypatch):
+        """(rows, crash, status) of each _solve_raw run that solve makes."""
+        attempts, real = [], qp._solve_raw
+
+        def recording(*args, **kwargs):
+            out = real(*args, **kwargs)
+            attempts.append((args[5], kwargs["crash"], out[2]))
+            return out
+
+        monkeypatch.setattr(qp, "_solve_raw", recording)
+        return attempts
+
+    # Mean iterations from the crash set over those from the empty set read
+    # 0.746 on the 199 of 200 shipped-margin snapshots that are feasible,
+    # and 0.843 on the 20 of 200 decoupled-margin ones.
+    @pytest.mark.parametrize("assemble, share", [(assemble_constraints, 0.75),
+                                                 (decoupled_margin_constraints, 0.85)])
+    def test_same_optimum_in_fewer_iterations(self, monkeypatch, assemble, share):
+        attempts = self.recorded_attempts(monkeypatch)
+        crash_iterations, empty_iterations, loaded = [], [], 0
+        for problem in self.snapshot_problems(assemble):
+            del attempts[:]
+            sol = solve(problem)
+            rows, crash, _ = attempts[0]
+            assert crash and rows.tolist() == cold_seed(problem)
+            loaded += 1
+            empty = _solution(problem, from_empty(problem))
+            if empty.status != OPTIMAL:
+                assert sol.status != OPTIMAL or max(kkt_check(problem, sol.u_star)) <= 1e-8
+                continue
+            assert sol.status == OPTIMAL
+            np.testing.assert_allclose(sol.u_star, empty.u_star, rtol=0.0, atol=1e-9)
+            assert max(kkt_check(problem, sol.u_star)) <= 1e-8
+            crash_iterations.append(sol.iterations)
+            empty_iterations.append(empty.iterations)
+        assert loaded == 200 and len(empty_iterations) >= 10
+        assert np.mean(crash_iterations) <= share * np.mean(empty_iterations)
+
+    def test_an_infeasible_problem_costs_one_hard_attempt(self, monkeypatch, geom, params):
+        problems = infeasible_problems()
+        cfg = FilterConfig(geom, params, HullUnion((symmetric_box(10.0),)), u_max=U_MAX)
+        rng = np.random.default_rng(10)  # the psi = 10 pins of test_trajectory_digests.py
+        real_solve = qp.solve
+
+        def capturing(problem, max_iterations=None, warm_start=None):
+            problems.append(problem)
+            return real_solve(problem, max_iterations, warm_start)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(qp, "solve", capturing)
+            for _ in range(10):
+                filter_step(congested_poses(rng, geom), rng.uniform(-U_MAX, U_MAX, size=(22, 2)),
+                            cfg)
+        assert len(problems) == 13
+        attempts = self.recorded_attempts(monkeypatch)
+        crashed = 0
+        for problem in problems:
+            empty = from_empty(problem)
+            del attempts[:]
+            sol = solve(problem)
+            assert empty[2] == sol.status == INFEASIBLE
+            assert len(attempts) == 1
+            crashed += attempts[0][1]
+        assert crashed >= 10
 
 
 class TestSeedDependence:
@@ -943,15 +1115,19 @@ class TestSeedDependence:
             real(ws, rows)
 
         monkeypatch.setattr(qp._WorkingSet, "bulk_load", recording)
+        solve(problem)
+        crash = loaded[:]  # a cold solve loads its crash set, if any
+        loaded.clear()
         sol = solve(problem, warm_start=replace(cold, active_set=rows))
-        assert loaded == []
+        assert loaded == crash
         assert sol.u_star.tobytes() == cold.u_star.tobytes()
         assert sol.multipliers.tobytes() == cold.multipliers.tobytes()
         assert sol.active_set.tolist() == cold.active_set.tolist()
         assert (sol.status, sol.iterations) == (cold.status, cold.iterations)
         # As many rows as variables do load.
+        loaded.clear()
         solve(problem, warm_start=replace(cold, active_set=rows[:-1]))
-        assert loaded == [rows[:-1].tolist()]
+        assert loaded[0] == rows[:-1].tolist()
 
     def test_an_exactly_singular_seed_ends_with_no_point(self, rng):
         # A repeated row: the first prune's LU meets an exactly singular B.
@@ -964,11 +1140,11 @@ class TestSeedDependence:
         assert np.isnan(u).all() and np.isnan(residual).all()
 
     @pytest.mark.parametrize("radius", [0.6, 0.5])
-    def test_a_nearly_repeated_row_ends_at_the_cold_answer(self, radius):
+    def test_a_nearly_repeated_row_ends_at_the_cold_answer(self, radius, monkeypatch):
         # The cold optimum's active rows and a copy of one of them perturbed
         # at 1e-9 relative: B has condition about 1e16, which no pivot of
-        # its LU reveals, so the seed loads and the warm solve takes fewer
-        # iterations than the cold one.  The copy is 1e-6 slack at the
+        # its LU reveals, so the seed loads and the warm attempt ends
+        # optimal, with no cold attempt after it.  The copy is 1e-6 slack at the
         # optimum: were it active too, u would be fixed only to about 1e-7
         # along the perturbation, by warm and cold solves alike.
         base = congested_problem(radius)
@@ -983,9 +1159,13 @@ class TestSeedDependence:
         seed = [i + (i >= k) for i in active.tolist()] + [k]
         assert len(seed) <= problem.variables
         cold = solve(problem)
+        attempts = []
+        monkeypatch.setattr(
+            qp, "_solve_raw", lambda *args, **kw: attempts.append(args[5]) or _solve_raw(*args, **kw)
+        )
         warm = solve(problem, warm_start=replace(cold, active_set=seed))
         assert warm.status == OPTIMAL
-        assert warm.iterations < cold.iterations
+        assert [rows.tolist() for rows in attempts] == [seed]
         assert max(kkt_check(problem, warm.u_star)) <= 1e-8
         np.testing.assert_allclose(warm.u_star, cold.u_star, rtol=0.0, atol=1e-9)
 

@@ -258,11 +258,11 @@ class TestRunScenario:
 
     def test_every_step_warm_starts_from_the_last_answer(self, monkeypatch):
         # A fallback's answer too: its active set is empty, so the step
-        # after it solves cold.  circle22 under a psi = 12 box takes the
-        # slack fallback from step 274 on.
+        # after it solves cold.  circle22 under a psi = 14 box takes the
+        # slack fallback from step 262 on.
         cfg = load_config(SCENARIO_DIR / "circle22.yaml")
-        cfg = replace(cfg, disturbance=HullUnion((symmetric_box(12.0),)),
-                      sim_duration=280 * cfg.dt, iterations=1)
+        cfg = replace(cfg, disturbance=HullUnion((symmetric_box(14.0),)),
+                      sim_duration=268 * cfg.dt, iterations=1)
         calls = []
 
         def recording(*args, warm_start=None):
@@ -272,9 +272,9 @@ class TestRunScenario:
 
         monkeypatch.setattr(sim, "filter_step", recording)
         run_scenario(cfg)
-        assert len(calls) == 280 and calls[0][0] is None
+        assert len(calls) == 268 and calls[0][0] is None
         assert all(warm is last.solver for (warm, _), (_, last) in zip(calls[1:], calls))
-        assert [result.fallback_applied for _, result in calls[274:-1]] == ["slack"] * 5
+        assert [result.fallback_applied for _, result in calls[262:-1]] == ["slack"] * 5
 
     def test_debug_checks_pass_for_all_modes(self):
         for mode in ("off", "uniform-convex", "worst-case", "vertex"):
