@@ -6,13 +6,14 @@ dual feasible start it adds violated constraints one at a time, farthest
 first, with partial dual steps when a blocking multiplier would turn
 negative.  For strictly convex problems this terminates finitely, returns
 exact multipliers, and detects primal infeasibility when the dual becomes
-unbounded.  A warm start bulk-loads the previous active set, a cold start
-a crash set: the rows farthest violated at the unconstrained optimum
-(Bixby, "Implementing the simplex method: the initial basis", ORSA J.
-Computing 1992).  Either is pruned by LU until its multipliers are
-nonnegative, which makes the start dual feasible.  A cold solve then
-inverts B once and keeps B^-1 over the active rows by rank-one updates; a
-crash attempt that fails is redone from the empty set.
+unbounded.  A warm start bulk-loads the previous active set and prunes it
+by LU until its multipliers are nonnegative, which makes the start dual
+feasible.  A cold start loads a crash set, the rows farthest violated at
+the unconstrained optimum (Bixby, "Implementing the simplex method: the
+initial basis", ORSA J. Computing 1992), inverts B once, prunes by
+downdates of B^-1 and tops the set up twice from the pruned point.  It
+keeps B^-1 by rank-one updates from there, as a set grown from empty
+does; a crash attempt that fails is redone from the empty set.
 
 A QpProblem holds its stacked rows C u >= d and its linear term from
 construction on; solve, solve_with_slack and kkt_check only read them.  The
@@ -40,6 +41,7 @@ KKT_ACTIVE_TOL = 1e-6
 
 _DEPENDENCE_RTOL = 1e-12
 _TIE_RTOL = 1e-12
+_TOP_UP_RTOL = 1e-8
 _CONDITION_WARN = 1e8
 
 
@@ -312,33 +314,37 @@ class _WorkingSet:
             return self._Binv[:k, :k] @ rhs
         return np.linalg.solve(self._B[:k, :k], rhs) if k else np.zeros(0)
 
-    def eq_multipliers(self, linear: np.ndarray, d: np.ndarray) -> np.ndarray:
-        """Solve the equality system on the active rows into lam by LU on B.
-        J N^T is copied out first: BLAS may round (J N^T)^T q differently on
-        a strided view, which would change the answer in the last bits."""
+    def eq_multipliers(self, linear: np.ndarray, d: np.ndarray, lu=True) -> np.ndarray:
+        """lam of the equality system on the active rows, by LU on B or else the
+        kept inverse.  J N^T is copied out first: BLAS may round (J N^T)^T q
+        differently on a strided view, which would change the last bits."""
         k, lam = self.size, self.lam
         if k:
             rhs = d.take(self.rows) + np.ascontiguousarray(self.JNt).T @ linear
-            lam[:] = np.linalg.solve(self._B[:k, :k], rhs)
+            lam[:] = np.linalg.solve(self._B[:k, :k], rhs) if lu else self._Binv[:k, :k] @ rhs
         return lam
 
     def primal(self, linear: np.ndarray) -> np.ndarray:
         return self.JNt @ self.lam - self._J @ linear
 
-    def invert(self) -> bool:
-        """Form B^-1 of the active rows once and keep it from here on, as a
-        set grown from empty does.  Whether the rows are independent: each
-        row's Schur complement against the others, 1 / B^-1_ii, must exceed
-        _DEPENDENCE_RTOL * B_ii, the loop's test for an entering row.  An
+    def invert(self) -> None:
+        """Form B^-1 of the (one or more) active rows and keep it from here on.
+        While a row depends on the others, its Schur complement 1 / B^-1_ii
+        at most _DEPENDENCE_RTOL * B_ii (the loop's test for an entering
+        row), the most dependent is dropped and B inverted again.  An
         exactly singular B raises LinAlgError."""
-        k = self.size
+        self.inverse = False
+        while True:
+            k = self.size
+            inverse = np.linalg.inv(self._B[:k, :k])
+            scaled = self._B.diagonal()[:k] * inverse.diagonal()
+            scaled[~(scaled > 0.0)] = math.inf
+            worst = int(scaled.argmax())
+            if scaled[worst] < 1.0 / _DEPENDENCE_RTOL:
+                break
+            self.drop(worst)
         self._Binv = np.zeros((self._lam.size,) * 2)
-        self.inverse = True
-        if not k:
-            return True
-        self._Binv[:k, :k] = np.linalg.inv(self._B[:k, :k])
-        scaled = self._B.diagonal()[:k] * self._Binv.diagonal()[:k]
-        return bool(((scaled > 0.0) & (scaled < 1.0 / _DEPENDENCE_RTOL)).all())
+        self._Binv[:k, :k], self.inverse = inverse, True
 
     def bulk_load(self, rows: np.ndarray) -> None:
         """Load the rows at once, B in one product, and keep N, J N^T and B
@@ -372,9 +378,9 @@ def _blocking_ratio(lam_w: np.ndarray, r_dir: np.ndarray):
 
 
 def _prune(ws: _WorkingSet, inv_hessian, linear, d) -> np.ndarray:
-    """LU multipliers of the set, dropping the least while any is negative; the primal point."""
+    """Kept-inverse or LU multipliers, the least dropped while one is < 0; the primal point."""
     while ws.size:
-        lam_w = ws.eq_multipliers(linear, d)
+        lam_w = ws.eq_multipliers(linear, d, lu=not ws.inverse)
         if (lam_w >= 0.0).all():
             return ws.primal(linear)
         ws.drop(int(np.argmin(lam_w)))
@@ -391,18 +397,36 @@ def _residual(C, d, u, ws: _WorkingSet, soft) -> np.ndarray:
 
 def _crash_rows(C, d, u0, m) -> np.ndarray:
     """The crash set of a cold start: of the rows violated at u0, the
-    m // 2 of least residual / |c| (ties to the lower row), zero rows left
-    out, in ascending row order."""
+    m // 2 of least residual / |c|, zero rows left out, in ascending row
+    order.  Distances within a relative _TIE_RTOL of the cut go to the
+    lower rows, so rounding cannot swap the rows of a symmetric start."""
     residual = C @ u0 - d
     violated = (residual < -FEASIBILITY_TOL).nonzero()[0]
     rows = C.take(violated, axis=0)
     norms = np.sqrt(np.einsum("ij,ij->i", rows, rows))
     nonzero = norms > 0.0
     violated = violated[nonzero]
-    if violated.size > m // 2:
+    if violated.size > m // 2:  # at m // 2 = 0, kth -1 is valid and nothing is kept
         dist = residual[violated] / norms[nonzero]
-        violated = np.sort(violated[dist.argsort(kind="stable")[: m // 2]])
+        cut = np.partition(dist, m // 2 - 1)[m // 2 - 1]
+        rank = (dist >= cut * (1.0 + _TIE_RTOL)).astype(int) + (dist > cut * (1.0 - _TIE_RTOL))
+        violated = np.sort(violated[rank.argsort(kind="stable")[: m // 2]])
     return violated
+
+
+def _top_up(ws: _WorkingSet, inv_hessian, linear, C, d, u) -> np.ndarray:
+    """Add the crash rows at u for the variables the set leaves free to the
+    kept inverse, each whose Schur complement exceeds _TOP_UP_RTOL * c J c
+    (the loop's 1e-12 admits nearly dependent rows, which can spoil the
+    start); then prune.  The primal point."""
+    for idx in _crash_rows(C, d, u, C.shape[1] - ws.size).tolist():
+        Jc = inv_hessian @ C[idx]
+        w_vec, cJc = ws.N @ Jc, float(C[idx] @ Jc)
+        r_dir = ws.solve_B(w_vec)
+        schur = cJc - float(w_vec @ r_dir)
+        if schur > _TOP_UP_RTOL * cJc:
+            ws.add(idx, C[idx], Jc, w_vec, cJc, r_dir, schur, 0.0)
+    return _prune(ws, inv_hessian, linear, d)
 
 
 def _solve_raw(inv_hessian, linear, C, d, max_iter=None, warm=(), soft=None, crash=False):
@@ -410,24 +434,24 @@ def _solve_raw(inv_hessian, linear, C, d, max_iter=None, warm=(), soft=None, cra
     inv_hessian = H^-1 precomputed by the caller.  max_iter defaults to
     10 * (variables + stacked rows).  warm is an np.intp array of at most
     variables row indices in [0, rows), bulk loaded; crash marks it as a
-    crash set, whose B is inverted once after the first prune, and which
-    ends max-iterations there if its rows are dependent.  soft, on a
-    start from the empty set, is a per-row diagonal D >= 0 that lets row r
-    fall short by s_r = D_r lam_r at the cost s_r^2 / (2 D_r); D_r adds to
-    B's diagonal.
+    crash set, inverted before its first prune and then topped up twice.
+    soft, on a start from the empty set, is a per-row diagonal D >= 0 that
+    lets row r fall short by s_r = D_r lam_r at the cost s_r^2 / (2 D_r);
+    D_r adds to B's diagonal.
 
     The violated row of least residual / |c| enters by one dual step per
     iteration, the lesser of its full step, which adds it, and the step at
     which an active multiplier blocks, which drops that row.  A row that
     depends on the active rows has an infinite full step and no primal
-    move; if nothing blocks, the problem is infeasible.  B r = N H^-1 c is
-    solved with the kept inverse on a cold start, from the empty set or a
-    crash set, else by LU, and the final re-solve by LU.  An active row
-    read violated means the kept inverse drifted: the set is re-solved and
-    pruned by LU and stays on LU; a set already on LU stops there.  A
-    singular B met by LU or by the crash set's inversion ends
-    max-iterations at the last point reached, a NaN u in the first prune:
-    nothing raises.
+    move; if nothing blocks, the problem is infeasible.  A cold start, from
+    the empty set or a crash set, solves B with its kept inverse, else LU
+    does; the final re-solve runs by LU on a crash set and after any
+    iteration.  An active row read violated means the kept inverse
+    drifted: a crash set is inverted afresh once, which drops the rows that
+    became dependent; any other set is re-solved and pruned by LU and stays
+    on LU, and one already on LU stops there.  A singular B met by LU or an
+    inversion ends max-iterations at the last point reached, a NaN u before
+    the first prune: nothing raises.
 
     Returns (u, full multipliers, status, iterations, the final working
     set, residual C u - d + D lam at that u).
@@ -435,11 +459,13 @@ def _solve_raw(inv_hessian, linear, C, d, max_iter=None, warm=(), soft=None, cra
     if max_iter is None:
         max_iter = 10 * (C.shape[1] + C.shape[0])
     ws = _WorkingSet(inv_hessian, C, warm)
-    u, iterations, status, norms = None, 0, OPTIMAL, None
+    u, iterations, status, norms, refresh = None, 0, OPTIMAL, None, crash
     try:
+        if crash:
+            ws.invert()
         u = _prune(ws, inv_hessian, linear, d)
-        if crash and not ws.invert():
-            status = MAX_ITERATIONS  # dependent rows: solve redoes it from the empty set
+        for _ in range(2 if crash else 0):
+            u = _top_up(ws, inv_hessian, linear, C, d, u)
         while status == OPTIMAL:
             residual = _residual(C, d, u, ws, soft)
             violated = (residual < -FEASIBILITY_TOL).nonzero()[0]
@@ -464,6 +490,9 @@ def _solve_raw(inv_hessian, linear, C, d, max_iter=None, warm=(), soft=None, cra
                     status = MAX_ITERATIONS
                     break
                 ws.inverse = False
+                if refresh:  # once: the loop has entered a nearly dependent row
+                    ws.invert()
+                    refresh = False
                 u = _prune(ws, inv_hessian, linear, d)
                 continue
             c, d_r = C[worst], d[worst]
@@ -502,16 +531,16 @@ def _solve_raw(inv_hessian, linear, C, d, max_iter=None, warm=(), soft=None, cra
                     break
                 ws.drop(block)
 
-        if status == OPTIMAL and ws.size and iterations:
+        if status == OPTIMAL and ws.size and (iterations or crash):
             # Re-solve the final equality system against the drift of the
-            # primal updates; with no iterations the prune has just solved it.
+            # updates; a warm set with no iterations has just solved it.
             ws.eq_multipliers(linear, d)
             u = ws.primal(linear)
     except np.linalg.LinAlgError:
-        # LU met a singular B: stop at the last point the loop reached.
+        # LU or the inversion met a singular B: stop at the last point reached.
         status = MAX_ITERATIONS
         u = np.full(C.shape[1], math.nan) if u is None else u
-    if status != OPTIMAL or ws.size and iterations:
+    if status != OPTIMAL or ws.size and (iterations or crash):
         residual = _residual(C, d, u, ws, soft)  # u moved since the last one
 
     lam_full = np.zeros(C.shape[0])
@@ -578,15 +607,15 @@ def solve(problem: QpProblem, max_iterations: int | None = None, warm_start=None
     agrees with a cold solve's to about 1e-9, but can differ in the last
     bits: the bulk load forms B in one product and solves it by LU.
 
-    A cold solve starts from the crash set of _crash_rows, the m // 2 rows
-    farthest violated at the unconstrained optimum, pruned by LU and then
-    inverted once.  The pruned set is dual feasible, so a crash attempt
-    that ends infeasible is final; one that does not end optimal otherwise
-    is redone from the empty set.  An answer is optimal only when u is
-    finite and its feasibility and KKT residuals are within FEASIBILITY_TOL
-    and STATIONARITY_TOL; any other is reported as max-iterations.  A
-    finite problem never raises: infeasibility, the iteration cap and a
-    singular B are reported through the status.
+    A cold solve starts from the m // 2 rows farthest violated at the
+    unconstrained optimum, inverted, pruned and topped up by _solve_raw.
+    That start is dual feasible, so a crash attempt that ends infeasible is
+    final; any other that is not optimal is redone from the empty set.  An
+    answer is optimal only when u is finite and its feasibility and KKT
+    residuals are within FEASIBILITY_TOL and STATIONARITY_TOL; any other is
+    reported as max-iterations.  A finite problem never raises:
+    infeasibility, the iteration cap and a singular B are reported through
+    the status.
     """
     if not (warm_start is None or isinstance(warm_start, QpSolution)):
         raise TypeError(f"warm_start must be a QpSolution or None, got {warm_start!r}")

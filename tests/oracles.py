@@ -8,9 +8,10 @@ the closed-loop reference steps one robot object at a time.  The dual
 active-set reference is a frozen copy of the solver loop before its working
 set moved into preallocated buffers and kept B^-1, which solves B by LU on
 every step.  With the solver's scaled entering rule it pins the solver's
-steps and active sets, seeded with crash_rows wherever a cold solve loads
-its crash set; with the raw rule it pins the answers of the solver before
-that rule changed.  Run on the dense (u, s) embedding of the slack
+steps and active sets, seeded with crash_start wherever a cold solve loads
+its crash set: the rows of crash_rows with the dependent ones dropped,
+pruned and topped up twice, all by LU; with the raw rule it pins the
+answers of the solver before that rule changed.  Run on the dense (u, s) embedding of the slack
 re-solve (slack_system), it pins the answers of the eliminated slacks.  The
 assembly reference is the gather-based assembly from before the one pass
 over all ordered pairs, and the full-row KKT report the one from before the
@@ -252,26 +253,31 @@ def farthest_violated_row(C, residual):
 def crash_rows(C, d, u0, m):
     """The crash set of a cold solve, as a sorted list: the rows violated
     by more than 1e-8 at u0, zero rows left out, cut to the m // 2 of least
-    residual / |c| by a stable sort, which keeps the lower row of a tie."""
+    residual / |c|.  The rows within a relative 1e-12 of the (m // 2)-th
+    least distance count as tied with it and fill the set lowest row first."""
     residual = C @ u0 - d
     candidates = [i for i in range(C.shape[0]) if residual[i] < -1e-8 and C[i].any()]
-    if not candidates:
+    if len(candidates) <= m // 2:
+        return candidates
+    if m // 2 == 0:
         return []
     norms = np.sqrt(np.einsum("ij,ij->i", C[candidates], C[candidates]))
-    ranked = sorted(range(len(candidates)), key=lambda j: residual[candidates[j]] / norms[j])
-    return sorted(candidates[j] for j in ranked[: m // 2])
+    dist = {i: residual[i] / norm for i, norm in zip(candidates, norms)}
+    cut = sorted(dist.values())[m // 2 - 1]
+    below = [i for i in candidates if dist[i] < cut * (1.0 + 1e-12)]
+    tied = [i for i in candidates if cut * (1.0 + 1e-12) <= dist[i] <= cut * (1.0 - 1e-12)]
+    return sorted(below + tied[: m // 2 - len(below)])
 
 
 def reference_dual_active_set(
-    problem, max_iterations=None, warm_start=None, entering=most_negative_row, crash=False
+    problem, max_iterations=None, warm_start=None, entering=most_negative_row
 ):
     """Goldfarb-Idnani dual active-set solve of a QpProblem with the
     reallocating working set, including the final equality re-solve after a
     warm start that needed no iterations and the KKT downgrade of the status.
 
     warm_start is a previous solution or an iterable of stacked-row indices,
-    loaded in bulk; a seed that does not load raises np.linalg.LinAlgError,
-    and so does a crash seed whose pruned rows are dependent.
+    loaded in bulk; a seed that does not load raises np.linalg.LinAlgError.
     max_iterations defaults to 10 * (variables + stacked rows); entering
     picks the row to enter from (C, C u - d), or None at the optimum.
     """
@@ -287,59 +293,76 @@ def reference_dual_active_set(
     warm = () if warm_start is None else getattr(warm_start, "active_set", warm_start)
     warm = [i for i in (int(i) for i in warm) if 0 <= i < n_rows]
 
-    return _reference_loop(hessian, inv_hessian, linear, C, d, max_iter, warm, entering, crash)
+    return _reference_loop(hessian, inv_hessian, linear, C, d, max_iter, warm, entering)
+
+
+def _reference_prune(ws, inv_hessian, linear, d):
+    """LU multipliers of the set, dropping the least while any is negative:
+    (multipliers, primal point)."""
+    lam_w = np.zeros(0)
+    while ws.size:
+        lam_w = ws.eq_multipliers(linear, d)
+        if (lam_w >= 0.0).all():
+            return lam_w, ws.primal(linear, lam_w)
+        ws.drop(int(np.argmin(lam_w)))
+    return lam_w, -inv_hessian @ linear
+
+
+def crash_start(problem):
+    """The rows a cold solve's loop starts from, or None when the crash set
+    of crash_rows at u0 = -H^-1 linear has an exactly singular B.  While a
+    row of B has a Schur complement 1 / (B^-1)_ii of at most 1e-12 of
+    B_ii, the row of the least such share leaves; the rest is pruned by
+    LU.  Then, twice, the crash rows at the pruned point for the variables
+    the set leaves free enter one by one, each whose Schur complement
+    against the set exceeds 1e-8 of c H^-1 c, and the set is pruned again."""
+    C, d, linear = problem.C, problem.d, problem.linear
+    inv_hessian, m = problem.prepared.inv_hessian, problem.variables
+    ws = ReallocatingWorkingSet(inv_hessian, C)
+    ws.bulk_load(crash_rows(C, d, -inv_hessian @ linear, m))
+    while ws.size:
+        try:
+            share = 1.0 / (np.diag(ws._B) * np.diag(np.linalg.inv(ws._B)))
+        except np.linalg.LinAlgError:
+            return None
+        share[~(share > 0.0)] = 0.0
+        if share.min() > _DEPENDENCE_RTOL:
+            break
+        ws.drop(int(np.argmin(share)))
+    _, u = _reference_prune(ws, inv_hessian, linear, d)
+    for _ in range(2):
+        for idx in crash_rows(C, d, u, m - ws.size):
+            Jc = inv_hessian @ C[idx]
+            cJc = float(C[idx] @ Jc)
+            w_vec = ws.N @ Jc
+            if cJc - float(w_vec @ ws.solve_B(w_vec)) > 1e-8 * cJc:
+                ws.add(idx, C[idx], Jc)
+        _, u = _reference_prune(ws, inv_hessian, linear, d)
+    return ws.indices
 
 
 def reference_cold_solve(problem, max_iterations=None, entering=farthest_violated_row):
-    """A cold solve as qp.solve makes it, by the reference: from the crash
-    set of crash_rows at u0 = -H^-1 linear, redone from the empty set when
-    that set is empty, its pruned rows are dependent or its run ends
-    max-iterations."""
+    """A cold solve as qp.solve makes it, by the reference: from the rows
+    of crash_start, redone from the empty set when the crash set is empty
+    or exactly singular or its run ends max-iterations."""
     u0 = -problem.prepared.inv_hessian @ problem.linear
-    seed = crash_rows(problem.C, problem.d, u0, problem.variables)
-    if seed:
-        try:
-            ref = reference_dual_active_set(problem, max_iterations, seed, entering, crash=True)
-        except np.linalg.LinAlgError:
-            ref = None
-        if ref is not None and ref.status != MAX_ITERATIONS:
-            return ref
+    if crash_rows(problem.C, problem.d, u0, problem.variables):
+        start = crash_start(problem)
+        if start is not None:
+            ref = reference_dual_active_set(problem, max_iterations, start, entering)
+            if ref.status != MAX_ITERATIONS:
+                return ref
     return reference_dual_active_set(problem, max_iterations, (), entering)
 
 
-def _dependent_row(B):
-    """Whether some row of the Gram matrix B has a Schur complement against
-    the others, by least squares on them, of at most 1e-12 of its diagonal."""
-    for i in range(B.shape[0]):
-        rest = [j for j in range(B.shape[0]) if j != i]
-        schur = B[i, i]
-        if rest:
-            coupling = B[rest, i]
-            schur -= coupling @ np.linalg.lstsq(B[np.ix_(rest, rest)], coupling, rcond=None)[0]
-        if schur <= _DEPENDENCE_RTOL * B[i, i]:
-            return True
-    return False
-
-
-def _reference_loop(hessian, inv_hessian, linear, C, d, max_iter, warm, entering, crash=False):
+def _reference_loop(hessian, inv_hessian, linear, C, d, max_iter, warm, entering):
     """The loop of reference_dual_active_set on min 0.5 u'Hu + linear'u
     s.t. C u >= d, warm a list of row indices."""
     n_rows = C.shape[0]
     ws = ReallocatingWorkingSet(inv_hessian, C)
-    lam_w = np.zeros(0)
     if warm:
         ws.bulk_load(warm)
-    if ws.size:
-        while True:
-            lam_w = ws.eq_multipliers(linear, d)
-            if ws.size == 0 or (lam_w >= 0.0).all():
-                break
-            ws.drop(int(np.argmin(lam_w)))
-        u = ws.primal(linear, lam_w) if ws.size else -inv_hessian @ linear
-    else:
-        u = -inv_hessian @ linear
-    if crash and _dependent_row(ws._B):
-        raise np.linalg.LinAlgError("the pruned crash set is dependent")
+    lam_w, u = _reference_prune(ws, inv_hessian, linear, d)
 
     iterations = 0
     dependent_steps = 0

@@ -371,6 +371,53 @@ class TestFallbacks:
         assert result.fallback_applied is None
 
 
+class TestSlackChain:
+    """The slack path of a closed loop on a fixed sequence of snapshots, so
+    that no trajectory decides which steps fall back: the ten psi = 10
+    congested snapshots of default_rng(10), each infeasible, then the first
+    three psi = 5 ones of default_rng(5), each feasible, filtered in turn,
+    every step warm-started from the previous step's answer as run_scenario
+    does."""
+
+    @staticmethod
+    def steps(geom, params):
+        for psi, count in ((10, 10), (5, 3)):
+            cfg = make_config(geom, params, psi=float(psi))
+            rng = np.random.default_rng(psi)
+            for _ in range(count):
+                yield congested_poses(rng, geom), rng.uniform(-U_MAX, U_MAX, size=(22, 2)), cfg
+
+    def test_each_fallback_status_and_seed(self, geom, params, monkeypatch):
+        attempts, real = [], qp._solve_raw
+
+        def recording(inv_hessian, linear, C, d, max_iter=None, warm=(), soft=None, crash=False):
+            out = real(inv_hessian, linear, C, d, max_iter, warm, soft, crash)
+            kind = ("slack" if soft is not None else "crash" if crash
+                    else "warm" if len(warm) else "empty")
+            if crash:
+                assert list(warm) == oracles.crash_rows(C, d, -inv_hessian @ linear, linear.size)
+            attempts.append((kind, list(warm), out[2]))
+            return out
+
+        monkeypatch.setattr(qp, "_solve_raw", recording)
+        warm, steps = None, []
+        for poses, commands, cfg in self.steps(geom, params):
+            del attempts[:]
+            result = filter_step(poses, commands, cfg, warm_start=warm)
+            assert result.solver.status == OPTIMAL
+            if attempts[0][0] == "warm":
+                assert attempts[0][1] == warm.active_set.tolist()
+            steps.append((result.fallback_applied, [(kind, status) for kind, _, status in attempts],
+                          result.solver.active_set.size))
+            warm = result.solver
+        # A slack answer's active set is empty, so the step after it solves
+        # cold from its crash set; an optimal answer's seeds the next step.
+        slack = ("slack", [("crash", qp.INFEASIBLE), ("slack", OPTIMAL)], 0)
+        assert steps == [slack] * 10 + [(None, [("crash", OPTIMAL)], 31),
+                                        (None, [("warm", OPTIMAL)], 29),
+                                        (None, [("warm", OPTIMAL)], 30)]
+
+
 class TestArrayEntry:
     """filter_step takes (n, 3) poses and (n, 2) commands as well as
     RobotState / WheelCommand sequences; both run the same array path."""

@@ -147,15 +147,25 @@ def linalg_uses(tree: ast.Module) -> list:
 
 
 def linalg_uses_by_definition(tree: ast.Module) -> dict:
-    """{top-level function or class, or "<module>": the numpy.linalg names
-    it reads}, read by linalg_uses under the module's top-level imports."""
+    """{top-level function, method as "Class.method", class body outside
+    its methods as "Class", or "<module>": the numpy.linalg names it reads},
+    read by linalg_uses under the module's top-level imports."""
     imports = [n for n in tree.body if isinstance(n, (ast.Import, ast.ImportFrom))]
-    found = {}
+    definitions = []
     for node in tree.body:
-        if node not in imports:
-            uses = linalg_uses(ast.Module(body=imports + [node], type_ignores=[]))
-            if uses:
-                found.setdefault(getattr(node, "name", "<module>"), []).extend(uses)
+        if isinstance(node, ast.ClassDef):
+            methods = [n for n in node.body
+                       if isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef))]
+            definitions += [(f"{node.name}.{n.name}", n) for n in methods]
+            rest = [n for n in node.body if n not in methods]
+            definitions += [(node.name, n) for n in rest]
+        elif node not in imports:
+            definitions.append((getattr(node, "name", "<module>"), node))
+    found = {}
+    for name, node in definitions:
+        uses = linalg_uses(ast.Module(body=imports + [node], type_ignores=[]))
+        if uses:
+            found.setdefault(name, []).extend(uses)
     return found
 
 
@@ -288,11 +298,12 @@ def test_linalg_uses_are_found():
 
 def test_only_the_weight_and_the_cold_loop_invert():
     # prepare_weight inverts the Hessian once per weight, and a cold solve
-    # its crash set's B once; a warm step solves by LU and inverts nothing.
+    # its crash set's B through _WorkingSet.invert; a warm step solves by LU
+    # and inverts nothing.
     tree = ast.parse((PACKAGE / "qp.py").read_text(), filename="qp.py")
     inverting = {name for name, uses in linalg_uses_by_definition(tree).items()
                  if "linalg.inv" in uses}
-    assert inverting <= {"prepare_weight", "_solve_raw", "_WorkingSet"}
+    assert inverting <= {"prepare_weight", "_WorkingSet.invert"}
 
 
 def test_linalg_uses_by_definition_are_found():
@@ -302,13 +313,17 @@ def test_linalg_uses_by_definition_are_found():
         "def f(a):\n"
         "    return np.linalg.solve(a, a)\n"
         "class W:\n"
+        "    PINV = np.linalg.pinv\n"
         "    def g(self, a):\n"
         "        return np.linalg.inv(a)\n"
+        "    def k(self, a):\n"
+        "        return a\n"
         "def h(a):\n"
         "    return a\n"
     )
     assert linalg_uses_by_definition(ast.parse(source)) == {
-        "<module>": ["linalg.inv"], "f": ["linalg.solve"], "W": ["linalg.inv"]
+        "<module>": ["linalg.inv"], "f": ["linalg.solve"], "W.g": ["linalg.inv"],
+        "W": ["linalg.pinv"],
     }
 
 

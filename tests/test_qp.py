@@ -1,4 +1,5 @@
 import functools
+import itertools
 import math
 import tracemalloc
 import warnings
@@ -195,7 +196,7 @@ class TestReferenceBitIdentity:
 
     def test_congested_22_robot_starts_cold(self):
         # The raw rule takes 110 iterations on both starts from the empty
-        # set; the distance rule from the crash set 0 at radius 0.6 and 44
+        # set; the distance rule from the crash start 0 at radius 0.6 and 19
         # at radius 0.5 (24 and 66 from the empty set).
         for radius, share in ((0.6, 1 / 2), (0.5, 2 / 3)):
             problem = congested_problem(radius)
@@ -257,7 +258,7 @@ class TestReferenceBitIdentity:
         for cap in (0, 1, 2, 5):
             for _ in range(5):
                 assert_matches_reference(random_problem(rng, m=6, rows=10), max_iterations=cap)
-        sol, _ = assert_matches_reference(congested_problem(0.5), max_iterations=20)
+        sol, _ = assert_matches_reference(congested_problem(0.5), max_iterations=10)
         assert sol.status == MAX_ITERATIONS
 
     def test_warm_start_from_the_optimum_needs_no_iterations(self, rng):
@@ -349,8 +350,8 @@ class TestKeptInverse:
         assert min(drops) >= 5 and sum(drops) >= 50
 
     def test_a_crash_set_keeps_it_accurate(self, monkeypatch):
-        # Loaded, pruned by LU and inverted once, then 44 iterations of
-        # rank-one updates at radius 0.5.
+        # Loaded and inverted once, pruned by downdates and topped up by
+        # rank-one adds, then 19 iterations of them at radius 0.5.
         for radius in (0.6, 0.5):
             problem = congested_problem(radius)
             sol, (ws,) = self.recorded(monkeypatch, lambda: solve(problem))
@@ -1012,13 +1013,13 @@ class TestDecoupledMarginSnapshots:
 
 class TestCrashStart:
     """A cold solve loads the crash set of tests/oracles.py::crash_rows,
-    prunes it by LU and inverts its B once.  Against the loop from the
-    empty set on congested crossing snapshots, with the shipped and with
-    the decoupled margin, it never raises, reaches the same optimum within
-    1e-9 in fewer iterations, and calls a problem
-    infeasible only where the loop from the empty set finds no optimum.  A
-    crash attempt that ends infeasible is final: the pruned crash set is
-    dual feasible."""
+    inverts its B once, prunes it by downdates of the inverse and tops it up
+    twice (tests/oracles.py::crash_start).  Against the loop from the empty
+    set on congested crossing snapshots, with the shipped and with the
+    decoupled margin, it never raises, reaches the same optimum within 1e-9
+    in fewer iterations, and calls a problem infeasible only where the loop
+    from the empty set finds no optimum.  A crash attempt that ends
+    infeasible is final: its pruned start is dual feasible."""
 
     @staticmethod
     def snapshot_problems(assemble, count=100):
@@ -1044,11 +1045,11 @@ class TestCrashStart:
         monkeypatch.setattr(qp, "_solve_raw", recording)
         return attempts
 
-    # Mean iterations from the crash set over those from the empty set read
-    # 0.746 on the 199 of 200 shipped-margin snapshots that are feasible,
-    # and 0.843 on the 20 of 200 decoupled-margin ones.
-    @pytest.mark.parametrize("assemble, share", [(assemble_constraints, 0.75),
-                                                 (decoupled_margin_constraints, 0.85)])
+    # Mean iterations from the crash start over those from the empty set
+    # read 0.315 on the 199 of 200 shipped-margin snapshots that are
+    # feasible, and 0.465 on the 20 of 200 decoupled-margin ones.
+    @pytest.mark.parametrize("assemble, share", [(assemble_constraints, 0.35),
+                                                 (decoupled_margin_constraints, 0.5)])
     def test_same_optimum_in_fewer_iterations(self, monkeypatch, assemble, share):
         attempts = self.recorded_attempts(monkeypatch)
         crash_iterations, empty_iterations, loaded = [], [], 0
@@ -1069,6 +1070,25 @@ class TestCrashStart:
             empty_iterations.append(empty.iterations)
         assert loaded == 200 and len(empty_iterations) >= 10
         assert np.mean(crash_iterations) <= share * np.mean(empty_iterations)
+
+    def test_the_only_lu_solve_is_the_final_one(self, monkeypatch):
+        # Inverted once, pruned by downdates and topped up by rank-one adds:
+        # no LU solve runs before the loop, which runs on the kept inverse,
+        # and the final re-solve is one LU solve on the final active rows.
+        problems = [congested_problem(0.5), *itertools.islice(
+            self.snapshot_problems(assemble_constraints), 20)]
+        calls, real_solve, real_inv = [], np.linalg.solve, np.linalg.inv
+        monkeypatch.setattr(np.linalg, "solve",
+                            lambda a, b: calls.append(("solve", len(a))) or real_solve(a, b))
+        monkeypatch.setattr(np.linalg, "inv", lambda a: calls.append(("inv", len(a))) or real_inv(a))
+        attempts = self.recorded_attempts(monkeypatch)
+        for problem in problems:
+            del calls[:], attempts[:]
+            sol = solve(problem)
+            assert [crash for _, crash, _ in attempts] == [True]
+            assert sol.status == OPTIMAL and sol.iterations > 0
+            assert calls[-1] == ("solve", len(sol.active_set))
+            assert {name for name, _ in calls[:-1]} == {"inv"}
 
     def test_an_infeasible_problem_costs_one_hard_attempt(self, monkeypatch, geom, params):
         problems = infeasible_problems()
@@ -1096,6 +1116,40 @@ class TestCrashStart:
             assert len(attempts) == 1
             crashed += attempts[0][1]
         assert crashed >= 10
+
+
+    def test_a_drifted_crash_set_is_inverted_afresh(self, monkeypatch, geom, params):
+        # On these psi = 10 snapshots the loop enters a row nearly dependent
+        # on the active rows (B of condition 1e16 to 1e18), and an active row
+        # then reads violated.  Inverting B afresh drops the rows that have
+        # become dependent, and the attempt still proves the problem
+        # infeasible; going on by LU instead ends each max-iterations.
+        cfg = FilterConfig(geom, params, HullUnion((symmetric_box(10.0),)), u_max=U_MAX)
+        problems, real_solve = [], qp.solve
+
+        def capturing(problem, max_iterations=None, warm_start=None):
+            problems.append(problem)
+            return real_solve(problem, max_iterations, warm_start)
+
+        picked = []
+        with monkeypatch.context() as patch:
+            patch.setattr(qp, "solve", capturing)
+            for seed, index in ((11, 1), (15, 0), (22, 2), (24, 8)):
+                rng = np.random.default_rng(seed)
+                for _ in range(index + 1):
+                    poses, commands = congested_poses(rng, geom), rng.uniform(-U_MAX, U_MAX, (22, 2))
+                del problems[:]
+                filter_step(poses, commands, cfg)
+                picked.append(problems[0])
+        inversions, real_invert = [], qp._WorkingSet.invert
+        monkeypatch.setattr(qp._WorkingSet, "invert",
+                            lambda ws: inversions.append(ws.size) or real_invert(ws))
+        attempts = self.recorded_attempts(monkeypatch)
+        for problem in picked:
+            del attempts[:], inversions[:]
+            assert solve(problem).status == INFEASIBLE
+            assert [(crash, status) for _, crash, status in attempts] == [(True, INFEASIBLE)]
+            assert len(inversions) == 2
 
 
 class TestSeedDependence:

@@ -259,7 +259,7 @@ class TestRunScenario:
     def test_every_step_warm_starts_from_the_last_answer(self, monkeypatch):
         # A fallback's answer too: its active set is empty, so the step
         # after it solves cold.  circle22 under a psi = 14 box takes the
-        # slack fallback from step 262 on.
+        # slack fallback at steps 259-270.
         cfg = load_config(SCENARIO_DIR / "circle22.yaml")
         cfg = replace(cfg, disturbance=HullUnion((symmetric_box(14.0),)),
                       sim_duration=268 * cfg.dt, iterations=1)
