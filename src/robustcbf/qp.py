@@ -11,9 +11,11 @@ by LU until its multipliers are nonnegative, which makes the start dual
 feasible.  A cold start loads a crash set, the rows farthest violated at
 the unconstrained optimum (Bixby, "Implementing the simplex method: the
 initial basis", ORSA J. Computing 1992), inverts B once, prunes by
-downdates of B^-1 and tops the set up twice from the pruned point.  It
-keeps B^-1 by rank-one updates from there, as a set grown from empty
-does; a crash attempt that fails is redone from the empty set.
+downdates of B^-1 and of the multipliers, which it forms once per prune,
+and tops the set up twice from the pruned point.  It keeps B^-1 by
+rank-one updates from there, as a set grown from empty does; a crash
+attempt that fails is redone from the empty set.  Row norms are computed
+once per cold solve, with the crash set.
 
 A QpProblem holds its stacked rows C u >= d and its linear term from
 construction on; solve, solve_with_slack and kkt_check only read them.  The
@@ -298,9 +300,10 @@ class _WorkingSet:
         k = self.size
         del self.indices[pos]
         self._rows = None
-        if self.inverse:
-            Binv = self._Binv[:k, :k]
-            Binv -= Binv[:, pos, None] * (Binv[pos] / Binv[pos, pos])
+        if self.inverse:  # on the contiguous leading rows, padded as in add
+            Binv, row = self._Binv[:k], np.zeros(self._lam.size)
+            row[:k] = Binv[pos, :k] / Binv[pos, pos]
+            Binv -= np.multiply.outer(Binv[:, pos], row)
         self._N[pos : k - 1] = self._N[pos + 1 : k]
         self._JNt[:, pos : k - 1] = self._JNt[:, pos + 1 : k]
         for M in (self._B, self._Binv) if self.inverse else (self._B,):
@@ -378,12 +381,20 @@ def _blocking_ratio(lam_w: np.ndarray, r_dir: np.ndarray):
 
 
 def _prune(ws: _WorkingSet, inv_hessian, linear, d) -> np.ndarray:
-    """Kept-inverse or LU multipliers, the least dropped while one is < 0; the primal point."""
+    """The multipliers, the least dropped while one is < 0; the primal point.
+    On a kept inverse they are formed once and each drop of row p downdates
+    them by lam -= B^-1[:, p] lam_p / B^-1_pp, exact on the column drop
+    uses; on LU they are solved afresh after each drop."""
+    lam_w = ws.eq_multipliers(linear, d, lu=not ws.inverse)
     while ws.size:
-        lam_w = ws.eq_multipliers(linear, d, lu=not ws.inverse)
         if (lam_w >= 0.0).all():
             return ws.primal(linear)
-        ws.drop(int(np.argmin(lam_w)))
+        pos = int(np.argmin(lam_w))
+        if ws.inverse:
+            column = ws._Binv[: ws.size, pos]
+            lam_w -= column * (lam_w[pos] / column[pos])
+        ws.drop(pos)
+        lam_w = ws.lam if ws.inverse else ws.eq_multipliers(linear, d)
     return -inv_hessian @ linear
 
 
@@ -395,31 +406,29 @@ def _residual(C, d, u, ws: _WorkingSet, soft) -> np.ndarray:
     return residual
 
 
-def _crash_rows(C, d, u0, m) -> np.ndarray:
+def _crash_rows(C, d, u0, m, norms) -> np.ndarray:
     """The crash set of a cold start: of the rows violated at u0, the
     m // 2 of least residual / |c|, zero rows left out, in ascending row
-    order.  Distances within a relative _TIE_RTOL of the cut go to the
-    lower rows, so rounding cannot swap the rows of a symmetric start."""
+    order, |c| read off norms, the row norms of C.  Distances within a
+    relative _TIE_RTOL of the cut go to the lower rows, so rounding cannot
+    swap the rows of a symmetric start."""
     residual = C @ u0 - d
     violated = (residual < -FEASIBILITY_TOL).nonzero()[0]
-    rows = C.take(violated, axis=0)
-    norms = np.sqrt(np.einsum("ij,ij->i", rows, rows))
-    nonzero = norms > 0.0
-    violated = violated[nonzero]
+    violated = violated[norms[violated] > 0.0]
     if violated.size > m // 2:  # at m // 2 = 0, kth -1 is valid and nothing is kept
-        dist = residual[violated] / norms[nonzero]
+        dist = residual[violated] / norms[violated]
         cut = np.partition(dist, m // 2 - 1)[m // 2 - 1]
         rank = (dist >= cut * (1.0 + _TIE_RTOL)).astype(int) + (dist > cut * (1.0 - _TIE_RTOL))
         violated = np.sort(violated[rank.argsort(kind="stable")[: m // 2]])
     return violated
 
 
-def _top_up(ws: _WorkingSet, inv_hessian, linear, C, d, u) -> np.ndarray:
+def _top_up(ws: _WorkingSet, inv_hessian, linear, C, d, u, norms) -> np.ndarray:
     """Add the crash rows at u for the variables the set leaves free to the
     kept inverse, each whose Schur complement exceeds _TOP_UP_RTOL * c J c
     (the loop's 1e-12 admits nearly dependent rows, which can spoil the
     start); then prune.  The primal point."""
-    for idx in _crash_rows(C, d, u, C.shape[1] - ws.size).tolist():
+    for idx in _crash_rows(C, d, u, C.shape[1] - ws.size, norms).tolist():
         Jc = inv_hessian @ C[idx]
         w_vec, cJc = ws.N @ Jc, float(C[idx] @ Jc)
         r_dir = ws.solve_B(w_vec)
@@ -429,12 +438,14 @@ def _top_up(ws: _WorkingSet, inv_hessian, linear, C, d, u) -> np.ndarray:
     return _prune(ws, inv_hessian, linear, d)
 
 
-def _solve_raw(inv_hessian, linear, C, d, max_iter=None, warm=(), soft=None, crash=False):
+def _solve_raw(inv_hessian, linear, C, d, max_iter=None, warm=(), soft=None, crash=False,
+               norms=None):
     """Dual active-set loop on min 0.5 u'Hu + q'u s.t. C u >= d, with
     inv_hessian = H^-1 precomputed by the caller.  max_iter defaults to
     10 * (variables + stacked rows).  warm is an np.intp array of at most
     variables row indices in [0, rows), bulk loaded; crash marks it as a
     crash set, inverted before its first prune and then topped up twice.
+    norms is None or the row norms of C, which a crash set needs.
     soft, on a start from the empty set, is a per-row diagonal D >= 0 that
     lets row r fall short by s_r = D_r lam_r at the cost s_r^2 / (2 D_r);
     D_r adds to B's diagonal.
@@ -459,13 +470,13 @@ def _solve_raw(inv_hessian, linear, C, d, max_iter=None, warm=(), soft=None, cra
     if max_iter is None:
         max_iter = 10 * (C.shape[1] + C.shape[0])
     ws = _WorkingSet(inv_hessian, C, warm)
-    u, iterations, status, norms, refresh = None, 0, OPTIMAL, None, crash
+    u, iterations, status, refresh = None, 0, OPTIMAL, crash
     try:
         if crash:
             ws.invert()
         u = _prune(ws, inv_hessian, linear, d)
         for _ in range(2 if crash else 0):
-            u = _top_up(ws, inv_hessian, linear, C, d, u)
+            u = _top_up(ws, inv_hessian, linear, C, d, u, norms)
         while status == OPTIMAL:
             residual = _residual(C, d, u, ws, soft)
             violated = (residual < -FEASIBILITY_TOL).nonzero()[0]
@@ -582,16 +593,18 @@ def _solution(problem: QpProblem, raw, slack=False) -> QpSolution:
 
 
 def _seeds(problem: QpProblem, warm):
-    """The (rows, crash) seeds solve tries in turn: a warm seed of at most
-    as many rows as variables, then the crash set if it is not empty, then
-    the empty set.  The crash set is found only when it is tried."""
+    """The (rows, crash, norms) seeds solve tries in turn: a warm seed of at
+    most as many rows as variables, then the crash set if it is not empty,
+    then the empty set.  The crash set, and with it the row norms that the
+    later attempts share, is found only when it is tried."""
     if 0 < len(warm) <= problem.variables:
-        yield warm, False
+        yield warm, False, None
     u0 = -problem.prepared.inv_hessian @ problem.linear
-    crash = _crash_rows(problem.C, problem.d, u0, problem.variables)
+    norms = np.sqrt(np.einsum("ij,ij->i", problem.C, problem.C))
+    crash = _crash_rows(problem.C, problem.d, u0, problem.variables, norms)
     if crash.size:
-        yield crash, True
-    yield (), False
+        yield crash, True, norms
+    yield (), False, norms
 
 
 def solve(problem: QpProblem, max_iterations: int | None = None, warm_start=None) -> QpSolution:
@@ -622,8 +635,9 @@ def solve(problem: QpProblem, max_iterations: int | None = None, warm_start=None
     C, d, inv_hessian = problem.C, problem.d, problem.prepared.inv_hessian
     seed = () if warm_start is None else warm_start.active_set
     warm = seed[seed < C.shape[0]] if len(seed) else ()
-    for rows, crash in _seeds(problem, warm):
-        raw = _solve_raw(inv_hessian, problem.linear, C, d, max_iterations, rows, crash=crash)
+    for rows, crash, norms in _seeds(problem, warm):
+        raw = _solve_raw(inv_hessian, problem.linear, C, d, max_iterations, rows, crash=crash,
+                         norms=norms)
         solution = _solution(problem, raw)
         if solution.status == OPTIMAL or crash and solution.status == INFEASIBLE:
             break

@@ -11,11 +11,16 @@ every step.  With the solver's scaled entering rule it pins the solver's
 steps and active sets, seeded with crash_start wherever a cold solve loads
 its crash set: the rows of crash_rows with the dependent ones dropped,
 pruned and topped up twice, all by LU; with the raw rule it pins the
-answers of the solver before that rule changed.  Run on the dense (u, s) embedding of the slack
-re-solve (slack_system), it pins the answers of the eliminated slacks.  The
-assembly reference is the gather-based assembly from before the one pass
-over all ordered pairs, and the full-row KKT report the one from before the
-report read only the active rows.  The KKT certificate reference is
+answers of the solver before that rule changed.  Its reference_prune,
+which solves the multipliers by LU after each drop, pins the drops and
+multipliers of the solver's prune on a kept inverse, which downdates them.
+strided_drop is the kept-inverse downdate of the solver's drop as it ran
+on the strided view of its buffer, which pins the bits of the contiguous
+form.  The dual active-set reference, run on the dense (u, s) embedding
+of the slack re-solve (slack_system), pins the answers of the eliminated
+slacks.  The assembly reference is the gather-based assembly from before
+the one pass over all ordered pairs, and the full-row KKT report the one
+from before the report read only the active rows.  The KKT certificate reference is
 qp.kkt_check as it was on scipy.optimize.nnls, before its own numpy solver.
 The decoupled margin gives each robot of a pair its own disturbance offset;
 it yields the congested QPs on which the solver once raised LinAlgError.
@@ -211,6 +216,17 @@ class ReallocatingWorkingSet:
         self.N, self.JNt, self._B = N, JNt, B
 
 
+def strided_drop(Binv, k, pos):
+    """The kept-inverse part of the solver's drop of row pos from k active
+    rows, frozen as it was before the downdate ran on the contiguous
+    leading rows: the Schur downdate in place on the strided [:k, :k] view
+    of the buffer Binv, then the rows and columns past pos moved up one."""
+    view = Binv[:k, :k]
+    view -= view[:, pos, None] * (view[pos] / view[pos, pos])
+    Binv[pos : k - 1, :k] = Binv[pos + 1 : k, :k]
+    Binv[: k - 1, pos : k - 1] = Binv[: k - 1, pos + 1 : k]
+
+
 def _reference_ratio(lam_w, r_dir):
     positive = r_dir > 0.0
     if not positive.any():
@@ -296,7 +312,7 @@ def reference_dual_active_set(
     return _reference_loop(hessian, inv_hessian, linear, C, d, max_iter, warm, entering)
 
 
-def _reference_prune(ws, inv_hessian, linear, d):
+def reference_prune(ws, inv_hessian, linear, d):
     """LU multipliers of the set, dropping the least while any is negative:
     (multipliers, primal point)."""
     lam_w = np.zeros(0)
@@ -329,7 +345,7 @@ def crash_start(problem):
         if share.min() > _DEPENDENCE_RTOL:
             break
         ws.drop(int(np.argmin(share)))
-    _, u = _reference_prune(ws, inv_hessian, linear, d)
+    _, u = reference_prune(ws, inv_hessian, linear, d)
     for _ in range(2):
         for idx in crash_rows(C, d, u, m - ws.size):
             Jc = inv_hessian @ C[idx]
@@ -337,7 +353,7 @@ def crash_start(problem):
             w_vec = ws.N @ Jc
             if cJc - float(w_vec @ ws.solve_B(w_vec)) > 1e-8 * cJc:
                 ws.add(idx, C[idx], Jc)
-        _, u = _reference_prune(ws, inv_hessian, linear, d)
+        _, u = reference_prune(ws, inv_hessian, linear, d)
     return ws.indices
 
 
@@ -362,7 +378,7 @@ def _reference_loop(hessian, inv_hessian, linear, C, d, max_iter, warm, entering
     ws = ReallocatingWorkingSet(inv_hessian, C)
     if warm:
         ws.bulk_load(warm)
-    lam_w, u = _reference_prune(ws, inv_hessian, linear, d)
+    lam_w, u = reference_prune(ws, inv_hessian, linear, d)
 
     iterations = 0
     dependent_steps = 0

@@ -390,8 +390,9 @@ class TestSlackChain:
     def test_each_fallback_status_and_seed(self, geom, params, monkeypatch):
         attempts, real = [], qp._solve_raw
 
-        def recording(inv_hessian, linear, C, d, max_iter=None, warm=(), soft=None, crash=False):
-            out = real(inv_hessian, linear, C, d, max_iter, warm, soft, crash)
+        def recording(inv_hessian, linear, C, d, max_iter=None, warm=(), soft=None, crash=False,
+                      norms=None):
+            out = real(inv_hessian, linear, C, d, max_iter, warm, soft, crash, norms)
             kind = ("slack" if soft is not None else "crash" if crash
                     else "warm" if len(warm) else "empty")
             if crash:

@@ -46,8 +46,10 @@ from .oracles import (
     reference_cold_solve,
     reference_dual_active_set,
     reference_kkt_check,
+    reference_prune,
     reference_slack_solve,
     slack_system,
+    strided_drop,
 )
 
 
@@ -360,6 +362,41 @@ class TestKeptInverse:
             np.testing.assert_allclose(
                 ws._Binv[:k, :k] @ ws._B[:k, :k], np.eye(k), rtol=0.0, atol=1e-10
             )
+
+    def test_drop_downdates_as_the_strided_form_did(self, rng):
+        # The downdate runs on the contiguous leading rows with a zero-padded
+        # row; entry by entry it is the same arithmetic as the old in-place
+        # downdate of the strided [:k, :k] view, so the bits stay.
+        class Strided(_WorkingSet):
+            def drop(self, pos):
+                strided_drop(self._Binv, self.size, pos)
+                self.inverse = False  # the rest of drop, with B^-1 done above
+                super().drop(pos)
+                self.inverse = True
+
+        problem = random_problem(rng, m=8, rows=6)
+        J, C = problem.prepared.inv_hessian, problem.C
+        sets = (_WorkingSet(J, C), Strided(J, C))
+        for ws in sets:
+            ws._allocate(3)  # grows twice on the way
+        script = [("add", 4), ("add", 0), ("add", 7), ("add", 2), ("drop", 1), ("add", 9),
+                  ("add", 5), ("drop", 4), ("add", 1), ("drop", 0), ("add", 11), ("add", 3),
+                  ("drop", 3), ("drop", 0), ("add", 6), ("add", 13), ("add", 12)]
+        for step, arg in script:
+            for ws in sets:
+                if step == "drop":
+                    ws.drop(arg)
+                    continue
+                c, Jc = C[arg], J @ C[arg]
+                w_vec, cJc = ws.N @ Jc, float(c @ Jc)
+                r_dir = ws.solve_B(w_vec)
+                ws.add(arg, c, Jc, w_vec, cJc, r_dir, cJc - float(w_vec @ r_dir), 1.0)
+            k = sets[0].size
+            assert sets[0].indices == sets[1].indices and sets[0].inverse
+            assert sets[0]._Binv[:k, :k].tobytes() == sets[1]._Binv[:k, :k].tobytes()
+        assert k == 7 and sets[0]._lam.size == 12
+        np.testing.assert_allclose(sets[0]._Binv[:k, :k] @ sets[0]._B[:k, :k], np.eye(k),
+                                   rtol=0.0, atol=1e-10)
 
     def test_bulk_loaded_warm_set_solves_by_lu(self, monkeypatch):
         problem = congested_problem(0.6)
@@ -1013,8 +1050,8 @@ class TestDecoupledMarginSnapshots:
 
 class TestCrashStart:
     """A cold solve loads the crash set of tests/oracles.py::crash_rows,
-    inverts its B once, prunes it by downdates of the inverse and tops it up
-    twice (tests/oracles.py::crash_start).  Against the loop from the empty
+    inverts its B once, prunes it by downdates of the inverse and of the
+    multipliers and tops it up twice (tests/oracles.py::crash_start).  Against the loop from the empty
     set on congested crossing snapshots, with the shipped and with the
     decoupled margin, it never raises, reaches the same optimum within 1e-9
     in fewer iterations, and calls a problem infeasible only where the loop
@@ -1089,6 +1126,68 @@ class TestCrashStart:
             assert sol.status == OPTIMAL and sol.iterations > 0
             assert calls[-1] == ("solve", len(sol.active_set))
             assert {name for name, _ in calls[:-1]} == {"inv"}
+
+    # A crash set whose B is exactly singular when loaded, or turns so after
+    # a dependent-row drop in invert, or whose attempt ends max-iterations,
+    # is redone from the empty set.  The bounds are the counts measured
+    # when this guard was added; they may fall, not rise.
+    @pytest.mark.parametrize("assemble, most", [(assemble_constraints, 2),
+                                                (decoupled_margin_constraints, 3)])
+    def test_few_crash_attempts_are_redone_from_empty(self, monkeypatch, assemble, most):
+        attempts = self.recorded_attempts(monkeypatch)
+        redone = 0
+        for problem in self.snapshot_problems(assemble):
+            del attempts[:]
+            solve(problem)
+            redone += attempts[0][1] and len(attempts) > 1
+        assert redone <= most
+
+    def test_a_kept_inverse_prune_drops_as_the_reference(self, monkeypatch):
+        # Each prune on the kept inverse (after the inversion and after each
+        # top-up) forms its multipliers once and downdates them on each
+        # drop; the reference solves them by LU after each drop.  The kept
+        # inverse of a badly conditioned start carries its error past the
+        # drops: 586 of the 596 prunes agree within 1e-10 relative, the worst
+        # reads 6.4e-9, and multiplying by the kept inverse afresh after
+        # each drop reads the same 586 and 4.2e-9.
+        prunes, forms, drops = [], [], []
+        real_prune, real_eq, real_drop = qp._prune, _WorkingSet.eq_multipliers, _WorkingSet.drop
+
+        def prune(ws, inv_hessian, linear, d):
+            start, inverse = list(ws.indices), ws.inverse
+            del forms[:], drops[:]
+            u = real_prune(ws, inv_hessian, linear, d)
+            if inverse:
+                prunes.append((start, list(drops), len(forms), ws.lam.copy(),
+                               (inv_hessian, linear, ws._C, d)))
+            return u
+
+        class Recording(ReallocatingWorkingSet):
+            def drop(self, pos):
+                drops.append(self.indices[pos])
+                super().drop(pos)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(qp, "_prune", prune)
+            patch.setattr(_WorkingSet, "eq_multipliers",
+                          lambda ws, *args, **kw: forms.append(1) or real_eq(ws, *args, **kw))
+            patch.setattr(_WorkingSet, "drop",
+                          lambda ws, pos: drops.append(ws.indices[pos]) or real_drop(ws, pos))
+            for problem in self.snapshot_problems(assemble_constraints):
+                solve(problem)
+        dropped, errors = 0, []
+        for start, rows, formed, lam, (inv_hessian, linear, C, d) in prunes:
+            ref = Recording(inv_hessian, C)
+            ref.bulk_load(start)
+            del drops[:]
+            ref_lam, _ = reference_prune(ref, inv_hessian, linear, d)
+            assert formed == 1
+            assert rows == drops
+            scale = np.abs(ref_lam).max(initial=0.0)
+            errors.append(np.abs(lam - ref_lam).max(initial=0.0) / (scale or 1.0))
+            dropped += len(rows)
+        assert len(prunes) >= 590 and dropped >= 2000
+        assert max(errors) <= 1e-8 and np.mean(np.array(errors) <= 1e-10) >= 0.95
 
     def test_an_infeasible_problem_costs_one_hard_attempt(self, monkeypatch, geom, params):
         problems = infeasible_problems()
